@@ -10,9 +10,9 @@ Caputo-1/2 stepping (asymptotic family only)
                            sum_{j=0}^{k-1} w_j (f_{k-j} - f_{k-j-1}),
         w_j = sqrt(j+1) - sqrt(j),
 
-    solved implicitly for the unknown variable at each step (for stress
-    input the D^{1/2} eps term is isolated and the same triangular L1 system
-    is solved for eps, i.e. discrete fractional integration).  Step-load
+    solved implicitly for the unknown variable (for stress input the
+    D^{1/2} eps term is isolated and the same triangular L1 system is solved
+    for eps, i.e. discrete fractional integration).  Step-load
     responses converge to the closed-form material functions with empirical
     order ~1 (the t^{1/2} start-up singularity limits the nominal 1.5).
 
@@ -25,6 +25,13 @@ Hereditary convolution (all families)
     primitives are closed-form).  This keeps second-order convergence for
     smooth loads despite the singular kernel, and reproduces step-load
     responses exactly up to kernel accuracy.
+
+Evaluation: both routes are lower-triangular Toeplitz products (the L1
+sums and the panel sums) or solves (the implicit stepping), computed as
+causal blocked-FFT products in O(n log^2 n); a solve applies the reciprocal
+power series of its column.  Each output depends only on inputs up to its
+own time, bit for bit.  Summation order differs from a per-step loop, so
+the last digits of a response can differ from one (relative ~1e-13).
 
 Initial condition convention: a nonzero load sample at k = 0 is treated as an
 instantaneous step mapped through the glass constants, response(0) = J_g *
@@ -58,6 +65,7 @@ from .models.params import DEFAULT_POLICY, ModelParams
 
 LOAD_KINDS = ("stress", "strain")
 _GAMMA_3_2 = math.gamma(1.5)
+_TOEPLITZ_BLOCK = 128  # direct np.convolve at and below this length
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,61 @@ def _conjugate(kind: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _toeplitz_apply(col, x) -> np.ndarray:
+    """Causal product y[k] = sum_{j<=k} col[j] x[k-j] for k < len(x).
+
+    Blocked fast convolution (Hairer, Lubich & Schlichte 1985), unrolled
+    bottom-up: blocks of _TOEPLITZ_BLOCK samples are convolved directly,
+    then each doubling h adds the first half of every 2h-aligned segment
+    into its second half with one batched rfft/irfft product of size 2h.
+    Output k reads only x[:k+1] through operations fixed by len(x), so
+    editing the input from any index on leaves earlier outputs
+    bit-identical.  O(n log^2 n).
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    col = np.asarray(col, dtype=float)[:n]
+    if n <= _TOEPLITZ_BLOCK:
+        return np.convolve(col, x)[:n]
+    size = _TOEPLITZ_BLOCK << (-(-n // _TOEPLITZ_BLOCK) - 1).bit_length()
+    xp, cp = np.zeros(size), np.zeros(size)
+    xp[:n], cp[:n] = x, col
+    head = cp[:_TOEPLITZ_BLOCK]
+    y = np.concatenate(
+        [np.convolve(head, blk)[:_TOEPLITZ_BLOCK] for blk in xp.reshape(-1, _TOEPLITZ_BLOCK)]
+    )
+    h = _TOEPLITZ_BLOCK
+    while h < size:
+        # Linear products reach index 3h - 2; the wrap lands below h.
+        first = np.fft.rfft(xp.reshape(-1, 2 * h)[:, :h], 2 * h)
+        cross = np.fft.irfft(first * np.fft.rfft(cp[: 2 * h]), 2 * h)
+        y.reshape(-1, 2 * h)[:, h:] += cross[:, h:]
+        h *= 2
+    return y[:n]
+
+
+def _toeplitz_solve(col, rhs) -> np.ndarray:
+    """Solve the lower-triangular Toeplitz system _toeplitz_apply(col, x) = rhs.
+
+    The inverse matrix is Toeplitz with the reciprocal power series b = 1/a
+    of the column, built by Newton doubling b <- b (2 - a b) mod z^{2k}:
+    with a b = 1 + z^k e mod z^{2k}, the update appends -(b e) mod z^k.
+    Every product is an FFT product whose cyclic wrap misses the kept
+    coefficients.  b depends on col alone, so the solve is as causal in
+    rhs as _toeplitz_apply.
+    """
+    n = len(rhs)
+    a = np.zeros(1 << (n - 1).bit_length())
+    a[:n] = np.asarray(col, dtype=float)[:n]
+    b = np.array([1.0 / a[0]])
+    while len(b) < n:
+        k = len(b)
+        b_hat = np.fft.rfft(b, 2 * k)
+        e = np.fft.irfft(np.fft.rfft(a[: 2 * k]) * b_hat, 2 * k)[k:]
+        b = np.concatenate((b, -np.fft.irfft(b_hat * np.fft.rfft(e, 2 * k), 2 * k)[:k]))
+    return _toeplitz_apply(b, rhs)
+
+
 def _l1_weights(n: int) -> np.ndarray:
     j = np.arange(n, dtype=float)
     return np.sqrt(j + 1.0) - np.sqrt(j)
@@ -127,20 +190,20 @@ def caputo_half(samples, dt: float) -> np.ndarray:
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainError(f"dt must be finite and > 0, got {dt!r}")
     n = len(f)
-    w = _l1_weights(n)
-    d = np.diff(f)
-    # (D f)_k = kappa * sum_{j=0}^{k-1} w_j d_{k-1-j}: a discrete convolution.
-    conv = np.convolve(d, w)[: n - 1]
     out = np.zeros(n)
-    out[1:] = conv / (math.sqrt(dt) * _GAMMA_3_2)
+    # (D f)_k = kappa * sum_{j=0}^{k-1} w_j d_{k-1-j}: a discrete convolution.
+    out[1:] = _toeplitz_apply(_l1_weights(n), np.diff(f)) / (math.sqrt(dt) * _GAMMA_3_2)
     return out
 
 
 def simulate_asymptotic(nu: float, load: LoadHistory) -> ResponseHistory:
     """Step the Maxwell-like law [1 + c D^{1/2}] sigma = c D^{1/2} eps.
 
-    Strain input solves implicitly for stress; stress input solves the L1
-    triangular system for strain (discrete half-order integration).
+    With response increments d_k = out[k] - out[k-1], both directions are
+    lower-triangular Toeplitz systems in d: strain input solves
+    out + c D^{1/2} out = c D^{1/2} eps (column 1 + c kappa w), stress
+    input solves the L1 system D^{1/2} eps = sigma / c + D^{1/2} sigma
+    (column w, discrete half-order integration).
     """
     nu = float(nu)
     if not math.isfinite(nu) or nu <= -1.0:
@@ -148,29 +211,17 @@ def simulate_asymptotic(nu: float, load: LoadHistory) -> ResponseHistory:
     c = 1.0 / (2.0 * (nu + 1.0))
     dt = load.dt
     f = np.asarray(load.samples, dtype=float)
-    n = len(f)
-    w = _l1_weights(n)
+    w = _l1_weights(len(f) - 1)
     kappa = 1.0 / (math.sqrt(dt) * _GAMMA_3_2)
-    out = np.zeros(n)
-
+    load_caputo = caputo_half(f, dt)[1:]
+    # out[0] = f[0]: an instantaneous step through the glass constants
+    # G_g = J_g = 1.
     if load.kind == "strain":
-        eps_caputo = caputo_half(f, dt)
-        out[0] = f[0]  # instantaneous step through the glass modulus G_g = 1
-        denom = 1.0 + c * kappa * w[0]
-        for k in range(1, n):
-            inc = np.diff(out[:k])  # response increments up to sigma_{k-1}
-            hist = float(np.dot(w[1:k], inc[::-1])) if k > 1 else 0.0
-            out[k] = (c * eps_caputo[k] + c * kappa * (w[0] * out[k - 1] - hist)) / denom
-        return ResponseHistory(kind="stress", dt=dt, samples=tuple(out))
-
-    sigma_caputo = caputo_half(f, dt)
-    out[0] = f[0]  # instantaneous step through the glass compliance J_g = 1
-    for k in range(1, n):
-        g_k = f[k] / c + sigma_caputo[k]
-        inc = np.diff(out[:k])
-        hist = float(np.dot(w[1:k], inc[::-1])) if k > 1 else 0.0
-        out[k] = out[k - 1] + g_k / kappa - hist
-    return ResponseHistory(kind="strain", dt=dt, samples=tuple(out))
+        d = _toeplitz_solve(1.0 + c * kappa * w, c * load_caputo - f[0])
+    else:
+        d = _toeplitz_solve(w, (f[1:] / c + load_caputo) / kappa)
+    out = np.concatenate(([f[0]], f[0] + np.cumsum(d)))
+    return ResponseHistory(kind=_conjugate(load.kind), dt=dt, samples=tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +273,8 @@ def convolve_response(
     coeff_near = dk - m1_over_h
     coeff_far = m1_over_h
 
-    out = np.zeros(n)
-    out[0] = glass * f[0]
-    for k in range(1, n):
-        acc = float(np.dot(f[1 : k + 1][::-1], coeff_near[:k]))
-        acc += float(np.dot(f[0:k][::-1], coeff_far[:k]))
-        out[k] = glass * f[k] + acc
+    out = glass * f
+    out[1:] += _toeplitz_apply(coeff_near, f[1:]) + _toeplitz_apply(coeff_far, f[:-1])
     return ResponseHistory(kind=_conjugate(load.kind), dt=dt, samples=tuple(out))
 
 

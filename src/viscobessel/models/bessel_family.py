@@ -38,6 +38,7 @@ from ..specfun.zeros import ZeroTable, zero_table
 from .params import DEFAULT_POLICY, TruncationPolicy
 
 _SQRT_PI = math.sqrt(math.pi)
+_QUARTIC_CHUNK = 4096  # columns of T per exp(-j_n^2 T) block
 
 
 def _check_nu(nu: float) -> float:
@@ -223,8 +224,14 @@ def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
     than its absolute value.
     """
     sq = np.asarray(tab.squares)
-    T = np.asarray(T, dtype=float)
-    return np.sum(np.exp(-np.outer(sq, T)) / (sq**2)[:, None], axis=0)
+    sq4 = (sq**2)[:, None]
+    T = np.asarray(T, dtype=float).ravel()
+    out = np.empty(len(T))
+    # Column chunks bound the temporaries; each column sums in the same order.
+    for lo in range(0, len(T), _QUARTIC_CHUNK):
+        chunk = T[lo : lo + _QUARTIC_CHUNK]
+        out[lo : lo + len(chunk)] = np.sum(np.exp(-np.outer(sq, chunk)) / sq4, axis=0)
+    return out
 
 
 def _check_integral_bounds(T) -> np.ndarray:

@@ -1,13 +1,23 @@
 """Independent oracles for derived expected values.
 
 Everything here is deliberately written from first principles (ascending
-series, bisection, quadrature, stdlib gamma) so the tests never validate the
-package against its own code paths.
+series, bisection, quadrature, stdlib gamma, per-step loops) so the tests
+never validate the package against its own code paths.
 """
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
+
+from viscobessel.models.evaluate import (
+    creep_integral_curve,
+    eval_G_curve,
+    eval_J_curve,
+    glass_compliance,
+    glass_modulus,
+    relax_integral_curve,
+)
 
 
 def bessel_j_series(nu: float, x: float, n_terms: int = 120) -> float:
@@ -61,3 +71,61 @@ def bessel_i_series(nu: float, x: float, n_terms: int = 60) -> float:
         total += term
         term *= (0.25 * x * x) / ((k + 1.0) * (nu + k + 1.0))
     return total
+
+
+def stepping_reference(nu: float, kind: str, dt: float, samples) -> np.ndarray:
+    """Per-step forward substitution of the L1 Caputo-1/2 constitutive law.
+
+    [1 + c D^{1/2}] sigma = c D^{1/2} eps with c = 1/(2(nu+1)); each step
+    sums the whole response history with one O(k) dot product, so the cost
+    is O(n^2).  ``kind`` names the input variable.
+    """
+    c = 1.0 / (2.0 * (nu + 1.0))
+    f = np.asarray(samples, dtype=float)
+    n = len(f)
+    w = np.sqrt(np.arange(1, n + 1.0)) - np.sqrt(np.arange(n, dtype=float))
+    kappa = 1.0 / (math.sqrt(dt) * math.gamma(1.5))
+    load_caputo = np.zeros(n)
+    load_caputo[1:] = np.convolve(np.diff(f), w)[: n - 1] / (math.sqrt(dt) * math.gamma(1.5))
+    out = np.zeros(n)
+    out[0] = f[0]
+    for k in range(1, n):
+        inc = np.diff(out[:k])
+        hist = float(np.dot(w[1:k], inc[::-1])) if k > 1 else 0.0
+        if kind == "strain":
+            out[k] = (c * load_caputo[k] + c * kappa * (w[0] * out[k - 1] - hist)) / (
+                1.0 + c * kappa * w[0]
+            )
+        else:
+            out[k] = out[k - 1] + (f[k] / c + load_caputo[k]) / kappa - hist
+    return out
+
+
+def convolution_reference(params, kind: str, dt: float, samples) -> np.ndarray:
+    """Per-step product-trapezoid hereditary integral, O(n^2).
+
+    The kernel samples and primitives come from the package's public
+    material-function curves; only the summation is independent of it.
+    """
+    f = np.asarray(samples, dtype=float)
+    n = len(f)
+    grid = dt * np.arange(n)
+    if kind == "stress":
+        glass = glass_compliance(params)
+        kernel = eval_J_curve(params, grid[1:])
+        primitive = creep_integral_curve(params, grid)
+    else:
+        glass = glass_modulus(params)
+        kernel = eval_G_curve(params, grid[1:])
+        primitive = relax_integral_curve(params, grid)
+    kernel = np.concatenate(([glass], kernel))
+    m1_over_h = kernel[1:] - np.diff(primitive) / dt
+    coeff_near = np.diff(kernel) - m1_over_h
+    coeff_far = m1_over_h
+    out = np.zeros(n)
+    out[0] = glass * f[0]
+    for k in range(1, n):
+        acc = float(np.dot(f[1 : k + 1][::-1], coeff_near[:k]))
+        acc += float(np.dot(f[0:k][::-1], coeff_far[:k]))
+        out[k] = glass * f[k] + acc
+    return out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import erfc_quadrature
+from oracles import convolution_reference, erfc_quadrature, stepping_reference
 from viscobessel.errors import DomainError, GridError, SeriesRefusalError
 from viscobessel.fracsim import (
     InterconversionReport,
@@ -186,6 +186,64 @@ def test_convolution_refuses_subfloor_grid_for_bessel():
     p = ModelParams("bessel", nu=0.0)
     with pytest.raises(SeriesRefusalError):
         convolve_response(p, _step("stress", 1e-4, 0.01))
+
+
+# ---------------------------------------------------------------------------
+# Blocked-FFT Toeplitz evaluation against the per-step loops
+# ---------------------------------------------------------------------------
+
+
+_SIMULATORS = [("stepping", nu) for nu in (-0.8, 0.0, 1.5)] + [
+    ("convolution", ModelParams(family, nu=nu))
+    for family in ("bessel", "asymptotic")
+    for nu in (-0.8, 0.0, 1.5)
+] + [("convolution", ModelParams("fmax", a1=2.0, b1=1.5))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 129, 130, 1000, 4097])
+@pytest.mark.parametrize("kind", ["stress", "strain"])
+@pytest.mark.parametrize(
+    "method,model",
+    _SIMULATORS,
+    ids=[f"{m}-{v.label() if isinstance(v, ModelParams) else v}" for m, v in _SIMULATORS],
+)
+def test_simulators_match_per_step_reference(method, model, kind, n):
+    # The Toeplitz products see n - 1 samples: n = 2 and 3 are the shortest
+    # histories, 129 the longest direct block and 130 the shortest blocked
+    # one; 4097 fills a power of two of blocks exactly, 1000 does not.
+    dt = 2e-3
+    ts = dt * np.arange(n)
+    for samples in (np.ones(n), ts, np.sin(5.0 * ts)):
+        load = LoadHistory(kind, dt, tuple(samples))
+        if method == "stepping":
+            got = simulate_asymptotic(model, load).samples
+            ref = stepping_reference(model, kind, dt, samples)
+        else:
+            got = convolve_response(model, load).samples
+            ref = convolution_reference(model, kind, dt, samples)
+        assert np.max(np.abs(np.array(got) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", [1000, 3001, 4097])
+def test_causality_is_bit_exact_at_large_n(k):
+    n = 6000
+    dt = 2e-3
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=n)
+    v = u.copy()
+    v[k:] += rng.normal(size=n - k)
+    p = ModelParams("asymptotic", nu=0.3)
+
+    def runs(samples):
+        yield caputo_half(samples, dt)
+        for kind in ("stress", "strain"):
+            load = LoadHistory(kind, dt, tuple(samples))
+            yield simulate_asymptotic(0.3, load).samples
+            yield convolve_response(p, load).samples
+
+    for before, after in zip(runs(u), runs(v)):
+        assert np.array_equal(np.array(before)[:k], np.array(after)[:k])
+        assert not np.array_equal(np.array(before)[k:], np.array(after)[k:])
 
 
 # ---------------------------------------------------------------------------
