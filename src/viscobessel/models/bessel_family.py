@@ -20,12 +20,12 @@ with the scaled memory functions (J(0+) = G(0+) = 1)
     Psi(t) = dJ/dt = 4(nu+1)(nu+2) + 4(nu+1) sum_n exp(-j_{nu+2,n}^2 t)
     Phi(t) = -dG/dt = 4(nu+1) sum_n exp(-j_{nu,n}^2 t).
 
-Truncation is adaptive: by the Rayleigh identity sum_n j^-2 = 1/(4(mu+1)) the
-neglected J/G tail past index N is below exp(-j_N^2 t)/(4(mu+1)); the memory
-series use a geometric bound built from the next tabulated zero.  Below
-TruncationPolicy.t_floor the series converge too slowly for the configured
-table and evaluation is refused (SeriesRefusalError) -- short times belong to
-the Laplace-domain route.
+Truncation is per chunk of 4096 times, within the terms the smallest requested
+time needs: by the Rayleigh identity sum_n j^-2 = 1/(4(mu+1)) the J/G tail past
+index N is below exp(-j_N^2 t)/(4(mu+1)); the memory series use a geometric
+bound built from the next tabulated zero.  Below TruncationPolicy.t_floor the
+series converge too slowly for the configured table and evaluation is refused
+(SeriesRefusalError) -- short times belong to the Laplace-domain route.
 """
 
 import math
@@ -38,7 +38,7 @@ from ..specfun.zeros import ZeroTable, zero_table
 from .params import DEFAULT_POLICY, TruncationPolicy
 
 _SQRT_PI = math.sqrt(math.pi)
-_QUARTIC_CHUNK = 4096  # columns of T per exp(-j_n^2 T) block
+_CHUNK = 4096  # times per exp(-j_n^2 t) block; each block truncates on its own
 
 
 def _check_nu(nu: float) -> float:
@@ -98,27 +98,46 @@ def _check_times(ts, policy: TruncationPolicy):
     return ts
 
 
-def _truncation_index(
-    squares, t_min: float, policy: TruncationPolicy, tail_coeff: float, what: str
-) -> int:
-    """Smallest 1-based N (>= n_min) with tail_coeff * exp(-j_N^2 t) <= tol."""
-    n = len(squares)
-    for idx in range(policy.n_min - 1, min(n, policy.n_max)):
-        if tail_coeff * math.exp(-squares[idx] * t_min) <= policy.tol:
-            return idx + 1
-    raise TableExhaustedError(
-        f"{what}: {min(n, policy.n_max)} zeros cannot push the series tail "
-        f"below tol = {policy.tol!r} at t = {t_min!r}"
-    )
+def _truncation_index(tail, n_terms: int, t: float, policy: TruncationPolicy):
+    """Smallest 1-based N in [n_min, n_terms] with tail(N - 1, t) <= tol, else None."""
+    hits = (i + 1 for i in range(policy.n_min - 1, n_terms) if tail(i, t) <= policy.tol)
+    return next(hits, None)
 
 
-def _dirichlet_sum(squares, ts, inverse_square_weight: bool) -> np.ndarray:
-    """sum_n exp(-j_n^2 t) (optionally / j_n^2), vectorized over ts."""
+def _dirichlet_sum(squares, ts, power: int, n_for=None) -> np.ndarray:
+    """sum_n exp(-j_n^2 t) / j_n^(2 power) over column chunks of ts; a chunk sums
+    its first n_for(chunk.min()) terms (all if n_for is None) in table order."""
     sq = np.asarray(squares, dtype=float)
-    terms = np.exp(-np.outer(sq, ts))
-    if inverse_square_weight:
-        terms /= sq[:, None]
-    return terms.sum(axis=0)
+    ts = np.asarray(ts, dtype=float).ravel()
+    out = np.empty(len(ts))
+    for lo in range(0, len(ts), _CHUNK):
+        chunk = ts[lo : lo + _CHUNK]
+        n = len(sq) if n_for is None else n_for(chunk.min())
+        terms = np.outer(-sq[:n], chunk)  # in place from here; (-a) b == -(a b)
+        np.exp(terms, out=terms)
+        terms /= sq[:n, None] ** power
+        out[lo : lo + len(chunk)] = terms.sum(axis=0)
+    return out
+
+
+def _series(sq, ts, policy, tail, n_terms, power, refusal) -> np.ndarray:
+    """Sum truncated at ts.min() (or refused there), then per chunk within that."""
+    t_min = float(ts.min())
+    n_use = _truncation_index(tail, n_terms, t_min, policy)
+    if n_use is None:
+        raise TableExhaustedError(refusal(t_min))
+    # a tail bound falls with t, so later chunks need <= n_use terms (None: all)
+    return _dirichlet_sum(sq[:n_use], ts, power, lambda t: n_use if t == t_min else (
+        _truncation_index(tail, n_use, t, policy)))
+
+
+def _rayleigh_series(sq, ts, policy, c, what) -> np.ndarray:
+    """sum_n exp(-j_n^2 t) / j_n^2; the tail past N is below c exp(-j_N^2 t)."""
+    n_terms = min(len(sq), policy.n_max)
+    # J/G refusals have always quoted t as a numpy scalar; Phi/Psi as a float
+    return _series(sq, ts, policy, lambda i, t: c * math.exp(-sq[i] * t), n_terms, 1,
+                   lambda t: f"{what}: {n_terms} zeros cannot push the series tail "
+                   f"below tol = {policy.tol!r} at t = {np.float64(t)!r}")
 
 
 def bessel_J_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
@@ -128,8 +147,7 @@ def bessel_J_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
     ts = _check_times(ts, policy)
     tab = _table_for(nu + 2.0, policy, table)
     coeff = (nu + 1.0) / (nu + 3.0)  # 4(nu+1) * Rayleigh tail 1/(4(nu+3))
-    n_use = _truncation_index(tab.squares, ts.min(), policy, coeff, "J series")
-    series = _dirichlet_sum(tab.squares[:n_use], ts, inverse_square_weight=True)
+    series = _rayleigh_series(tab.squares, ts, policy, coeff, "J series")
     return (
         2.0 * (nu + 2.0) / (nu + 3.0)
         + 4.0 * (nu + 1.0) * (nu + 2.0) * ts
@@ -144,9 +162,7 @@ def bessel_G_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
     ts = _check_times(ts, policy)
     tab = _table_for(nu, policy, table)
     # 4(nu+1) * Rayleigh tail 1/(4(nu+1)) = 1
-    n_use = _truncation_index(tab.squares, ts.min(), policy, 1.0, "G series")
-    series = _dirichlet_sum(tab.squares[:n_use], ts, inverse_square_weight=True)
-    return 4.0 * (nu + 1.0) * series
+    return 4.0 * (nu + 1.0) * _rayleigh_series(tab.squares, ts, policy, 1.0, "G series")
 
 
 def bessel_J_time(nu: float, t: float, policy=None, *, table=None) -> float:
@@ -161,26 +177,18 @@ def bessel_G_time(nu: float, t: float, policy=None, *, table=None) -> float:
 
 def _memory_series(order, nu, ts, policy, table, what) -> np.ndarray:
     """4(nu+1) sum_n exp(-j_{order,n}^2 t) with a geometric tail bound."""
-    tab = _table_for(order, policy, table)
+    sq = _table_for(order, policy, table).squares
     ts = _check_times(ts, policy)
-    t_min = float(ts.min())
-    sq = tab.squares
     amp = 4.0 * (nu + 1.0)
-    n_use = None
-    for idx in range(policy.n_min - 1, min(len(sq), policy.n_max) - 1):
-        # Squared-zero increments grow with n, so terms past idx+1 decay at
-        # least geometrically with ratio rho.
-        rho = math.exp(-(sq[idx + 1] - sq[idx]) * t_min)
-        tail = amp * math.exp(-sq[idx + 1] * t_min) / (1.0 - rho)
-        if tail <= policy.tol:
-            n_use = idx + 1
-            break
-    if n_use is None:
-        raise TableExhaustedError(
-            f"{what}: table of {len(sq)} zeros cannot bound the memory-series "
-            f"tail below tol = {policy.tol!r} at t = {t_min!r}"
-        )
-    return amp * _dirichlet_sum(sq[:n_use], ts, inverse_square_weight=False)
+
+    def tail(idx, t):  # j_n^2 gaps grow, so terms past idx+1 fall faster than rho^k
+        rho = math.exp(-(sq[idx + 1] - sq[idx]) * t)
+        return amp * math.exp(-sq[idx + 1] * t) / (1.0 - rho)
+
+    n_terms = min(len(sq), policy.n_max) - 1  # tail(idx) reads zero idx + 1
+    return amp * _series(sq, ts, policy, tail, n_terms, 0, lambda t: (
+        f"{what}: table of {len(sq)} zeros cannot bound the memory-series "
+        f"tail below tol = {policy.tol!r} at t = {t!r}"))
 
 
 def memory_psi_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
@@ -223,15 +231,7 @@ def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
     flat offset, so grid *differences* of this sum are far more accurate
     than its absolute value.
     """
-    sq = np.asarray(tab.squares)
-    sq4 = (sq**2)[:, None]
-    T = np.asarray(T, dtype=float).ravel()
-    out = np.empty(len(T))
-    # Column chunks bound the temporaries; each column sums in the same order.
-    for lo in range(0, len(T), _QUARTIC_CHUNK):
-        chunk = T[lo : lo + _QUARTIC_CHUNK]
-        out[lo : lo + len(chunk)] = np.sum(np.exp(-np.outer(sq, chunk)) / sq4, axis=0)
-    return out
+    return _dirichlet_sum(tab.squares, T, 2)
 
 
 def _check_integral_bounds(T) -> np.ndarray:

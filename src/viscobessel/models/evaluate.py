@@ -87,14 +87,6 @@ def eval_G_curve(params: ModelParams, ts, policy=None) -> np.ndarray:
     return np.array([fmax_G_time(params.a1, params.b1, t) for t in ts])
 
 
-def eval_J(params: ModelParams, t: float, policy=None) -> float:
-    return float(eval_J_curve(params, [t], policy)[0])
-
-
-def eval_G(params: ModelParams, t: float, policy=None) -> float:
-    return float(eval_G_curve(params, [t], policy)[0])
-
-
 def creep_integral(params: ModelParams, T: float, policy=None) -> float:
     """int_0^T J(t) dt, exact per family (no short-time floor)."""
     if params.family == "bessel":

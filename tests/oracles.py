@@ -18,6 +18,8 @@ from viscobessel.models.evaluate import (
     glass_modulus,
     relax_integral_curve,
 )
+from viscobessel.models.params import DEFAULT_POLICY
+from viscobessel.specfun.zeros import zero_table
 
 
 def bessel_j_series(nu: float, x: float, n_terms: int = 120) -> float:
@@ -129,3 +131,40 @@ def convolution_reference(params, kind: str, dt: float, samples) -> np.ndarray:
         acc += float(np.dot(f[0:k][::-1], coeff_far[:k]))
         out[k] = glass * f[k] + acc
     return out
+
+
+def dirichlet_reference(fn: str, nu: float, ts, policy=DEFAULT_POLICY) -> np.ndarray:
+    """Bessel-family J, G, Phi or Psi as one n_use x n_t outer product.
+
+    n_use is chosen once, for the smallest time: J/G stop at the first N whose
+    Rayleigh tail 4(nu+1) exp(-j_N^2 t) / (4(order+1)) is below tol, Phi/Psi at
+    the first N whose geometric tail past N is.  Memory grows as n_use x n_t;
+    the zero squares come from the package's table.
+    """
+    ts = np.asarray(ts, dtype=float)
+    order = nu + 2.0 if fn in ("J", "Psi") else nu
+    sq = zero_table(order, policy.n_max).squares
+    t_min = float(ts.min())
+    amp = 4.0 * (nu + 1.0)
+    if fn in ("J", "G"):
+        coeff = amp / (4.0 * (order + 1.0))
+        tails = [coeff * math.exp(-s * t_min) for s in sq]
+    else:
+        tails = [
+            amp * math.exp(-sq[i + 1] * t_min)
+            / (1.0 - math.exp(-(sq[i + 1] - sq[i]) * t_min))
+            for i in range(len(sq) - 1)
+        ]
+    n_use = next(
+        i + 1 for i in range(policy.n_min - 1, len(tails)) if tails[i] <= policy.tol
+    )
+    squares = np.asarray(sq[:n_use])
+    terms = np.exp(-np.outer(squares, ts))
+    if fn in ("J", "G"):
+        terms /= squares[:, None]
+    series = terms.sum(axis=0)
+    if fn == "J":
+        return 2.0 * (nu + 2.0) / (nu + 3.0) + amp * (nu + 2.0) * ts - amp * series
+    if fn == "Psi":
+        return amp * (nu + 2.0) + amp * series
+    return amp * series

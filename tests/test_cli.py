@@ -1,6 +1,9 @@
 import csv
+import hashlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +110,18 @@ def test_figure_presets(tmp_path, figure, fn, n_curves):
             assert np.all(diffs >= -1e-12)
         else:
             assert np.all(diffs <= 1e-12)
+
+
+def test_figure_csvs_are_byte_identical(tmp_path):
+    # the figure presets are pinned by sha256 in the benchmark's workloads
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for figure, digest in workloads.FIGURE_SHA256.items():
+        out = tmp_path / f"fig{figure}.csv"
+        assert run(["eval", "--figure", str(figure), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, figure
 
 
 def test_figure_two_starts_near_unit_glass_modulus(tmp_path):

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import bisect_bessel_zero, erfc_quadrature
+from oracles import bisect_bessel_zero, dirichlet_reference, erfc_quadrature
 from viscobessel.errors import SeriesRefusalError, TableExhaustedError
 from viscobessel.laplace import invert_talbot
 from viscobessel.models import (
+    DEFAULT_POLICY,
     CurveSample,
     MaterialCurve,
     ModelParams,
@@ -17,7 +19,9 @@ from viscobessel.models import (
     bessel_creep_integral,
     bessel_G_laplace,
     bessel_G_short_time,
+    bessel_G_curve,
     bessel_G_time,
+    bessel_J_curve,
     bessel_J_laplace,
     bessel_J_short_time,
     bessel_J_time,
@@ -28,7 +32,9 @@ from viscobessel.models import (
     fmax_G_time,
     fmax_J_time,
     memory_phi,
+    memory_phi_curve,
     memory_psi,
+    memory_psi_curve,
     relax_integral,
 )
 from viscobessel.errors import DomainError
@@ -105,6 +111,77 @@ def test_table_exhausted_error():
     policy = TruncationPolicy(tol=1e-10, n_max=10, t_floor=1e-3)
     with pytest.raises(TableExhaustedError):
         bessel_G_time(0.0, 1e-3, policy)
+
+
+SERIES_CURVES = {
+    "J": bessel_J_curve,
+    "G": bessel_G_curve,
+    "Phi": memory_phi_curve,
+    "Psi": memory_psi_curve,
+}
+
+
+def _series_grid(kind, n):
+    if kind == "linear":
+        return np.linspace(1e-3, 2.0, n)
+    ts = np.geomspace(1e-3, 2.0, n)
+    if kind == "reversed":
+        return ts[::-1].copy()
+    if kind == "shuffled":
+        return np.random.default_rng(n).permutation(ts)
+    return ts
+
+
+@pytest.mark.parametrize("kind", ["log", "linear", "reversed", "shuffled"])
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 20000])
+@pytest.mark.parametrize("fn", ["J", "G", "Phi", "Psi"])
+def test_chunked_series_match_one_shot_reference(fn, n, kind):
+    # up to one 4096-time chunk the sum is the one-shot one, bit for bit;
+    # longer requests drop only terms whose tail bound is below tol per chunk
+    ts = _series_grid(kind, n)
+    for nu in (-0.8, 0.0, 1.5):
+        got = SERIES_CURVES[fn](nu, ts)
+        expected = dirichlet_reference(fn, nu, ts)
+        if n <= 4096:
+            assert np.array_equal(got, expected)
+        else:
+            assert np.max(np.abs(got - expected)) <= 2.0 * DEFAULT_POLICY.tol
+
+
+def test_table_exhausted_quotes_the_global_minimum():
+    # reversed grid: the smallest time sits in the last of three chunks, and
+    # earlier chunks already need more than the 20 zeros allowed
+    ts = np.geomspace(1e-3, 2.0, 10_000)[::-1]
+    policy = TruncationPolicy(n_max=20)
+    tail = f"below tol = {policy.tol!r} at t = "
+    expected = {
+        "J": f"J series: 20 zeros cannot push the series tail {tail}{ts.min()!r}",
+        "G": f"G series: 20 zeros cannot push the series tail {tail}{ts.min()!r}",
+        "Phi": f"Phi series: table of 20 zeros cannot bound the memory-series "
+        f"tail {tail}{float(ts.min())!r}",
+        "Psi": f"Psi series: table of 20 zeros cannot bound the memory-series "
+        f"tail {tail}{float(ts.min())!r}",
+    }
+    for fn, message in expected.items():
+        with pytest.raises(TableExhaustedError) as err:
+            SERIES_CURVES[fn](0.0, ts, policy)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fn,reverse", [("G", False), ("J", True)])
+def test_series_memory_is_bounded(fn, reverse):
+    ts = np.geomspace(1e-3, 2.0, 1_000_000)
+    if reverse:
+        ts = ts[::-1].copy()
+    SERIES_CURVES[fn](0.0, ts[:1])  # build the zero table outside the trace
+    tracemalloc.start()
+    try:
+        SERIES_CURVES[fn](0.0, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a one-shot 49 x 1e6 outer product peaks near 780 MB
+    assert peak < 64e6
 
 
 def test_fluid_long_time_behavior():
