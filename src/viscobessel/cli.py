@@ -365,8 +365,9 @@ def _check_asymptotics(args, policy):
 
 
 def _cm_signs(fn, t, h):
-    """Violation magnitude of the alternating-derivative pattern at t."""
-    stencil = [fn(t + k * h) for k in range(-2, 3)]
+    """Violation magnitude of the alternating-derivative pattern at t; fn maps
+    the array of the five stencil times to their values."""
+    stencil = np.asarray(fn(t + np.arange(-2.0, 3.0) * h)).tolist()
     d1 = (stencil[3] - stencil[1]) / (2 * h)
     d2 = (stencil[3] - 2 * stencil[2] + stencil[1]) / h**2
     d3 = (stencil[4] - 2 * stencil[3] + 2 * stencil[1] - stencil[0]) / (2 * h**3)
@@ -385,12 +386,12 @@ def _check_cm(args, policy):
     records = []
     bessel_nus = [args.nu] if args.nu is not None else [-0.5, 0.0]
     for nu in bessel_nus:
-        fn = lambda t, nu=nu: float(memory_phi_curve(nu, [t], policy)[0])
+        fn = lambda ts, nu=nu: [float(memory_phi_curve(nu, [t], policy)[0]) for t in ts]
         worst = max(_cm_signs(fn, t, h) for t in times)
         records.append(_record("cm-phi", ("bessel", {"nu": nu}), worst, 0.0))
     asym_nus = [args.nu] if args.nu is not None else [-0.8, 0.5]
     for nu in asym_nus:
-        fn = lambda t, nu=nu: asym_relaxation_memory(nu, t)
+        fn = lambda ts, nu=nu: asym_relaxation_memory(nu, ts)
         worst = max(_cm_signs(fn, t, h) for t in times)
         records.append(_record("cm-asym-memory", ("asymptotic", {"nu": nu}), worst, 0.0))
     return records

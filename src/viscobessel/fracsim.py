@@ -83,9 +83,12 @@ class LoadHistory:
             raise DomainError(f"dt must be finite and > 0, got {self.dt!r}")
         if len(self.samples) < 2:
             raise DomainError("a load history needs at least two samples")
-        object.__setattr__(self, "samples", tuple(float(v) for v in self.samples))
-        if not all(math.isfinite(v) for v in self.samples):
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.ndim != 1:
+            raise DomainError("load samples must be a flat sequence of numbers")
+        if not np.isfinite(samples).all():
             raise DomainError("load samples must all be finite")
+        object.__setattr__(self, "samples", tuple(samples.tolist()))
 
     @property
     def times(self) -> np.ndarray:
@@ -101,7 +104,10 @@ class ResponseHistory:
     samples: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(float(v) for v in self.samples))
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.ndim != 1:
+            raise DomainError("response samples must be a flat sequence of numbers")
+        object.__setattr__(self, "samples", tuple(samples.tolist()))
 
     @property
     def times(self) -> np.ndarray:
@@ -221,7 +227,7 @@ def simulate_asymptotic(nu: float, load: LoadHistory) -> ResponseHistory:
     else:
         d = _toeplitz_solve(w, (f[1:] / c + load_caputo) / kappa)
     out = np.concatenate(([f[0]], f[0] + np.cumsum(d)))
-    return ResponseHistory(kind=_conjugate(load.kind), dt=dt, samples=tuple(out))
+    return ResponseHistory(kind=_conjugate(load.kind), dt=dt, samples=out)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +281,7 @@ def convolve_response(
 
     out = glass * f
     out[1:] += _toeplitz_apply(coeff_near, f[1:]) + _toeplitz_apply(coeff_far, f[:-1])
-    return ResponseHistory(kind=_conjugate(load.kind), dt=dt, samples=tuple(out))
+    return ResponseHistory(kind=_conjugate(load.kind), dt=dt, samples=out)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +366,7 @@ def read_load_history(path, kind: str) -> LoadHistory:
                 f"{path}: non-uniform grid at row {k + 2} (t = {t!r}, "
                 f"expected {k * dt!r})"
             )
-    return LoadHistory(kind=kind, dt=dt, samples=tuple(vals))
+    return LoadHistory(kind=kind, dt=dt, samples=vals)
 
 
 def write_history(history, path) -> Path:

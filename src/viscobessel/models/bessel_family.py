@@ -93,7 +93,7 @@ def _check_times(ts, policy: TruncationPolicy):
     if np.any(ts < policy.t_floor):
         raise SeriesRefusalError(
             f"series evaluation refused below t_floor = {policy.t_floor!r} "
-            f"(smallest requested t = {ts.min()!r}); use the Laplace route"
+            f"(smallest requested t = {float(ts.min())!r}); use the Laplace route"
         )
     return ts
 
@@ -122,7 +122,7 @@ def _dirichlet_sum(squares, ts, power: int, n_for=None) -> np.ndarray:
 
 def _series(sq, ts, policy, tail, n_terms, power, refusal) -> np.ndarray:
     """Sum truncated at ts.min() (or refused there), then per chunk within that."""
-    t_min = float(ts.min())
+    t_min = float(ts.min(initial=math.inf))  # an empty ts needs no terms
     n_use = _truncation_index(tail, n_terms, t_min, policy)
     if n_use is None:
         raise TableExhaustedError(refusal(t_min))
@@ -134,10 +134,9 @@ def _series(sq, ts, policy, tail, n_terms, power, refusal) -> np.ndarray:
 def _rayleigh_series(sq, ts, policy, c, what) -> np.ndarray:
     """sum_n exp(-j_n^2 t) / j_n^2; the tail past N is below c exp(-j_N^2 t)."""
     n_terms = min(len(sq), policy.n_max)
-    # J/G refusals have always quoted t as a numpy scalar; Phi/Psi as a float
     return _series(sq, ts, policy, lambda i, t: c * math.exp(-sq[i] * t), n_terms, 1,
                    lambda t: f"{what}: {n_terms} zeros cannot push the series tail "
-                   f"below tol = {policy.tol!r} at t = {np.float64(t)!r}")
+                   f"below tol = {policy.tol!r} at t = {t!r}")
 
 
 def bessel_J_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:

@@ -59,9 +59,7 @@ def short_time_agreement(nu, t_grid, policy=None) -> ShortTimeAgreementReport:
     if not ts or ts[0] < policy.t_floor or ts[-1] > 0.5:
         raise ValueError("short-time grid must sit inside [t_floor, 0.5]")
     bessel_vals = bessel_J_curve(nu, ts, policy)
-    residuals = tuple(
-        abs(float(jb) - asym_J_time(nu, t)) for jb, t in zip(bessel_vals, ts)
-    )
+    residuals = tuple(abs(bessel_vals - asym_J_time(nu, ts)).tolist())
     ratios = tuple(r / math.sqrt(t) for r, t in zip(residuals, ts))
     consistent = all(a <= b for a, b in zip(ratios, ratios[1:]))
     return ShortTimeAgreementReport(

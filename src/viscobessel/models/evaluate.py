@@ -73,8 +73,8 @@ def eval_J_curve(params: ModelParams, ts, policy=None) -> np.ndarray:
     if params.family == "bessel":
         return bessel_J_curve(params.nu, ts, policy)
     if params.family == "asymptotic":
-        return np.array([asym_J_time(params.nu, t) for t in ts])
-    return np.array([fmax_J_time(params.a1, params.b1, t) for t in ts])
+        return asym_J_time(params.nu, ts)
+    return fmax_J_time(params.a1, params.b1, ts)
 
 
 def eval_G_curve(params: ModelParams, ts, policy=None) -> np.ndarray:
@@ -83,8 +83,8 @@ def eval_G_curve(params: ModelParams, ts, policy=None) -> np.ndarray:
     if params.family == "bessel":
         return bessel_G_curve(params.nu, ts, policy)
     if params.family == "asymptotic":
-        return np.array([asym_G_time(params.nu, t) for t in ts])
-    return np.array([fmax_G_time(params.a1, params.b1, t) for t in ts])
+        return asym_G_time(params.nu, ts)
+    return fmax_G_time(params.a1, params.b1, ts)
 
 
 def creep_integral(params: ModelParams, T: float, policy=None) -> float:
@@ -111,8 +111,8 @@ def creep_integral_curve(params: ModelParams, ts, policy=None) -> np.ndarray:
     if params.family == "bessel":
         return bessel_creep_integral_curve(params.nu, ts, policy)
     if params.family == "asymptotic":
-        return np.array([asym_creep_integral(params.nu, t) for t in ts])
-    return np.array([fmax_creep_integral(params.a1, params.b1, t) for t in ts])
+        return asym_creep_integral(params.nu, ts)
+    return fmax_creep_integral(params.a1, params.b1, ts)
 
 
 def relax_integral_curve(params: ModelParams, ts, policy=None) -> np.ndarray:
@@ -121,8 +121,8 @@ def relax_integral_curve(params: ModelParams, ts, policy=None) -> np.ndarray:
     if params.family == "bessel":
         return bessel_relax_integral_curve(params.nu, ts, policy)
     if params.family == "asymptotic":
-        return np.array([asym_relax_integral(params.nu, t) for t in ts])
-    return np.array([fmax_relax_integral(params.a1, params.b1, t) for t in ts])
+        return asym_relax_integral(params.nu, ts)
+    return fmax_relax_integral(params.a1, params.b1, ts)
 
 
 def eval_J_any_time(params: ModelParams, ts, policy=None) -> np.ndarray:

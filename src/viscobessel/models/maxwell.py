@@ -26,12 +26,19 @@ Phi = -dG/dt needed for the complete-monotonicity spot checks.  For
 int G the antiderivative comes from (erfcx)'(u) = 2u erfcx(u) - 2/sqrt(pi):
 
     int_0^V v erfcx(v) dv = (erfcx(V) - 1)/2 + V/sqrt(pi).
+
+Time-domain functions map a scalar time to a float and an array to an ndarray,
+check every element and keep each expression's scalar operation order, so an
+array entry is bit-identical to the scalar call.  T^{3/2} goes through libm pow
+(libm_map): numpy's SIMD pow differs from it in the last bit for ~5 % of inputs.
 """
 
 import math
 
+import numpy as np
+
 from ..errors import DomainError
-from ..specfun.erf import erfcx
+from ..specfun.erf import erfcx, libm_map
 from ..specfun.mittag import mittag_leffler_half
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -49,26 +56,32 @@ def _check_nu(nu: float) -> float:
     return nu
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"time must be finite and >= 0, got {t!r}")
+def _check_time(t, ok=lambda t: t >= 0.0, need="time must be finite and >= 0"):
+    """t as an array, or DomainError quoting the first element failing ok."""
+    t = np.asarray(t, dtype=float)
+    bad = t[~(np.isfinite(t) & ok(t))]
+    if bad.size:
+        raise DomainError(f"{need}, got {float(bad[0])!r}")
     return t
+
+
+def _result(values):  # a float for a scalar time
+    return float(values) if np.ndim(values) == 0 else values
 
 
 # -- fractional Maxwell of order 1/2 ----------------------------------------
 
 
-def fmax_J_time(a1: float, b1: float, t: float) -> float:
+def fmax_J_time(a1: float, b1: float, t):
     _check_fmax(a1, b1)
     t = _check_time(t)
-    return (a1 / b1) * (1.0 + 2.0 * math.sqrt(t) / (a1 * _SQRT_PI))
+    return _result((a1 / b1) * (1.0 + 2.0 * np.sqrt(t) / (a1 * _SQRT_PI)))
 
 
-def fmax_G_time(a1: float, b1: float, t: float) -> float:
+def fmax_G_time(a1: float, b1: float, t):
     _check_fmax(a1, b1)
     t = _check_time(t)
-    return (b1 / a1) * mittag_leffler_half(-math.sqrt(t) / a1)
+    return _result((b1 / a1) * mittag_leffler_half(-np.sqrt(t) / a1))
 
 
 def fmax_J_laplace(a1: float, b1: float, s):
@@ -87,34 +100,34 @@ def fmax_G_laplace(a1: float, b1: float, s):
     return b1 * z / (1.0 + a1 * z)
 
 
-def fmax_creep_integral(a1: float, b1: float, T: float) -> float:
+def fmax_creep_integral(a1: float, b1: float, T):
     """int_0^T J_M dt = (a1/b1) (T + 4 T^{3/2} / (3 a1 sqrt(pi)))."""
     _check_fmax(a1, b1)
     T = _check_time(T)
-    return (a1 / b1) * (T + 4.0 * T ** 1.5 / (3.0 * a1 * _SQRT_PI))
+    return _result((a1 / b1) * (T + 4.0 * libm_map(pow, T, 1.5) / (3.0 * a1 * _SQRT_PI)))
 
 
-def fmax_relax_integral(a1: float, b1: float, T: float) -> float:
+def fmax_relax_integral(a1: float, b1: float, T):
     """int_0^T G_M dt = a1 b1 (erfcx(sqrt(T)/a1) - 1) + 2 b1 sqrt(T)/sqrt(pi)."""
     _check_fmax(a1, b1)
     T = _check_time(T)
-    root = math.sqrt(T)
-    return a1 * b1 * (erfcx(root / a1) - 1.0) + 2.0 * b1 * root / _SQRT_PI
+    root = np.sqrt(T)
+    return _result(a1 * b1 * (erfcx(root / a1) - 1.0) + 2.0 * b1 * root / _SQRT_PI)
 
 
 # -- asymptotic (Maxwell-like) family ----------------------------------------
 
 
-def asym_J_time(nu: float, t: float) -> float:
+def asym_J_time(nu: float, t):
     nu = _check_nu(nu)
     t = _check_time(t)
-    return 1.0 + 4.0 * (nu + 1.0) * math.sqrt(t) / _SQRT_PI
+    return _result(1.0 + 4.0 * (nu + 1.0) * np.sqrt(t) / _SQRT_PI)
 
 
-def asym_G_time(nu: float, t: float) -> float:
+def asym_G_time(nu: float, t):
     nu = _check_nu(nu)
     t = _check_time(t)
-    return mittag_leffler_half(-2.0 * (nu + 1.0) * math.sqrt(t))
+    return _result(mittag_leffler_half(-2.0 * (nu + 1.0) * np.sqrt(t)))
 
 
 def asym_J_laplace(nu: float, s):
@@ -132,30 +145,28 @@ def asym_G_laplace(nu: float, s):
     return z / (2.0 * (nu + 1.0) + z)
 
 
-def asym_creep_integral(nu: float, T: float) -> float:
+def asym_creep_integral(nu: float, T):
     nu = _check_nu(nu)
     T = _check_time(T)
-    return T + 8.0 * (nu + 1.0) * T ** 1.5 / (3.0 * _SQRT_PI)
+    return _result(T + 8.0 * (nu + 1.0) * libm_map(pow, T, 1.5) / (3.0 * _SQRT_PI))
 
 
-def asym_relax_integral(nu: float, T: float) -> float:
+def asym_relax_integral(nu: float, T):
     nu = _check_nu(nu)
     T = _check_time(T)
     c = 1.0 / (2.0 * (nu + 1.0))
-    root = math.sqrt(T)
-    return c * c * (erfcx(root / c) - 1.0) + 2.0 * c * root / _SQRT_PI
+    root = np.sqrt(T)
+    return _result(c * c * (erfcx(root / c) - 1.0) + 2.0 * c * root / _SQRT_PI)
 
 
-def asym_relaxation_memory(nu: float, t: float) -> float:
+def asym_relaxation_memory(nu: float, t):
     """Phi_as(t; nu) = -dG_as/dt = lam/sqrt(pi t) - lam^2 erfcx(lam sqrt(t)).
 
     Completely monotonic on t > 0 (lam = 2(nu+1)); diverges like t^{-1/2}
     at the origin, so t must be strictly positive.
     """
     nu = _check_nu(nu)
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise DomainError(f"memory function needs t > 0, got {t!r}")
+    t = _check_time(t, lambda t: t > 0.0, "memory function needs t > 0")
     lam = 2.0 * (nu + 1.0)
-    root = math.sqrt(t)
-    return lam / (_SQRT_PI * root) - lam * lam * erfcx(lam * root)
+    root = np.sqrt(t)
+    return _result(lam / (_SQRT_PI * root) - lam * lam * erfcx(lam * root))

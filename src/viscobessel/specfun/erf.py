@@ -14,9 +14,17 @@ Evaluation regions (validated against high-precision references):
   evaluated with the modified Lentz algorithm.
 * x < 0: the reflection erfcx(x) = 2 exp(x^2) - erfcx(-x), which overflows for
   x < -26.6 (no caller evaluates there).
+
+erfcx maps a scalar to a float and an array to an ndarray of its shape.  Each
+region is a masked loop in which an element takes the scalar iteration's steps
+and stops at the same term, bit for bit.  exp(x^2) goes through libm (libm_map):
+numpy's SIMD exp differs from it in the last bit for a few percent of arguments.
 """
 
 import math
+from itertools import count, repeat
+
+import numpy as np
 
 from ..errors import DomainError
 
@@ -27,57 +35,64 @@ _SQRT_PI = math.sqrt(math.pi)
 # <= 1e-13 relative error on their side of the split.
 ERFCX_CF_MIN = 2.0
 
-_LENTZ_TINY = 1e-300
+
+def libm_map(fn, x, *args) -> np.ndarray:
+    """fn(v, *args) for each element v of x, fn being libm-backed (math.exp, pow)."""
+    vals = map(fn, np.ravel(x).tolist(), *map(repeat, args))
+    return np.fromiter(vals, float, np.size(x)).reshape(np.shape(x))
 
 
-def _erf_scaled_series(x: float) -> float:
-    """exp(x^2) * erf(x) via the positive-term series, for 0 <= x <= 2."""
-    term = x
-    total = x
-    two_x2 = 2.0 * x * x
-    n = 0
-    while True:
-        n += 1
-        term *= two_x2 / (2 * n + 1)
-        total += term
-        if term < 1e-17 * total or n > 200:
-            return _TWO_OVER_SQRT_PI * total
+def _iterate(step, *state) -> np.ndarray:
+    """Run (done, *state) = step(k, *state) for k = 1, 2, ... on each element until
+    its done flag is set, then drop it from the arrays; give every final state[0]."""
+    out = np.empty(len(state[0]))
+    idx = np.arange(len(out))
+    for k in count(1):
+        if not len(idx):
+            return out
+        done, *state = step(k, *state)
+        if done.any():
+            out[idx[done]] = state[0][done]
+            keep = ~done
+            idx, *state = (s[keep] for s in (idx, *state))
 
 
-def _erfcx_cf(x: float) -> float:
-    """Laplace continued fraction for erfcx, x > 0 (accurate for x >= ~1.5)."""
-    f = _LENTZ_TINY
-    c = f
-    d = 0.0
-    j = 0
-    while j < 400:
-        j += 1
-        a = 1.0 if j == 1 else 0.5 * (j - 1)
-        d = x + a * d
-        if d == 0.0:
-            d = _LENTZ_TINY
-        c = x + a / c
-        if c == 0.0:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return f / _SQRT_PI
-    return f / _SQRT_PI
+def _series_step(n, total, term, two_x2):
+    """One series term; after a zero term every later one is zero, so stop there."""
+    term = term * (two_x2 / (2 * n + 1))
+    total = total + term
+    return (term < 1e-17 * total) | (term == 0.0) | (n > 200), total, term, two_x2
 
 
-def erfcx(x: float) -> float:
-    """Scaled complementary error function exp(x^2) erfc(x)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"erfcx requires finite x, got {x!r}")
-    if x < 0.0:
-        # exp(x^2) overflows near |x| = 26.6; let OverflowError propagate.
-        return 2.0 * math.exp(x * x) - erfcx(-x)
-    if x <= ERFCX_CF_MIN:
-        return math.exp(x * x) - _erf_scaled_series(x)
-    return _erfcx_cf(x)
+def _cf_step(j, f, c, d, x):
+    """One modified-Lentz step; c, d >= x > ERFCX_CF_MIN, so no zero guard fires."""
+    a = 1.0 if j == 1 else 0.5 * (j - 1)
+    d = 1.0 / (x + a * d)
+    c = x + a / c
+    delta = c * d
+    f = f * delta
+    return (abs(delta - 1.0) < 1e-16) | (j >= 400), f, c, d, x
+
+
+def erfcx(x):
+    """Scaled complementary error function exp(x^2) erfc(x), elementwise."""
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    bad = flat[~np.isfinite(flat)]
+    if bad.size:
+        raise DomainError(f"erfcx requires finite x, got {float(bad[0])!r}")
+    ax, out = np.abs(flat), np.empty(flat.size)
+    cf, neg = ax > ERFCX_CF_MIN, flat < 0.0
+    tiny = np.full(np.count_nonzero(cf), 1e-300)  # Lentz's f_0 = c_0
+    out[cf] = _iterate(_cf_step, tiny, tiny, 0.0 * tiny, ax[cf]) / _SQRT_PI
+    # exp(x^2) overflows near |x| = 26.6; let OverflowError propagate.
+    need_exp = ~cf | neg
+    exp_x2 = libm_map(math.exp, flat[need_exp] * flat[need_exp])
+    x = ax[~cf]
+    out[~cf] = exp_x2[~cf[need_exp]] - _TWO_OVER_SQRT_PI * _iterate(
+        _series_step, x, x, 2.0 * x * x)
+    out[neg] = 2.0 * exp_x2[neg[need_exp]] - out[neg]
+    return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
 def erfc(x: float) -> float:

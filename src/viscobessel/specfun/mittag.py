@@ -8,19 +8,22 @@ overflow anywhere.
 
 import math
 
+import numpy as np
+
 from ..errors import DomainError
 from .erf import erfcx
 from .gamma import gamma_fn
 
 
-def mittag_leffler_half(z: float) -> float:
-    """E_{1/2}(z) for z <= 0."""
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"mittag_leffler_half requires finite z, got {z!r}")
-    if z > 0.0:
+def mittag_leffler_half(z):
+    """E_{1/2}(z) for z <= 0, elementwise (a float for a scalar z)."""
+    z = np.asarray(z, dtype=float)
+    bad = z[~(np.isfinite(z) & (z <= 0.0))]
+    if bad.size and not math.isfinite(bad[0]):
+        raise DomainError(f"mittag_leffler_half requires finite z, got {float(bad[0])!r}")
+    if bad.size:
         raise DomainError(
-            f"mittag_leffler_half is restricted to z <= 0 (got {z!r}); "
+            f"mittag_leffler_half is restricted to z <= 0 (got {float(bad[0])!r}); "
             "positive arguments grow like exp(z^2) and are outside model range"
         )
     return erfcx(-z)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from viscobessel.errors import DomainError
 from viscobessel.models.evaluate import (
     creep_integral_curve,
     eval_G_curve,
@@ -19,6 +20,7 @@ from viscobessel.models.evaluate import (
     relax_integral_curve,
 )
 from viscobessel.models.params import DEFAULT_POLICY
+from viscobessel.specfun.erf import ERFCX_CF_MIN
 from viscobessel.specfun.zeros import zero_table
 
 
@@ -58,6 +60,88 @@ def erfc_quadrature(x: float) -> float:
     )
     assert err < 5e-13
     return 2.0 / math.sqrt(math.pi) * value
+
+
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_SQRT_PI = math.sqrt(math.pi)
+_LENTZ_TINY = 1e-300
+
+
+def _erf_scaled_series(x: float) -> float:
+    """exp(x^2) * erf(x) via the positive-term series, for 0 <= x <= 2."""
+    term = x
+    total = x
+    two_x2 = 2.0 * x * x
+    n = 0
+    while True:
+        n += 1
+        term *= two_x2 / (2 * n + 1)
+        total += term
+        if term < 1e-17 * total or n > 200:
+            return _TWO_OVER_SQRT_PI * total
+
+
+def _erfcx_cf(x: float) -> float:
+    """Laplace continued fraction for erfcx, x > 0 (accurate for x >= ~1.5)."""
+    f = _LENTZ_TINY
+    c = f
+    d = 0.0
+    j = 0
+    while j < 400:
+        j += 1
+        a = 1.0 if j == 1 else 0.5 * (j - 1)
+        d = x + a * d
+        if d == 0.0:
+            d = _LENTZ_TINY
+        c = x + a / c
+        if c == 0.0:
+            c = _LENTZ_TINY
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return f / _SQRT_PI
+    return f / _SQRT_PI
+
+
+def erfcx_reference(x: float) -> float:
+    """Scalar erfcx: series up to ERFCX_CF_MIN, Lentz continued fraction
+    above, reflection below 0 (the package's scalar code before it took
+    arrays, kept as the bit-identity reference for the masked loops)."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"erfcx requires finite x, got {x!r}")
+    if x < 0.0:
+        return 2.0 * math.exp(x * x) - erfcx_reference(-x)
+    if x <= ERFCX_CF_MIN:
+        return math.exp(x * x) - _erf_scaled_series(x)
+    return _erfcx_cf(x)
+
+
+def closed_form_reference(fn: str, params, ts) -> np.ndarray:
+    """Closed-form J, G, int_0^T J ("creep") or int_0^T G ("relax") as a
+    per-point loop over the scalar expressions, with erfcx_reference."""
+    if params.family == "asymptotic":
+        nu = params.nu
+        c = 1.0 / (2.0 * (nu + 1.0))
+        one = {
+            "J": lambda t: 1.0 + 4.0 * (nu + 1.0) * math.sqrt(t) / _SQRT_PI,
+            "G": lambda t: erfcx_reference(-(-2.0 * (nu + 1.0) * math.sqrt(t))),
+            "creep": lambda T: T + 8.0 * (nu + 1.0) * T ** 1.5 / (3.0 * _SQRT_PI),
+            "relax": lambda T: c * c * (erfcx_reference(math.sqrt(T) / c) - 1.0)
+            + 2.0 * c * math.sqrt(T) / _SQRT_PI,
+        }[fn]
+    else:
+        a1, b1 = params.a1, params.b1
+        one = {
+            "J": lambda t: (a1 / b1) * (1.0 + 2.0 * math.sqrt(t) / (a1 * _SQRT_PI)),
+            "G": lambda t: (b1 / a1) * erfcx_reference(-(-math.sqrt(t) / a1)),
+            "creep": lambda T: (a1 / b1)
+            * (T + 4.0 * T ** 1.5 / (3.0 * a1 * _SQRT_PI)),
+            "relax": lambda T: a1 * b1 * (erfcx_reference(math.sqrt(T) / a1) - 1.0)
+            + 2.0 * b1 * math.sqrt(T) / _SQRT_PI,
+        }[fn]
+    return np.array([one(float(t)) for t in np.asarray(ts, dtype=float)])
 
 
 def mittag_leffler_series_oracle(alpha: float, z: float, n_terms: int) -> float:

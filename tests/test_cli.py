@@ -76,6 +76,19 @@ def test_eval_bessel_below_floor_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_refusal_messages_quote_plain_floats(tmp_path, capsys):
+    cases = {"(smallest requested t = 0.0001)": ["--t-start", "1e-4"],
+             "tol = 1e-10 at t = 0.001\n": ["--t-start", "0.001", "--n-max", "20"]}
+    for quote, extra in cases.items():
+        rc = run(["eval", "--family", "bessel", "--nu", "0", "--fn", "G", *extra,
+                  "--t-end", "1", "--points", "3", "--spacing", "log",
+                  "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("refused: ") and quote in err
+        assert "np.float64" not in err
+
+
 def test_eval_usage_errors_exit_2(tmp_path):
     assert run(["eval", "--family", "bessel", "--fn", "J"]) == 2  # missing nu
     assert run(["eval", "--family", "fmax", "--a1", "1", "--fn", "J"]) == 2

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from oracles import erfc_quadrature
+from oracles import erfc_quadrature, erfcx_reference
 from viscobessel.errors import DomainError
 from viscobessel.specfun import erfc, erfcx
 
@@ -57,3 +58,51 @@ def test_non_finite_rejected(bad):
         erfc(bad)
     with pytest.raises(DomainError):
         erfcx(bad)
+
+
+ERFCX_EDGES = [0.0, -0.0, 1e-300, np.nextafter(2.0, -np.inf), 2.0,
+               np.nextafter(2.0, np.inf), 26.0, 1e8, -1e-300, -1.0, -2.0, -2.5, -26.0]
+
+
+def test_erfcx_scalar_edges_match_reference_bit_for_bit():
+    for x in ERFCX_EDGES:
+        value = erfcx(x)
+        assert type(value) is float
+        assert value == erfcx_reference(x), f"x={x!r}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50_000])
+def test_erfcx_arrays_match_reference_bit_for_bit(n):
+    # dense in the series region and near the switchover, where most
+    # elements take many steps and np.exp would differ from libm exp
+    rng = np.random.default_rng(n)
+    xs = np.concatenate([
+        ERFCX_EDGES,
+        rng.uniform(-26.0, 30.0, n),
+        rng.uniform(-2.0, 2.0, n),
+        rng.uniform(1.99, 2.01, n),
+        np.geomspace(1e-300, 1e8, n),
+    ])
+    rng.shuffle(xs)
+    expected = np.array([erfcx_reference(x) for x in xs.tolist()])
+    got = erfcx(xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(erfcx(xs.reshape(-1, 1)), expected.reshape(-1, 1))
+
+
+def test_erfcx_empty_array():
+    got = erfcx(np.zeros(0))
+    assert got.dtype == float and got.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_erfcx_array_quotes_first_non_finite_element(bad):
+    with pytest.raises(DomainError) as err:
+        erfcx(np.array([1.0, 3.0, bad, math.nan]))
+    assert str(err.value) == f"erfcx requires finite x, got {bad!r}"
+
+
+def test_erfcx_array_overflow_for_very_negative():
+    with pytest.raises(OverflowError):
+        erfcx(np.array([0.5, 30.0, -27.0]))

@@ -287,6 +287,27 @@ def test_load_history_validation():
         LoadHistory("stress", 0.1, (1.0, math.inf))
 
 
+def test_histories_store_plain_float_tuples_from_arrays():
+    samples = np.array([0.0, 0.1, 1.0 / 3.0, -2.5])
+    load = LoadHistory("stress", 0.1, samples)
+    assert load.samples == tuple(float(v) for v in samples)
+    assert all(type(v) is float for v in load.samples)
+    with pytest.raises(DomainError, match="^load samples must all be finite$"):
+        LoadHistory("stress", 0.1, np.array([0.0, math.nan, 1.0]))
+    with pytest.raises(DomainError, match="^a load history needs at least two samples$"):
+        LoadHistory("stress", 0.1, np.array([1.0]))
+    response = simulate_asymptotic(0.3, load)
+    assert type(response.samples) is tuple
+    assert all(type(v) is float for v in response.samples)
+    assert ResponseHistory("strain", 0.5, [1, 2]).samples == (1.0, 2.0)
+    with pytest.raises(DomainError, match="^load samples must be a flat sequence of numbers$"):
+        LoadHistory("stress", 0.1, [[1, 2], [3, 4]])
+    with pytest.raises(DomainError, match="^response samples must be a flat sequence"):
+        ResponseHistory("strain", 0.5, np.ones((2, 3)))
+    with pytest.raises(DomainError, match="^response samples must be a flat sequence"):
+        ResponseHistory("strain", 0.5, 1.0)
+
+
 def test_history_csv_round_trip(tmp_path):
     load = LoadHistory("stress", 0.125, (0.0, 0.5, 1.0, 0.25))
     path = tmp_path / "load.csv"

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import bisect_bessel_zero, dirichlet_reference, erfc_quadrature
+from oracles import (
+    bisect_bessel_zero,
+    closed_form_reference,
+    dirichlet_reference,
+    erfc_quadrature,
+)
+from viscobessel.cli import FIGURE_ASYM_NUS, FIGURE_GRID_LIN
 from viscobessel.errors import SeriesRefusalError, TableExhaustedError
 from viscobessel.laplace import invert_talbot
 from viscobessel.models import (
@@ -14,8 +20,11 @@ from viscobessel.models import (
     MaterialCurve,
     ModelParams,
     TruncationPolicy,
+    asym_creep_integral,
     asym_G_time,
     asym_J_time,
+    asym_relax_integral,
+    asym_relaxation_memory,
     bessel_creep_integral,
     bessel_G_laplace,
     bessel_G_short_time,
@@ -29,8 +38,10 @@ from viscobessel.models import (
     creep_integral,
     eval_G_curve,
     eval_J_curve,
+    fmax_creep_integral,
     fmax_G_time,
     fmax_J_time,
+    fmax_relax_integral,
     memory_phi,
     memory_phi_curve,
     memory_psi,
@@ -38,6 +49,13 @@ from viscobessel.models import (
     relax_integral,
 )
 from viscobessel.errors import DomainError
+from viscobessel.models.evaluate import (
+    creep_integral_curve,
+    eval_G_any_time,
+    eval_J_any_time,
+    relax_integral_curve,
+)
+from viscobessel.specfun import mittag_leffler_half
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +173,8 @@ def test_table_exhausted_quotes_the_global_minimum():
     policy = TruncationPolicy(n_max=20)
     tail = f"below tol = {policy.tol!r} at t = "
     expected = {
-        "J": f"J series: 20 zeros cannot push the series tail {tail}{ts.min()!r}",
-        "G": f"G series: 20 zeros cannot push the series tail {tail}{ts.min()!r}",
+        "J": f"J series: 20 zeros cannot push the series tail {tail}{float(ts.min())!r}",
+        "G": f"G series: 20 zeros cannot push the series tail {tail}{float(ts.min())!r}",
         "Phi": f"Phi series: table of 20 zeros cannot bound the memory-series "
         f"tail {tail}{float(ts.min())!r}",
         "Psi": f"Psi series: table of 20 zeros cannot bound the memory-series "
@@ -234,6 +252,87 @@ def test_family_equivalence_asym_is_reparametrized_fmax(nu):
     for t in (0.0, 0.01, 0.5, 1.0, 3.0):
         assert asym_J_time(nu, t) == pytest.approx(fmax_J_time(c, c, t), rel=1e-14)
         assert asym_G_time(nu, t) == pytest.approx(fmax_G_time(c, c, t), rel=1e-14)
+
+
+CLOSED_FORM_DISPATCH = {"J": eval_J_curve, "G": eval_G_curve,
+                        "creep": creep_integral_curve, "relax": relax_integral_curve}
+CLOSED_FORM_PARAMS = [ModelParams("asymptotic", nu=nu) for nu in FIGURE_ASYM_NUS + (-0.95, 3.7)]
+CLOSED_FORM_PARAMS += [ModelParams("fmax", a1=a1, b1=b1)
+                       for a1, b1 in ((1.0, 1.0), (0.07, 2.5), (3.3, 0.4))]
+
+
+def _closed_form_grids(seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted(rng.uniform(-9.0, 1.7, 2))
+    return {
+        "figure": np.linspace(*FIGURE_GRID_LIN),
+        "log": np.geomspace(10.0**lo, 10.0**hi, 3000),
+        "linear": np.linspace(0.0, rng.uniform(0.5, 50.0), 5202),
+        "random": np.sort(rng.uniform(0.0, 30.0, 2000)),
+    }
+
+
+@pytest.mark.parametrize("fn", sorted(CLOSED_FORM_DISPATCH))
+@pytest.mark.parametrize("seed", range(len(CLOSED_FORM_PARAMS)),
+                         ids=[p.label() for p in CLOSED_FORM_PARAMS])
+def test_closed_forms_match_per_point_reference_bit_for_bit(seed, fn):
+    params = CLOSED_FORM_PARAMS[seed]
+    for name, ts in _closed_form_grids(seed).items():
+        got = CLOSED_FORM_DISPATCH[fn](params, ts)
+        assert np.array_equal(got, closed_form_reference(fn, params, ts)), name
+    # a scalar time gives the float the array holds
+    one = {"J": (asym_J_time, fmax_J_time), "G": (asym_G_time, fmax_G_time),
+           "creep": (asym_creep_integral, fmax_creep_integral),
+           "relax": (asym_relax_integral, fmax_relax_integral)}[fn]
+    args = (params.nu,) if params.family == "asymptotic" else (params.a1, params.b1)
+    scalar = one[params.family == "fmax"](*args, 0.37)
+    assert type(scalar) is float
+    assert scalar == closed_form_reference(fn, params, [0.37])[0]
+
+
+CLOSED_FORM_TIME_FNS = [
+    lambda t: asym_J_time(0.5, t), lambda t: asym_G_time(0.5, t),
+    lambda t: asym_creep_integral(0.5, t), lambda t: asym_relax_integral(0.5, t),
+    lambda t: fmax_J_time(1.0, 2.0, t), lambda t: fmax_G_time(1.0, 2.0, t),
+    lambda t: fmax_creep_integral(1.0, 2.0, t), lambda t: fmax_relax_integral(1.0, 2.0, t),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-3])
+@pytest.mark.parametrize("k", range(len(CLOSED_FORM_TIME_FNS)))
+def test_closed_forms_quote_first_bad_time(k, bad):
+    with pytest.raises(DomainError) as err:
+        CLOSED_FORM_TIME_FNS[k](np.array([0.0, 0.5, bad, -2.0, math.nan]))
+    assert str(err.value) == f"time must be finite and >= 0, got {bad!r}"
+
+
+def test_memory_and_mittag_quote_first_bad_argument():
+    with pytest.raises(DomainError) as err:
+        asym_relaxation_memory(0.0, np.array([0.5, 0.0, math.nan]))
+    assert str(err.value) == "memory function needs t > 0, got 0.0"
+    assert asym_relaxation_memory(0.0, np.array([0.5, 2.0])).tolist() == [
+        asym_relaxation_memory(0.0, 0.5), asym_relaxation_memory(0.0, 2.0)]
+    with pytest.raises(DomainError, match=r"requires finite z, got nan"):
+        mittag_leffler_half(np.array([-1.0, math.nan, 0.5]))
+    with pytest.raises(DomainError, match=r"restricted to z <= 0 \(got 0\.5\)"):
+        mittag_leffler_half(np.array([-1.0, 0.5, math.nan]))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ModelParams("bessel", nu=0.0), ModelParams("asymptotic", nu=0.0),
+     ModelParams("fmax", a1=1.0, b1=2.0)],
+    ids=lambda p: p.family,
+)
+def test_empty_time_arrays_give_empty_curves(params):
+    dispatchers = list(CLOSED_FORM_DISPATCH.values()) + [eval_J_any_time, eval_G_any_time]
+    for fn in dispatchers:
+        for ts in ([], np.zeros(0)):
+            out = fn(params, ts)
+            assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == (0,)
+    if params.family == "bessel":
+        for fn in (memory_phi_curve, memory_psi_curve):
+            assert fn(params.nu, []).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
