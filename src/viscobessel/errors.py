@@ -22,10 +22,6 @@ class GridError(ValueError):
     """A sampled history does not live on the required uniform grid."""
 
 
-class UnscaledOverflowError(OverflowError):
-    """Unscaled evaluation would overflow; a scaled/ratio form is available."""
-
-
 class RootFindError(RuntimeError):
     """Newton refinement and the bisection fallback both failed."""
 

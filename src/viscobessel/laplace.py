@@ -1,7 +1,4 @@
-"""Numerical inverse Laplace transforms used as independent oracles.
-
-Two algorithmically unrelated methods are provided so they can cross-check
-each other as well as the closed-form / series material functions:
+"""Numerical inverse Laplace transform used as an independent oracle.
 
 ``invert_talbot``
     The fixed Talbot rule of Abate & Valko (2004): trapezoidal quadrature of
@@ -19,38 +16,25 @@ each other as well as the closed-form / series material functions:
     floor of roughly eps * exp(2M/5) on the absolute error (~1e-6 at M = 64),
     which is useless for relaxation moduli that decay below it.  The sum is
     therefore evaluated in mpmath arithmetic with working precision scaled to
-    M, and the transform is called with mpmath complex nodes -- every
-    Laplace-domain evaluator in this package is written in generic arithmetic
-    precisely so it can run at that precision.
-
-``invert_stehfest``
-    The Gaver-Stehfest method: a purely real-axis sampler
-
-        f(t) ~ (ln 2 / t) * sum_{k=1..N} V_k F(k ln 2 / t)
-
-    whose Salzer weights V_k are computed once per N in exact rational
-    arithmetic before conversion to float.  In double precision it is useful
-    to ~1e-5 relative on smooth, O(1) targets, which is all it is used for.
+    M, and the transform is called with mpmath complex nodes.  The package's
+    Laplace-domain material functions accept such nodes: the algebraic
+    families evaluate them in mpmath arithmetic, and the Bessel family hands
+    its I-ratio to mpmath's ``besseli``.  mpmath is imported on the first
+    call, so processes that never invert a transform never load it.
 
 References: Talbot (1979), IMA J. Appl. Math. 23; Abate & Valko (2004),
-Int. J. Numer. Meth. Eng. 60; Stehfest (1970), CACM 13(1).
+Int. J. Numer. Meth. Eng. 60.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
-
-from mpmath import mp
 
 from .errors import DomainError, InversionError
 
 __all__ = [
     "LaplaceFunction",
     "invert_talbot",
-    "invert_stehfest",
-    "stehfest_weights",
 ]
 
 
@@ -89,6 +73,7 @@ def invert_talbot(transform, t: float, M: int = 64) -> float:
         raise DomainError(f"invert_talbot requires t > 0, got {t!r}")
     if M < 8:
         raise DomainError(f"invert_talbot requires M >= 8, got {M!r}")
+    from mpmath import mp
 
     # exp(r t) = exp(2M/5) costs 2M/(5 ln 10) digits to cancellation; budget
     # those plus ~25 result digits plus guard digits.
@@ -99,7 +84,7 @@ def invert_talbot(transform, t: float, M: int = 64) -> float:
         # Contributions damped below the working precision are skipped; the
         # cutoff keeps |exp(t s)| * poly(M) under one ulp of the big terms.
         log_cut = -(dps * math.log(10) + 30)
-        total = mp.exp(r * tt) / 2 * _eval_node(F, mp.mpc(r, 0), label)
+        total = mp.exp(r * tt) / 2 * _eval_node(mp, F, mp.mpc(r, 0), label)
         for k in range(1, M):
             theta = mp.pi * k / M
             cot = mp.cos(theta) / mp.sin(theta)
@@ -108,11 +93,11 @@ def invert_talbot(transform, t: float, M: int = 64) -> float:
                 continue
             s_k = r * theta * mp.mpc(cot, 1)
             gamma = mp.exp(tt * s_k) * mp.mpc(1, theta * (1 + cot**2) - cot)
-            total += gamma * _eval_node(F, s_k, label)
+            total += gamma * _eval_node(mp, F, s_k, label)
         return float(mp.re(total) * 2 / (5 * tt))
 
 
-def _eval_node(F, s, label):
+def _eval_node(mp, F, s, label):
     value = F(s)
     if not mp.isfinite(value):
         raise InversionError(
@@ -120,40 +105,3 @@ def _eval_node(F, s, label):
             node=complex(s),
         )
     return value
-
-
-@lru_cache(maxsize=None)
-def stehfest_weights(N: int) -> tuple[float, ...]:
-    """Salzer summation weights V_1..V_N, exact rational arithmetic inside."""
-    if N % 2 != 0 or N < 2:
-        raise DomainError(f"Stehfest weights need even N >= 2, got {N!r}")
-    half = N // 2
-    fact = math.factorial
-    weights = []
-    for k in range(1, N + 1):
-        acc = Fraction(0)
-        for i in range((k + 1) // 2, min(k, half) + 1):
-            num = Fraction(i**half) * fact(2 * i)
-            den = fact(half - i) * fact(i) * fact(i - 1) * fact(k - i) * fact(2 * i - k)
-            acc += num / den
-        weights.append(float((-1) ** (k + half) * acc))
-    return tuple(weights)
-
-
-def invert_stehfest(transform, t: float, N: int = 14) -> float:
-    """Gaver-Stehfest inversion from real-axis samples, N even in [8, 18].
-
-    The default N = 14 balances truncation against the weight-cancellation
-    roundoff floor of double precision (the N = 16/18 weights reach ~1e8 and
-    push that floor near 1e-7); the alternating sum is compensated with fsum.
-    """
-    F, _ = _as_callable(transform)
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"invert_stehfest requires t > 0, got {t!r}")
-    if N % 2 != 0 or not 8 <= N <= 18:
-        raise DomainError(f"invert_stehfest requires even N in [8, 18], got {N!r}")
-    ln2_t = math.log(2.0) / t
-    weights = stehfest_weights(N)
-    total = math.fsum(v * F(k * ln2_t) for k, v in enumerate(weights, start=1))
-    return ln2_t * total

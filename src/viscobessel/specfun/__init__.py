@@ -1,12 +1,9 @@
 """Real-order special functions underpinning the viscoelastic models."""
 
 from .bessel import (
-    I_SERIES_MAX,
     J_SERIES_MAX,
     RATIO_ASYM_MIN,
-    bessel_i,
     bessel_i_ratio,
-    bessel_i_series_complex,
     bessel_j,
 )
 from .erf import erfc, erfcx
@@ -24,14 +21,11 @@ from .zeros import (
 )
 
 __all__ = [
-    "I_SERIES_MAX",
     "J_SERIES_MAX",
     "RATIO_ASYM_MIN",
     "CACHE_ENV_VAR",
     "ZeroTable",
-    "bessel_i",
     "bessel_i_ratio",
-    "bessel_i_series_complex",
     "bessel_j",
     "bessel_j_zeros",
     "cache_path",

@@ -1,4 +1,4 @@
-"""Bessel functions of real order nu > -1: J_nu, I_nu and contiguous ratios.
+"""Bessel functions of real order nu > -1: J_nu and contiguous I-ratios.
 
 Evaluation regions
 ------------------
@@ -11,59 +11,47 @@ Evaluation regions
       truncated adaptively at its smallest term.  For the orders used here
       (nu <= ~5) the smallest term is < 1e-12 once x > 14.
 
-``bessel_i``:
-    * x <= I_SERIES_MAX: ascending series (all terms positive, no
-      cancellation; relative error ~ a few eps).
-    * x >  I_SERIES_MAX: the large-argument expansion
-      I_nu(x) = e^x / sqrt(2 pi x) * sum_k (-1)^k a_k(nu) / x^k; the reflected
-      e^{-x} series is dropped (it is below e^{-60} relative here).
-      Arguments beyond ~705 would overflow e^x and raise
-      UnscaledOverflowError pointing at the ratio evaluator.
-
 ``bessel_i_ratio``:
     Ratios of contiguous orders I_{mu+1}/I_mu via the Gauss continued
     fraction I_{mu+1}(z)/I_mu(z) = z/(2(mu+1) + z^2/(2(mu+2) + ...)),
-    evaluated with the modified Lentz algorithm.  The fraction needs O(|z|)
-    convergents, so for real z >= RATIO_ASYM_MIN the ratio is instead formed
-    as the quotient of the two large-argument expansions (their exponential
-    prefactors cancel exactly), which stays accurate out to arbitrarily large
-    real arguments (Laplace-domain callers evaluate up to sqrt(s) ~ 1e8).
+    evaluated with the modified Lentz algorithm in float or complex
+    arithmetic.  The fraction needs O(|z|) convergents, so for real
+    z >= RATIO_ASYM_MIN the ratio is instead formed as the quotient of the
+    two large-argument expansions (their exponential prefactors cancel
+    exactly), which stays accurate out to arbitrarily large real arguments
+    (Laplace-domain callers evaluate up to sqrt(s) ~ 1e8).
 
-    The continued fraction is written in generic arithmetic: it accepts float,
-    complex and mpmath scalars, which is how the Laplace-domain material
-    functions are evaluated both on inversion contours and inside the
-    high-precision Talbot oracle.
+    An mpmath scalar -- a node of the high-precision Talbot oracle -- is
+    handed to mpmath's own ``besseli`` at the caller's working precision.
+    mpmath is imported only on that branch, so float and complex callers
+    never load it; a caller holding an mpmath scalar has loaded it already.
 """
 
 import math
 
-from mpmath import mp
-
-from ..errors import DomainError, UnscaledOverflowError
+from ..errors import DomainError
 from .gamma import gamma_fn
 
 J_SERIES_MAX = 14.0
-I_SERIES_MAX = 30.0
 RATIO_ASYM_MIN = 100.0
 
 _LENTZ_TINY = 1e-300
 
+# Per-step constants of the Hankel sums for m = 1..59:
+# ((2m-1)^2, 8m, whether a_m/x^m enters P (even m), the sign (-1)^(m//2)).
+_HANKEL_STEPS = tuple(
+    (float((2 * m - 1) ** 2), 8.0 * m, m % 2 == 0, -1.0 if (m // 2) % 2 else 1.0)
+    for m in range(1, 60)
+)
 
-def _require_order(nu: float) -> float:
-    nu = float(nu)
-    if not math.isfinite(nu) or nu <= -1.0:
-        raise DomainError(f"order must satisfy nu > -1, got {nu!r}")
-    return nu
 
-
-def _ascending_series(nu, x, signed):
-    """sum_k s^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)), s = -1 (J) or +1 (I)."""
+def _ascending_series(nu, x):
+    """sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1))."""
     q = 0.25 * x * x
     term = (0.5 * x) ** nu / gamma_fn(nu + 1.0)
     total = term
-    sign = -1.0 if signed else 1.0
     for k in range(400):
-        term *= sign * q / ((k + 1.0) * (nu + k + 1.0))
+        term *= -q / ((k + 1.0) * (nu + k + 1.0))
         total += term
         if abs(term) < 1e-18 * (abs(total) + 1e-300) and k >= 3:
             return total
@@ -77,18 +65,26 @@ def _hankel_pq(nu, x):
     q = 0.0
     term = 1.0
     prev = math.inf
-    for m in range(1, 60):
-        term *= (mu - (2 * m - 1) ** 2) / (8.0 * m * x)
-        if abs(term) >= prev or abs(term) < 1e-18:
+    for odd_sq, eight_m, enters_p, sign in _HANKEL_STEPS:
+        term *= (mu - odd_sq) / (eight_m * x)
+        size = abs(term)
+        if size >= prev or size < 1e-18:
             break
-        prev = abs(term)
-        # a_m/x^m enters P for even m, Q for odd m, with alternating signs
-        # (-1)^(m//2) in each sub-series.
-        if m % 2 == 0:
-            p += term if m % 4 == 0 else -term
+        prev = size
+        if enters_p:
+            p += sign * term
         else:
-            q += term if m % 4 == 1 else -term
+            q += sign * term
     return p, q
+
+
+def _j(nu: float, x: float) -> float:
+    """J_nu(x) for a float order nu > -1 and a float x > 0, unchecked."""
+    if x <= J_SERIES_MAX:
+        return _ascending_series(nu, x)
+    p, q = _hankel_pq(nu, x)
+    w = x - (0.5 * nu + 0.25) * math.pi
+    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(w) - q * math.sin(w))
 
 
 def bessel_j(nu: float, x: float) -> float:
@@ -97,7 +93,9 @@ def bessel_j(nu: float, x: float) -> float:
     Absolute error is kept below 1e-10 out to x ~ 650 (beyond the 200th
     positive zero for every order used by the models).
     """
-    nu = _require_order(nu)
+    nu = float(nu)
+    if not math.isfinite(nu) or nu <= -1.0:
+        raise DomainError(f"order must satisfy nu > -1, got {nu!r}")
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"bessel_j requires finite x >= 0, got {x!r}")
@@ -107,85 +105,15 @@ def bessel_j(nu: float, x: float) -> float:
         if nu > 0.0:
             return 0.0
         raise DomainError(f"J_nu(0) diverges for nu < 0 (nu = {nu!r})")
-    if x <= J_SERIES_MAX:
-        return _ascending_series(nu, x, signed=True)
-    p, q = _hankel_pq(nu, x)
-    w = x - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(w) - q * math.sin(w))
-
-
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function I_nu(x), nu > -1, x > 0, unscaled.
-
-    Raises UnscaledOverflowError once e^x would overflow; use
-    ``bessel_i_ratio`` for the contiguous-order ratios that the Laplace-domain
-    material functions need at large argument.
-    """
-    nu = _require_order(nu)
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"bessel_i requires finite x > 0, got {x!r}")
-    if x <= I_SERIES_MAX:
-        return _ascending_series(nu, x, signed=False)
-    if x > 705.0:
-        raise UnscaledOverflowError(
-            f"I_nu({x!r}) overflows in unscaled form; use bessel_i_ratio "
-            "for contiguous-order ratios instead"
-        )
-    mu = 4.0 * nu * nu
-    total = 1.0
-    term = 1.0
-    prev = math.inf
-    for m in range(1, 60):
-        term *= -(mu - (2 * m - 1) ** 2) / (8.0 * m * x)
-        if abs(term) >= prev or abs(term) < 1e-18:
-            break
-        prev = abs(term)
-        total += term
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * total
-
-
-def bessel_i_series_complex(nu: float, z: complex) -> complex:
-    """Ascending series for I_nu at complex argument, restricted to |z| <= 30.
-
-    Beyond |z| = 30 the alternating real/imaginary parts of the series lose
-    more than 13 digits to cancellation, so larger arguments are refused; the
-    inversion contours that need larger |z| go through ``bessel_i_ratio``.
-    """
-    nu = _require_order(nu)
-    z = complex(z)
-    if abs(z) > I_SERIES_MAX:
-        raise DomainError(
-            f"complex ascending series restricted to |z| <= {I_SERIES_MAX}, "
-            f"got |z| = {abs(z):.3g}"
-        )
-    if z == 0:
-        return complex(1.0 if nu == 0.0 else 0.0)
-    q = 0.25 * z * z
-    term = (0.5 * z) ** nu / gamma_fn(nu + 1.0)
-    total = term
-    for k in range(400):
-        term *= q / ((k + 1.0) * (nu + k + 1.0))
-        total += term
-        if abs(term) < 1e-18 * (abs(total) + 1e-300) and k >= 3:
-            break
-    return total
-
-
-def _is_mp(z) -> bool:
-    return isinstance(z, (mp.mpf, mp.mpc))
+    return _j(nu, x)
 
 
 def _ratio_up_cf(mu, z):
-    """I_{mu+1}(z)/I_mu(z) by the Gauss continued fraction (generic scalar z)."""
-    if _is_mp(z):
-        tol = mp.mpf(10) ** (-(mp.dps + 5))
-    else:
-        tol = 1e-16
+    """I_{mu+1}(z)/I_mu(z) by the Gauss continued fraction (float or complex z)."""
     z2 = z * z
     f = _LENTZ_TINY
     c = f
-    d = 0.0 * z  # zero of the right arithmetic type
+    d = 0.0
     n_max = int(8 * abs(z)) + 400
     for j in range(1, n_max):
         a = z if j == 1 else z2
@@ -199,7 +127,7 @@ def _ratio_up_cf(mu, z):
         d = 1.0 / d
         delta = c * d
         f = f * delta
-        if abs(delta - 1.0) < tol and j > 2:
+        if abs(delta - 1.0) < 1e-16 and j > 2:
             return f
     raise DomainError(
         f"continued fraction for I-ratio did not converge for |z| = {abs(z):.3g}"
@@ -209,12 +137,12 @@ def _ratio_up_cf(mu, z):
 def _asym_sum(nu, x):
     """Adaptive large-argument sum A(nu, x) = sum_k (-1)^k a_k(nu)/x^k.
 
-    Generic in x (float or mpf); truncated at the smallest term, which for
-    x >= RATIO_ASYM_MIN is below 1e-15 relative.
+    Truncated at the smallest term, which for x >= RATIO_ASYM_MIN is below
+    1e-15 relative.
     """
     mu = 4.0 * nu * nu
-    total = 1.0 + 0.0 * x  # unit of the caller's scalar type
-    term = total
+    total = 1.0
+    term = 1.0
     prev = math.inf
     for m in range(1, 60):
         term *= -(mu - (2 * m - 1) ** 2) / (8.0 * m * x)
@@ -230,7 +158,8 @@ def bessel_i_ratio(nu_num: float, nu_den: float, z):
 
     Requires |nu_num - nu_den| = 1 and min(nu_num, nu_den) > -1.  Accepts
     real positive z, complex z off the negative real axis, and mpmath
-    scalars; the result never goes through an overflowing intermediate.
+    scalars (evaluated by mpmath at its working precision); the float and
+    complex routes never go through an overflowing intermediate.
     """
     nu_num = float(nu_num)
     nu_den = float(nu_den)
@@ -240,21 +169,21 @@ def bessel_i_ratio(nu_num: float, nu_den: float, z):
         )
     if min(nu_num, nu_den) <= -1.0:
         raise DomainError(f"orders must exceed -1, got {nu_num!r}, {nu_den!r}")
-    if isinstance(z, (int, float)) and not _is_mp(z):
+    mu = min(nu_num, nu_den)
+    if isinstance(z, (int, float)):
         z = float(z)
         if not math.isfinite(z) or z <= 0.0:
             raise DomainError(f"real ratio argument must be > 0, got {z!r}")
-        real_arg = True
-    else:
-        if z == 0:
-            raise DomainError("ratio argument must be nonzero")
-        real_arg = _is_mp(z) and isinstance(z, mp.mpf) and z > 0
+        if z >= RATIO_ASYM_MIN:
+            up = _asym_sum(mu + 1.0, z) / _asym_sum(mu, z)
+        else:
+            up = _ratio_up_cf(mu, z)
+    elif z == 0:
+        raise DomainError("ratio argument must be nonzero")
+    elif type(z).__module__.startswith("mpmath"):
+        from mpmath import mp
 
-    mu = min(nu_num, nu_den)
-    if real_arg and abs(z) >= RATIO_ASYM_MIN:
-        # quotient of the large-argument expansions; arithmetic stays in the
-        # caller's scalar type (float or mpf)
-        up = _asym_sum(mu + 1.0, z) / _asym_sum(mu, z)
+        return mp.besseli(nu_num, z) / mp.besseli(nu_den, z)
     else:
         up = _ratio_up_cf(mu, z)
     if nu_num > nu_den:

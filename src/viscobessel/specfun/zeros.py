@@ -24,7 +24,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from ..errors import DomainError, RootFindError
-from .bessel import bessel_j
+from .bessel import _j
 
 CACHE_ENV_VAR = "VISCOBESSEL_CACHE_DIR"
 CACHE_FORMAT_HEADER = "viscobessel-zeros v1"
@@ -81,9 +81,9 @@ def _mcmahon_guess(nu: float, n: int) -> float:
 
 def _derivative(nu: float, x: float, jx: float) -> float:
     if nu > 0.0:
-        return 0.5 * (bessel_j(nu - 1.0, x) - bessel_j(nu + 1.0, x))
+        return 0.5 * (_j(nu - 1.0, x) - _j(nu + 1.0, x))
     # For nu - 1 <= -1 the symmetric form is unavailable.
-    return -bessel_j(nu + 1.0, x) + (nu / x) * jx
+    return -_j(nu + 1.0, x) + (nu / x) * jx
 
 
 def _bracket(nu: float, guess: float, lo_bound: float, n: int):
@@ -91,8 +91,8 @@ def _bracket(nu: float, guess: float, lo_bound: float, n: int):
     half = 0.5
     a = max(guess - half, lo_bound)
     b = guess + half
-    fa = bessel_j(nu, a)
-    fb = bessel_j(nu, b)
+    fa = _j(nu, a)
+    fb = _j(nu, b)
     if fa == 0.0:
         return a, a, fa, fa
     if fb == 0.0:
@@ -102,11 +102,11 @@ def _bracket(nu: float, guess: float, lo_bound: float, n: int):
     # Guess was poor (small n, order near -1): march from the previous zero.
     step = 0.05 * max(guess - lo_bound, 0.2)
     a = lo_bound
-    fa = bessel_j(nu, a)
+    fa = _j(nu, a)
     x = a
     for _ in range(400):
         x = x + step
-        fx = bessel_j(nu, x)
+        fx = _j(nu, x)
         if fa * fx < 0.0:
             return a, x, fa, fx
         a, fa = x, fx
@@ -118,7 +118,7 @@ def _refine(nu: float, n: int, a: float, b: float, fa: float, fb: float) -> floa
         return a
     x = min(max(_mcmahon_guess(nu, n), a), b)
     for _ in range(60):
-        fx = bessel_j(nu, x)
+        fx = _j(nu, x)
         if fx == 0.0:
             return x
         if fa * fx < 0.0:

@@ -6,6 +6,8 @@ never validate the package against its own code paths.
 """
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -21,6 +23,7 @@ from viscobessel.models.evaluate import (
 )
 from viscobessel.models.params import DEFAULT_POLICY
 from viscobessel.specfun.erf import ERFCX_CF_MIN
+from viscobessel.specfun.gamma import gamma_fn
 from viscobessel.specfun.zeros import zero_table
 
 
@@ -32,6 +35,64 @@ def bessel_j_series(nu: float, x: float, n_terms: int = 120) -> float:
         total += term
         term *= -(0.25 * x * x) / ((k + 1.0) * (nu + k + 1.0))
     return total
+
+
+def _j_ascending_series_reference(nu, x, signed):
+    """sum_k s^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)), s = -1 (J) or +1 (I)."""
+    q = 0.25 * x * x
+    term = (0.5 * x) ** nu / gamma_fn(nu + 1.0)
+    total = term
+    sign = -1.0 if signed else 1.0
+    for k in range(400):
+        term *= sign * q / ((k + 1.0) * (nu + k + 1.0))
+        total += term
+        if abs(term) < 1e-18 * (abs(total) + 1e-300) and k >= 3:
+            return total
+    return total
+
+
+def _hankel_pq_reference(nu, x):
+    """P and Q sums of Hankel's expansion, truncated at the smallest term."""
+    mu = 4.0 * nu * nu
+    p = 1.0
+    q = 0.0
+    term = 1.0
+    prev = math.inf
+    for m in range(1, 60):
+        term *= (mu - (2 * m - 1) ** 2) / (8.0 * m * x)
+        if abs(term) >= prev or abs(term) < 1e-18:
+            break
+        prev = abs(term)
+        # a_m/x^m enters P for even m, Q for odd m, with alternating signs
+        # (-1)^(m//2) in each sub-series.
+        if m % 2 == 0:
+            p += term if m % 4 == 0 else -term
+        else:
+            q += term if m % 4 == 1 else -term
+    return p, q
+
+
+def bessel_j_reference(nu: float, x: float) -> float:
+    """Scalar J_nu(x): ascending series up to x = 14, Hankel's expansion
+    above (the package's scalar code before its Hankel loop ran on
+    precomputed step constants, kept as the bit-identity reference)."""
+    nu = float(nu)
+    if not math.isfinite(nu) or nu <= -1.0:
+        raise DomainError(f"order must satisfy nu > -1, got {nu!r}")
+    x = float(x)
+    if not math.isfinite(x) or x < 0.0:
+        raise DomainError(f"bessel_j requires finite x >= 0, got {x!r}")
+    if x == 0.0:
+        if nu == 0.0:
+            return 1.0
+        if nu > 0.0:
+            return 0.0
+        raise DomainError(f"J_nu(0) diverges for nu < 0 (nu = {nu!r})")
+    if x <= 14.0:
+        return _j_ascending_series_reference(nu, x, signed=True)
+    p, q = _hankel_pq_reference(nu, x)
+    w = x - (0.5 * nu + 0.25) * math.pi
+    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(w) - q * math.sin(w))
 
 
 def bisect_bessel_zero(nu: float, lo: float, hi: float, tol: float = 1e-13) -> float:
@@ -149,16 +210,6 @@ def mittag_leffler_series_oracle(alpha: float, z: float, n_terms: int) -> float:
     return math.fsum(z**n / math.gamma(alpha * n + 1.0) for n in range(n_terms))
 
 
-def bessel_i_series(nu: float, x: float, n_terms: int = 60) -> float:
-    """Ascending series for I_nu(x) (all positive terms)."""
-    total = 0.0
-    term = (0.5 * x) ** nu / math.gamma(nu + 1.0)
-    for k in range(n_terms):
-        total += term
-        term *= (0.25 * x * x) / ((k + 1.0) * (nu + k + 1.0))
-    return total
-
-
 def stepping_reference(nu: float, kind: str, dt: float, samples) -> np.ndarray:
     """Per-step forward substitution of the L1 Caputo-1/2 constitutive law.
 
@@ -252,3 +303,44 @@ def dirichlet_reference(fn: str, nu: float, ts, policy=DEFAULT_POLICY) -> np.nda
     if fn == "Psi":
         return amp * (nu + 2.0) + amp * series
     return amp * series
+
+
+@lru_cache(maxsize=None)
+def stehfest_weights(N: int) -> tuple[float, ...]:
+    """Salzer summation weights V_1..V_N, exact rational arithmetic inside."""
+    if N % 2 != 0 or N < 2:
+        raise DomainError(f"Stehfest weights need even N >= 2, got {N!r}")
+    half = N // 2
+    fact = math.factorial
+    weights = []
+    for k in range(1, N + 1):
+        acc = Fraction(0)
+        for i in range((k + 1) // 2, min(k, half) + 1):
+            num = Fraction(i**half) * fact(2 * i)
+            den = fact(half - i) * fact(i) * fact(i - 1) * fact(k - i) * fact(2 * i - k)
+            acc += num / den
+        weights.append(float((-1) ** (k + half) * acc))
+    return tuple(weights)
+
+
+def invert_stehfest(F, t: float, N: int = 14) -> float:
+    """Gaver-Stehfest inversion from real-axis samples, N even in [8, 18]:
+
+        f(t) ~ (ln 2 / t) * sum_{k=1..N} V_k F(k ln 2 / t)
+
+    (Stehfest (1970), CACM 13(1)).  A real-axis sampler with no contour in
+    common with the Talbot rule, so the two cross-check each other.  In
+    double precision it is useful to ~1e-5 relative on smooth, O(1) targets.
+    The default N = 14 balances truncation against the weight-cancellation
+    roundoff floor (the N = 16/18 weights reach ~1e8 and push that floor near
+    1e-7); the alternating sum is compensated with fsum.
+    """
+    t = float(t)
+    if not math.isfinite(t) or t <= 0.0:
+        raise DomainError(f"invert_stehfest requires t > 0, got {t!r}")
+    if N % 2 != 0 or not 8 <= N <= 18:
+        raise DomainError(f"invert_stehfest requires even N in [8, 18], got {N!r}")
+    ln2_t = math.log(2.0) / t
+    weights = stehfest_weights(N)
+    total = math.fsum(v * F(k * ln2_t) for k, v in enumerate(weights, start=1))
+    return ln2_t * total

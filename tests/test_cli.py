@@ -3,11 +3,15 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import viscobessel
 from viscobessel.cli import main
 from viscobessel.fracsim import LoadHistory, write_history
 from viscobessel.models import ModelParams, read_material_curve
@@ -323,3 +327,63 @@ def test_verify_failure_exits_1(monkeypatch):
 
     monkeypatch.setitem(cli._CHECKS, "reciprocity", failing_check)
     assert run(["verify", "--check", "reciprocity"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# import hygiene: only the Talbot oracle loads mpmath
+# ---------------------------------------------------------------------------
+
+# Runs main(argv) (or only the import, for an empty argv) in a fresh
+# interpreter and prints the exit code and which of the two modules loaded.
+_PROBE = (
+    "import sys\n"
+    "from viscobessel.cli import main\n"
+    "rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "print('probe', rc, *sorted({'mpmath', 'fractions'} & set(sys.modules)))\n"
+)
+
+
+def _fresh_process(argv, cwd):
+    src = Path(viscobessel.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
+    )
+    tag, rc, *loaded = proc.stdout.splitlines()[-1].split()
+    assert tag == "probe", proc.stderr
+    return int(rc), loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["eval", "--family", "bessel", "--nu", "0.5", "--fn", "G", "--t-start", "0.01",
+         "--points", "20", "--spacing", "log", "--out", "curve.csv"],
+        ["eval", "--figure", "3", "--out", "fig3.csv"],
+        ["simulate", "--family", "bessel", "--nu", "0", "--kind", "stress",
+         "--input", "load.csv", "--out", "resp.csv"],
+        ["simulate", "--family", "asymptotic", "--nu", "0", "--kind", "stress",
+         "--method", "stepping", "--input", "load.csv", "--out", "resp.csv"],
+        ["zeros", "--nu", "1", "--n", "50", "--cache-dir", "cache"],
+        ["verify", "--check", "reciprocity"],
+        ["verify", "--check", "interconversion", "--family", "bessel", "--nu", "0"],
+        ["verify", "--check", "asymptotics"],
+        ["verify", "--check", "cm"],
+        ["verify", "--check", "zeros", "--nu", "0.5", "--n", "60"],
+    ],
+    ids=lambda argv: " ".join(argv[:3]) or "import",
+)
+def test_cold_process_never_loads_mpmath_or_fractions(tmp_path, argv):
+    _write_step_load(tmp_path / "load.csv", dt=0.01, t_end=0.5)
+    rc, loaded = _fresh_process(argv, tmp_path)
+    assert rc == 0
+    assert loaded == []
+
+
+def test_cold_laplace_oracle_process_loads_mpmath_and_passes(tmp_path):
+    argv = ["verify", "--check", "laplace-oracle", "--family", "bessel", "--nu", "0"]
+    rc, loaded = _fresh_process(argv, tmp_path)
+    assert rc == 0
+    assert "mpmath" in loaded

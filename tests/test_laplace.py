@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import erfc_quadrature
+from oracles import erfc_quadrature, invert_stehfest, stehfest_weights
 from viscobessel.errors import DomainError, InversionError
-from viscobessel.laplace import (
-    LaplaceFunction,
-    invert_stehfest,
-    invert_talbot,
-    stehfest_weights,
-)
+from viscobessel.laplace import LaplaceFunction, invert_talbot
 from viscobessel.models import ModelParams, laplace_sG, laplace_sJ
 
 

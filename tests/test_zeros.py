@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bisect_bessel_zero
+from oracles import bessel_j_reference, bisect_bessel_zero
+from viscobessel.specfun import zeros as zeros_module
 from viscobessel.errors import DomainError
 from viscobessel.specfun import (
     ZeroTable,
@@ -66,6 +67,21 @@ def test_zeros_against_mpmath(nu):
     for n in (1, 3, 40, 200):
         ref = float(mpmath.besseljzero(nu, n))
         assert table.zeros[n - 1] == pytest.approx(ref, abs=1e-10)
+
+
+# The figure orders, those orders plus 2 (the creep tables), and a spread
+# over (-1, 5].
+BIT_IDENTITY_ORDERS = (
+    -0.95, -0.9, -0.75, -0.5, -0.3, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25,
+    1.5, 1.7, 2.0, 2.2, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0,
+)
+
+
+def test_zero_tables_bit_identical_to_reference_finder(monkeypatch):
+    tables = {nu: bessel_j_zeros(nu, 200).zeros for nu in BIT_IDENTITY_ORDERS}
+    monkeypatch.setattr(zeros_module, "_j", bessel_j_reference)
+    for nu in BIT_IDENTITY_ORDERS:
+        assert bessel_j_zeros(nu, 200).zeros == tables[nu], nu
 
 
 def test_zero_table_validation():
