@@ -26,12 +26,15 @@ Hereditary convolution (all families)
     smooth loads despite the singular kernel, and reproduces step-load
     responses exactly up to kernel accuracy.
 
-Evaluation: both routes are lower-triangular Toeplitz products (the L1
-sums and the panel sums) or solves (the implicit stepping), computed as
-causal blocked-FFT products in O(n log^2 n); a solve applies the reciprocal
-power series of its column.  Each output depends only on inputs up to its
-own time, bit for bit.  Summation order differs from a per-step loop, so
-the last digits of a response can differ from one (relative ~1e-13).
+Evaluation: both routes are lower-triangular Toeplitz systems, and each
+simulation applies exactly one causal blocked-FFT product, O(n log^2 n).
+Stress stepping solves the L1 system (the product with the reciprocal power
+series of its column); strain stepping applies the column b*w, with b the
+reciprocal series of the implicit column, folded into one FFT product; a
+convolution folds its near and far panel columns into one.  Each output
+depends only on inputs up to its own time, bit for bit.  Summation order
+differs from a per-step loop, so the last digits of a response can differ
+from one (relative ~1e-13).
 
 Initial condition convention: a nonzero load sample at k = 0 is treated as an
 instantaneous step mapped through the glass constants, response(0) = J_g *
@@ -156,17 +159,16 @@ def _toeplitz_apply(col, x) -> np.ndarray:
     return y[:n]
 
 
-def _toeplitz_solve(col, rhs) -> np.ndarray:
-    """Solve the lower-triangular Toeplitz system _toeplitz_apply(col, x) = rhs.
+def _reciprocal(col, n: int) -> np.ndarray:
+    """First n coefficients of the reciprocal power series b = 1/a of col.
 
-    The inverse matrix is Toeplitz with the reciprocal power series b = 1/a
-    of the column, built by Newton doubling b <- b (2 - a b) mod z^{2k}:
+    The inverse of the lower-triangular Toeplitz matrix of col is Toeplitz
+    with column b, so _toeplitz_apply(b, rhs) solves that system, as causal
+    in rhs as any product.  Newton doubling b <- b (2 - a b) mod z^{2k}:
     with a b = 1 + z^k e mod z^{2k}, the update appends -(b e) mod z^k.
     Every product is an FFT product whose cyclic wrap misses the kept
-    coefficients.  b depends on col alone, so the solve is as causal in
-    rhs as _toeplitz_apply.
+    coefficients.
     """
-    n = len(rhs)
     a = np.zeros(1 << (n - 1).bit_length())
     a[:n] = np.asarray(col, dtype=float)[:n]
     b = np.array([1.0 / a[0]])
@@ -175,7 +177,7 @@ def _toeplitz_solve(col, rhs) -> np.ndarray:
         b_hat = np.fft.rfft(b, 2 * k)
         e = np.fft.irfft(np.fft.rfft(a[: 2 * k]) * b_hat, 2 * k)[k:]
         b = np.concatenate((b, -np.fft.irfft(b_hat * np.fft.rfft(e, 2 * k), 2 * k)[:k]))
-    return _toeplitz_apply(b, rhs)
+    return b[:n]
 
 
 def _l1_weights(n: int) -> np.ndarray:
@@ -205,11 +207,18 @@ def caputo_half(samples, dt: float) -> np.ndarray:
 def simulate_asymptotic(nu: float, load: LoadHistory) -> ResponseHistory:
     """Step the Maxwell-like law [1 + c D^{1/2}] sigma = c D^{1/2} eps.
 
-    With response increments d_k = out[k] - out[k-1], both directions are
-    lower-triangular Toeplitz systems in d: strain input solves
-    out + c D^{1/2} out = c D^{1/2} eps (column 1 + c kappa w), stress
-    input solves the L1 system D^{1/2} eps = sigma / c + D^{1/2} sigma
-    (column w, discrete half-order integration).
+    With response increments d_k = out[k] - out[k-1], load increments df,
+    W the L1 Toeplitz matrix of column w, kappa = 1/(sqrt(dt) Gamma(3/2))
+    and L the Toeplitz matrix of ones (cumulative sum), each direction is
+    a lower-triangular Toeplitz system in d, evaluated with one product:
+
+    * stress input, kappa W d = sigma / c + kappa W df, so
+      d = df + W^{-1} sigma / (c kappa) (discrete half-order integration);
+    * strain input, (L + c kappa W) d = c kappa W df - eps_0, so with b
+      the reciprocal series of the column 1 + c kappa w,
+      d = c kappa (b*w) applied to df - eps_0 cumsum(b).  The column b*w
+      is one FFT product; the shorter d = df - (L + c kappa W)^{-1} eps
+      cancels at large dt.
     """
     nu = float(nu)
     if not math.isfinite(nu) or nu <= -1.0:
@@ -217,15 +226,18 @@ def simulate_asymptotic(nu: float, load: LoadHistory) -> ResponseHistory:
     c = 1.0 / (2.0 * (nu + 1.0))
     dt = load.dt
     f = np.asarray(load.samples, dtype=float)
-    w = _l1_weights(len(f) - 1)
-    kappa = 1.0 / (math.sqrt(dt) * _GAMMA_3_2)
-    load_caputo = caputo_half(f, dt)[1:]
+    m = len(f) - 1
+    w = _l1_weights(m)
+    c_kappa = c / (math.sqrt(dt) * _GAMMA_3_2)
     # out[0] = f[0]: an instantaneous step through the glass constants
     # G_g = J_g = 1.
     if load.kind == "strain":
-        d = _toeplitz_solve(1.0 + c * kappa * w, c * load_caputo - f[0])
+        b = _reciprocal(1.0 + c_kappa * w, m)
+        size = 2 << (m - 1).bit_length()  # no cyclic wrap below index m
+        bw = np.fft.irfft(np.fft.rfft(b, size) * np.fft.rfft(w, size), size)[:m]
+        d = c_kappa * _toeplitz_apply(bw, np.diff(f)) - f[0] * np.cumsum(b)
     else:
-        d = _toeplitz_solve(w, (f[1:] / c + load_caputo) / kappa)
+        d = np.diff(f) + _toeplitz_apply(_reciprocal(w, m), f[1:] / c_kappa)
     out = np.concatenate(([f[0]], f[0] + np.cumsum(d)))
     return ResponseHistory(kind=_conjugate(load.kind), dt=dt, samples=out)
 
@@ -279,8 +291,11 @@ def convolve_response(
     coeff_near = dk - m1_over_h
     coeff_far = m1_over_h
 
+    # sum_j far_j f_{k-j-1} is far_k f_0 plus a product with far shifted by
+    # one, so both columns share a single product over f[1:]
+    col = coeff_near + np.concatenate(([0.0], coeff_far[:-1]))
     out = glass * f
-    out[1:] += _toeplitz_apply(coeff_near, f[1:]) + _toeplitz_apply(coeff_far, f[:-1])
+    out[1:] += _toeplitz_apply(col, f[1:]) + f[0] * coeff_far
     return ResponseHistory(kind=_conjugate(load.kind), dt=dt, samples=out)
 
 

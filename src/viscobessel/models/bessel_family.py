@@ -26,6 +26,15 @@ index N is below exp(-j_N^2 t)/(4(mu+1)); the memory series use a geometric
 bound built from the next tabulated zero.  Below TruncationPolicy.t_floor the
 series converge too slowly for the configured table and evaluation is refused
 (SeriesRefusalError) -- short times belong to the Laplace-domain route.
+
+A chunk then also drops every term with j_n^2 - j_1^2 > 60 ln 2 / t_min: at
+each of its times such a term is below 2^-60 of the first one, so under half an
+ulp of every partial sum, and adding it rounds back to the same double.  A chunk
+of two or more times sums its rows in table order, so its result keeps every
+bit; numpy sums a one-time chunk pairwise, and there the regrouping may move
+the sum by a few ulp.  The dropped terms are the expensive ones: np.exp takes
+its slow path for arguments that underflow to subnormals or zero, and
+subnormal division is slow too.
 """
 
 import math
@@ -39,6 +48,7 @@ from .params import DEFAULT_POLICY, TruncationPolicy
 
 _SQRT_PI = math.sqrt(math.pi)
 _CHUNK = 4096  # times per exp(-j_n^2 t) block; each block truncates on its own
+_SUB_ULP = 60.0 * math.log(2.0)  # exp(-_SUB_ULP) = 2^-60, far below half an ulp
 
 
 def _check_nu(nu: float) -> float:
@@ -106,13 +116,18 @@ def _truncation_index(tail, n_terms: int, t: float, policy: TruncationPolicy):
 
 def _dirichlet_sum(squares, ts, power: int, n_for=None) -> np.ndarray:
     """sum_n exp(-j_n^2 t) / j_n^(2 power) over column chunks of ts; a chunk sums
-    its first n_for(chunk.min()) terms (all if n_for is None) in table order."""
+    its first n_for(chunk.min()) terms (all if n_for is None) in table order,
+    less the terms that cannot change a bit of the row sum (see module doc)."""
     sq = np.asarray(squares, dtype=float)
+    gaps = sq - sq[0]
     ts = np.asarray(ts, dtype=float).ravel()
     out = np.empty(len(ts))
     for lo in range(0, len(ts), _CHUNK):
         chunk = ts[lo : lo + _CHUNK]
-        n = len(sq) if n_for is None else n_for(chunk.min())
+        t_min = chunk.min()
+        n = len(sq) if n_for is None else n_for(t_min)
+        if t_min > 0.0:  # at t = 0 every term counts
+            n = min(n, int(np.searchsorted(gaps, _SUB_ULP / t_min, side="right")))
         terms = np.outer(-sq[:n], chunk)  # in place from here; (-a) b == -(a b)
         np.exp(terms, out=terms)
         terms /= sq[:n, None] ** power
@@ -224,7 +239,8 @@ def _rayleigh_sigma2(order: float) -> float:
 
 
 def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
-    """sum_n exp(-j_n^2 T) / j_n^4 over the whole table (tail below ~2e-9).
+    """sum_n exp(-j_n^2 T) / j_n^4 over the table (tail below ~2e-9); a chunk
+    stops where its terms can no longer change the sum.
 
     Vectorized over T; the tail past the table is a smooth, exponentially
     flat offset, so grid *differences* of this sum are far more accurate

@@ -1,4 +1,4 @@
-"""Parameter and curve containers shared by the three model families.
+"""Parameter containers shared by the three model families.
 
 Everything is non-dimensional: the relaxation time is 1 and the glass
 compliance/modulus of the Bessel-type and asymptotic families are 1.  The
@@ -9,12 +9,10 @@ with the asymptotic family of parameter nu.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..errors import DomainError
 
 FAMILIES = ("bessel", "fmax", "asymptotic")
-CURVE_KINDS = ("J", "G", "Psi", "Phi")
 
 
 @dataclass(frozen=True)
@@ -75,79 +73,3 @@ class TruncationPolicy:
 
 DEFAULT_POLICY = TruncationPolicy()
 
-
-@dataclass(frozen=True)
-class CurveSample:
-    t: float
-    value: float
-
-
-@dataclass(frozen=True)
-class MaterialCurve:
-    """Samples of one material function with its provenance.
-
-    Construction enforces a strictly increasing time grid and the defining
-    monotonicity (J non-decreasing, G non-increasing) with 1e-12 slack.
-    """
-
-    kind: str
-    params: ModelParams
-    samples: tuple[CurveSample, ...]
-
-    def __post_init__(self):
-        if self.kind not in CURVE_KINDS:
-            raise DomainError(f"kind must be one of {CURVE_KINDS}, got {self.kind!r}")
-        ts = [s.t for s in self.samples]
-        if any(t < 0.0 or not math.isfinite(t) for t in ts):
-            raise DomainError("curve times must be finite and >= 0")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise DomainError("curve times must be strictly increasing")
-        values = [s.value for s in self.samples]
-        slack = 1e-12
-        if self.kind == "J":
-            bad = any(b < a - slack for a, b in zip(values, values[1:]))
-        elif self.kind == "G":
-            bad = any(b > a + slack for a, b in zip(values, values[1:]))
-        else:
-            bad = False
-        if bad:
-            raise DomainError(f"{self.kind} samples violate monotonicity")
-
-    @property
-    def times(self) -> list[float]:
-        return [s.t for s in self.samples]
-
-    @property
-    def values(self) -> list[float]:
-        return [s.value for s in self.samples]
-
-
-def write_material_curve(curve: MaterialCurve, path) -> Path:
-    """Write `t,<kind>` CSV in shortest round-trip decimal form."""
-    path = Path(path)
-    lines = [f"t,{curve.kind}"]
-    lines.extend(f"{s.t!r},{s.value!r}" for s in curve.samples)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    return path
-
-
-def read_material_curve(path, params: ModelParams) -> MaterialCurve:
-    """Parse a `t,<kind>` CSV back into a MaterialCurve."""
-    path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
-    if not lines:
-        raise DomainError(f"{path}: empty curve file")
-    header = lines[0].split(",")
-    if len(header) != 2 or header[0] != "t" or header[1] not in CURVE_KINDS:
-        raise DomainError(f"{path}: expected header 't,<J|G|Psi|Phi>', got {lines[0]!r}")
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            t, v = float(parts[0]), float(parts[1])
-        except (ValueError, IndexError) as exc:
-            raise DomainError(f"{path}:{lineno}: malformed row {line!r}") from exc
-        samples.append(CurveSample(t, v))
-    return MaterialCurve(kind=header[1], params=params, samples=tuple(samples))

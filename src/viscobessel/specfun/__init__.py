@@ -6,7 +6,7 @@ from .bessel import (
     bessel_i_ratio,
     bessel_j,
 )
-from .erf import erfc, erfcx
+from .erf import erfcx
 from .gamma import gamma_fn
 from .mittag import mittag_leffler_half, mittag_leffler_series
 from .zeros import (
@@ -30,7 +30,6 @@ __all__ = [
     "bessel_j_zeros",
     "cache_path",
     "default_cache_dir",
-    "erfc",
     "erfcx",
     "gamma_fn",
     "load_zero_table",

@@ -1,8 +1,7 @@
-"""Complementary error function and its scaled variant.
+"""Scaled complementary error function.
 
 erfcx(x) = exp(x^2) * erfc(x) is the quantity the viscoelastic relaxation
-moduli actually need (it stays O(1/x) instead of underflowing), so it is the
-primitive here and erfc is derived from it.
+moduli actually need (it stays O(1/x) instead of underflowing).
 
 Evaluation regions (validated against high-precision references):
 
@@ -43,18 +42,24 @@ def libm_map(fn, x, *args) -> np.ndarray:
 
 
 def _iterate(step, *state) -> np.ndarray:
-    """Run (done, *state) = step(k, *state) for k = 1, 2, ... on each element until
-    its done flag is set, then drop it from the arrays; give every final state[0]."""
+    """Run (done, *state) = step(k, *state) for k = 1, 2, ... on each element and
+    give its state[0] from the step at which its done flag first rises.  Finished
+    elements ride along (their later states are unused) until they make up a
+    quarter of the carried arrays, which are then compacted."""
     out = np.empty(len(state[0]))
     idx = np.arange(len(out))
+    finished = np.zeros(len(out), dtype=bool)
     for k in count(1):
         if not len(idx):
             return out
         done, *state = step(k, *state)
-        if done.any():
-            out[idx[done]] = state[0][done]
-            keep = ~done
-            idx, *state = (s[keep] for s in (idx, *state))
+        new = done & ~finished
+        if new.any():
+            out[idx[new]] = state[0][new]
+            finished |= new
+            if 4 * np.count_nonzero(finished) >= len(idx):
+                keep = ~finished
+                idx, finished, *state = (s[keep] for s in (idx, finished, *state))
 
 
 def _series_step(n, total, term, two_x2):
@@ -93,13 +98,3 @@ def erfcx(x):
         _series_step, x, x, 2.0 * x * x)
     out[neg] = 2.0 * exp_x2[neg[need_exp]] - out[neg]
     return out.reshape(arr.shape) if arr.ndim else float(out[0])
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, relative error below 1e-12."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"erfc requires finite x, got {x!r}")
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    return math.exp(-x * x) * erfcx(x)

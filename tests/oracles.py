@@ -13,6 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from viscobessel.errors import DomainError
+from viscobessel.models.bessel_family import _CHUNK
 from viscobessel.models.evaluate import (
     creep_integral_curve,
     eval_G_curve,
@@ -265,6 +266,25 @@ def convolution_reference(params, kind: str, dt: float, samples) -> np.ndarray:
         acc = float(np.dot(f[1 : k + 1][::-1], coeff_near[:k]))
         acc += float(np.dot(f[0:k][::-1], coeff_far[:k]))
         out[k] = glass * f[k] + acc
+    return out
+
+
+def dirichlet_sum_uncut(squares, ts, power: int, n_for=None) -> np.ndarray:
+    """The series kernel before terms below half an ulp were dropped.
+
+    Kept verbatim (chunk size included) so the cut kernel can be checked
+    against it bit for bit; it sums every term the truncation rule keeps.
+    """
+    sq = np.asarray(squares, dtype=float)
+    ts = np.asarray(ts, dtype=float).ravel()
+    out = np.empty(len(ts))
+    for lo in range(0, len(ts), _CHUNK):
+        chunk = ts[lo : lo + _CHUNK]
+        n = len(sq) if n_for is None else n_for(chunk.min())
+        terms = np.outer(-sq[:n], chunk)  # in place from here; (-a) b == -(a b)
+        np.exp(terms, out=terms)
+        terms /= sq[:n, None] ** power
+        out[lo : lo + len(chunk)] = terms.sum(axis=0)
     return out
 
 

@@ -14,7 +14,6 @@ import pytest
 import viscobessel
 from viscobessel.cli import main
 from viscobessel.fracsim import LoadHistory, write_history
-from viscobessel.models import ModelParams, read_material_curve
 
 
 def run(args):
@@ -63,12 +62,13 @@ def test_eval_curve_round_trips_through_parser(tmp_path):
         ["eval", "--family", "asymptotic", "--nu", "0.5", "--fn", "G",
          "--t-end", "1.5", "--points", "40", "--out", str(out)]
     )
-    curve = read_material_curve(out, ModelParams("asymptotic", nu=0.5))
-    assert curve.kind == "G"
-    assert len(curve.samples) == 40
-    # shortest round-trip repr: parsing loses nothing
     rows = read_rows(out)
-    assert [s.value for s in curve.samples] == [float(r[1]) for r in rows[1:]]
+    assert rows[0] == ["t", "G"]
+    assert len(rows) == 41
+    # shortest round-trip repr: parsing loses nothing
+    assert all(cell == repr(float(cell)) for row in rows[1:] for cell in row)
+    ts, gs = np.array(rows[1:], dtype=float).T
+    assert np.all(np.diff(ts) > 0.0) and np.all(np.diff(gs) <= 0.0)
 
 
 def test_eval_bessel_below_floor_exits_3(tmp_path):

@@ -224,6 +224,21 @@ def test_simulators_match_per_step_reference(method, model, kind, n):
         assert np.max(np.abs(np.array(got) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("dt", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("kind", ["stress", "strain"])
+@pytest.mark.parametrize("nu", [-0.8, 0.0, 1.5])
+def test_stepping_matches_reference_at_large_dt(nu, kind, dt):
+    # a strain form that subtracts a solve from the load increments cancels
+    # here: slow loads at n = 1000 put it at 1e-12 to 1e-11 relative
+    rng = np.random.default_rng(5)
+    for n in (200, 1000):
+        k = np.arange(n)
+        for samples in (np.ones(n), np.sin(2.0 * np.pi * k / n), rng.normal(size=n)):
+            got = simulate_asymptotic(nu, LoadHistory(kind, dt, tuple(samples))).samples
+            ref = stepping_reference(nu, kind, dt, samples)
+            assert np.max(np.abs(np.array(got) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("k", [1000, 3001, 4097])
 def test_causality_is_bit_exact_at_large_n(k):
     n = 6000

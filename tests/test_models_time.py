@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from oracles import (
     bisect_bessel_zero,
     closed_form_reference,
     dirichlet_reference,
+    dirichlet_sum_uncut,
     erfc_quadrature,
 )
 from viscobessel.cli import FIGURE_ASYM_NUS, FIGURE_GRID_LIN
@@ -16,8 +18,6 @@ from viscobessel.errors import SeriesRefusalError, TableExhaustedError
 from viscobessel.laplace import invert_talbot
 from viscobessel.models import (
     DEFAULT_POLICY,
-    CurveSample,
-    MaterialCurve,
     ModelParams,
     TruncationPolicy,
     asym_creep_integral,
@@ -49,13 +49,14 @@ from viscobessel.models import (
     relax_integral,
 )
 from viscobessel.errors import DomainError
+from viscobessel.models import bessel_family
 from viscobessel.models.evaluate import (
     creep_integral_curve,
     eval_G_any_time,
     eval_J_any_time,
     relax_integral_curve,
 )
-from viscobessel.specfun import mittag_leffler_half
+from viscobessel.specfun import mittag_leffler_half, zero_table
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +201,54 @@ def test_series_memory_is_bounded(fn, reverse):
         tracemalloc.stop()
     # a one-shot 49 x 1e6 outer product peaks near 780 MB
     assert peak < 64e6
+
+
+SERIES_KERNELS = dict(
+    SERIES_CURVES,
+    creep_primitive=bessel_family.bessel_creep_integral_curve,
+    relax_primitive=bessel_family.bessel_relax_integral_curve,
+)
+
+
+def _cut_and_uncut(monkeypatch, fn, nu, ts):
+    got = SERIES_KERNELS[fn](nu, ts)
+    with monkeypatch.context() as m:
+        m.setattr(bessel_family, "_dirichlet_sum", dirichlet_sum_uncut)
+        return got, SERIES_KERNELS[fn](nu, ts)
+
+
+def _cut_grids(fn, n):
+    yield np.geomspace(1e-3, 50.0, n)
+    yield np.linspace(1e-3, 50.0, n)
+    if fn.endswith("primitive"):
+        yield (50.0 / (n - 1)) * np.arange(n)  # a dt grid from T = 0
+
+
+@pytest.mark.parametrize("n", [5, 4096, 4097, 20000])
+@pytest.mark.parametrize("fn", list(SERIES_KERNELS))
+def test_sub_ulp_term_cut_is_bit_identical(monkeypatch, fn, n):
+    # a chunk of two or more times sums its rows in table order, so a term
+    # below 2^-60 of the first one is under half an ulp of every partial sum;
+    # a one-time chunk is summed pairwise and is checked separately below
+    exact = n - 1 if n % bessel_family._CHUNK == 1 else n
+    for nu in (-0.8, 0.0, 1.5):
+        for ts in _cut_grids(fn, n):
+            got, uncut = _cut_and_uncut(monkeypatch, fn, nu, ts)
+            assert np.array_equal(got[:exact], uncut[:exact])
+
+
+def test_sub_ulp_term_cut_moves_single_times_by_at_most_4_ulp():
+    # numpy sums a one-time chunk pairwise, so dropping terms regroups it; the
+    # bound is on the Dirichlet sum itself (the relaxation primitive subtracts
+    # it from its limit and can magnify the ulp count of the difference)
+    for nu in (-0.8, 0.0, 1.5):
+        for order in (nu, nu + 2.0):
+            sq = zero_table(order, DEFAULT_POLICY.n_max).squares
+            for power, n in itertools.product((0, 1, 2), (8, 49, len(sq))):
+                for t in np.geomspace(1e-3, 50.0, 200):
+                    got = bessel_family._dirichlet_sum(sq[:n], [t], power)[0]
+                    uncut = dirichlet_sum_uncut(sq[:n], [t], power)[0]
+                    assert abs(got - uncut) <= 4.0 * np.spacing(uncut)
 
 
 def test_fluid_long_time_behavior():
@@ -356,19 +405,6 @@ def test_curve_monotonicity(params):
     g = eval_G_curve(params, ts)
     assert np.all(np.diff(j) >= -1e-12)
     assert np.all(np.diff(g) <= 1e-12)
-    # the MaterialCurve container accepts them
-    MaterialCurve("J", params, tuple(CurveSample(float(t), float(v)) for t, v in zip(ts, j)))
-    MaterialCurve("G", params, tuple(CurveSample(float(t), float(v)) for t, v in zip(ts, g)))
-
-
-def test_material_curve_rejects_nonmonotonic():
-    p = ModelParams("asymptotic", nu=0.0)
-    with pytest.raises(DomainError):
-        MaterialCurve("J", p, (CurveSample(0.0, 1.0), CurveSample(1.0, 0.5)))
-    with pytest.raises(DomainError):
-        MaterialCurve("G", p, (CurveSample(0.0, 0.5), CurveSample(1.0, 1.0)))
-    with pytest.raises(DomainError):
-        MaterialCurve("J", p, (CurveSample(1.0, 1.0), CurveSample(1.0, 2.0)))
 
 
 # ---------------------------------------------------------------------------
