@@ -152,17 +152,7 @@ def _policy(args) -> TruncationPolicy:
 def _params(args) -> ModelParams:
     if args.family is None:
         raise DomainError("--family is required here")
-    if args.family == "fmax":
-        if args.a1 is None or args.b1 is None:
-            raise DomainError("family 'fmax' needs --a1 and --b1")
-        if args.nu is not None:
-            raise DomainError("--nu does not apply to family 'fmax'")
-        return ModelParams("fmax", a1=args.a1, b1=args.b1)
-    if args.nu is None:
-        raise DomainError(f"family {args.family!r} needs --nu")
-    if args.a1 is not None or args.b1 is not None:
-        raise DomainError(f"--a1/--b1 do not apply to family {args.family!r}")
-    return ModelParams(args.family, nu=args.nu)
+    return ModelParams(args.family, nu=args.nu, a1=args.a1, b1=args.b1)
 
 
 def _write_lines(lines, out):
@@ -254,10 +244,8 @@ def _emit_figure(args, policy) -> int:
 def _record(check, params, max_error, tolerance):
     if isinstance(params, ModelParams):
         family = params.family
-        pdict = {"nu": params.nu} if params.family != "fmax" else {
-            "a1": params.a1,
-            "b1": params.b1,
-        }
+        pdict = {k: getattr(params, k) for k in ("nu", "a1", "b1")
+                 if getattr(params, k) is not None}
     else:
         family, pdict = params
     return {

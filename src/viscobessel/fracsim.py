@@ -53,18 +53,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, GridError, SeriesRefusalError
-from .models.evaluate import (
-    creep_integral_curve,
-    eval_G_any_time,
-    eval_G_curve,
-    eval_J_any_time,
-    eval_J_curve,
-    glass_compliance,
-    glass_modulus,
-    relax_integral_curve,
-)
-from .models.params import DEFAULT_POLICY, ModelParams
+from .errors import DomainError, GridError
+from .models.evaluate import eval_G_any_time, eval_J_any_time, family_of
+from .models.params import DEFAULT_POLICY, ModelParams, check_nu
 
 LOAD_KINDS = ("stress", "strain")
 _GAMMA_3_2 = math.gamma(1.5)
@@ -220,9 +211,7 @@ def simulate_asymptotic(nu: float, load: LoadHistory) -> ResponseHistory:
       is one FFT product; the shorter d = df - (L + c kappa W)^{-1} eps
       cancels at large dt.
     """
-    nu = float(nu)
-    if not math.isfinite(nu) or nu <= -1.0:
-        raise DomainError(f"nu must be > -1, got {nu!r}")
+    nu = check_nu(nu)
     c = 1.0 / (2.0 * (nu + 1.0))
     dt = load.dt
     f = np.asarray(load.samples, dtype=float)
@@ -264,23 +253,20 @@ def convolve_response(
     """
     policy = policy or DEFAULT_POLICY
     dt = load.dt
-    if params.family == "bessel" and dt < policy.t_floor:
-        raise SeriesRefusalError(
-            f"convolution grid dt = {dt!r} dips below the Bessel-series floor "
-            f"t_floor = {policy.t_floor!r}"
-        )
     f = np.asarray(load.samples, dtype=float)
     n = len(f)
     grid = dt * np.arange(n)
 
+    # a Bessel kernel refuses grid[1] = dt below policy.t_floor
+    family = family_of(params)
     if load.kind == "stress":
-        glass = glass_compliance(params)
-        kernel = eval_J_curve(params, grid[1:], policy)
-        primitive = creep_integral_curve(params, grid, policy)
+        glass = family.glass(params)
+        kernel = family.J(params, grid[1:], policy)
+        primitive = family.creep(params, grid, policy)
     else:
-        glass = glass_modulus(params)
-        kernel = eval_G_curve(params, grid[1:], policy)
-        primitive = relax_integral_curve(params, grid, policy)
+        glass = 1.0 / family.glass(params)
+        kernel = family.G(params, grid[1:], policy)
+        primitive = family.relax(params, grid, policy)
 
     kernel = np.concatenate(([glass], kernel))  # kernel[j] = K(j dt)
     dk = np.diff(kernel)

@@ -15,16 +15,15 @@ zeros (j_{mu,n} denotes the n-th positive zero of J_mu):
                - 4(nu+1) sum_n exp(-j_{nu+2,n}^2 t) / j_{nu+2,n}^2
     G(t; nu) = 4(nu+1) sum_n exp(-j_{nu,n}^2 t) / j_{nu,n}^2
 
-with the scaled memory functions (J(0+) = G(0+) = 1)
+and the rate of relaxation (the complete-monotonicity check samples it)
 
-    Psi(t) = dJ/dt = 4(nu+1)(nu+2) + 4(nu+1) sum_n exp(-j_{nu+2,n}^2 t)
     Phi(t) = -dG/dt = 4(nu+1) sum_n exp(-j_{nu,n}^2 t).
 
 Truncation is per chunk of 4096 times, within the terms the smallest requested
 time needs: by the Rayleigh identity sum_n j^-2 = 1/(4(mu+1)) the J/G tail past
-index N is below exp(-j_N^2 t)/(4(mu+1)); the memory series use a geometric
-bound built from the next tabulated zero.  Below TruncationPolicy.t_floor the
-series converge too slowly for the configured table and evaluation is refused
+index N is below exp(-j_N^2 t)/(4(mu+1)); Phi uses a geometric bound built from
+the next tabulated zero.  Below TruncationPolicy.t_floor the series converge
+too slowly for the configured table and evaluation is refused
 (SeriesRefusalError) -- short times belong to the Laplace-domain route.
 
 A chunk then also drops every term with j_n^2 - j_1^2 > 60 ln 2 / t_min: at
@@ -38,24 +37,19 @@ subnormal division is slow too.
 """
 
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from ..errors import DomainError, SeriesRefusalError, TableExhaustedError
 from ..specfun.bessel import bessel_i_ratio
 from ..specfun.zeros import ZeroTable, zero_table
-from .params import DEFAULT_POLICY, TruncationPolicy
+from .params import DEFAULT_POLICY, Family, TruncationPolicy, check_nu
 
 _SQRT_PI = math.sqrt(math.pi)
 _CHUNK = 4096  # times per exp(-j_n^2 t) block; each block truncates on its own
 _SUB_ULP = 60.0 * math.log(2.0)  # exp(-_SUB_ULP) = 2^-60, far below half an ulp
-
-
-def _check_nu(nu: float) -> float:
-    nu = float(nu)
-    if not math.isfinite(nu) or nu <= -1.0:
-        raise DomainError(f"nu must be > -1, got {nu!r}")
-    return nu
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +59,7 @@ def _check_nu(nu: float) -> float:
 
 def bessel_J_laplace(nu: float, s):
     """s * Jtilde(s; nu); works for float, complex and mpmath scalars."""
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     if s == 0:
         raise DomainError("s = 0 is outside the transform domain")
     z = s**0.5
@@ -74,7 +68,7 @@ def bessel_J_laplace(nu: float, s):
 
 def bessel_G_laplace(nu: float, s):
     """s * Gtilde(s; nu); reciprocal of ``bessel_J_laplace`` by construction."""
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     if s == 0:
         raise DomainError("s = 0 is outside the transform domain")
     z = s**0.5
@@ -156,7 +150,7 @@ def _rayleigh_series(sq, ts, policy, c, what) -> np.ndarray:
 
 def bessel_J_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
     """Creep compliance J(t; nu) on an array of times (each >= t_floor)."""
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     ts = _check_times(ts, policy)
     tab = _table_for(nu + 2.0, policy, table)
@@ -171,7 +165,7 @@ def bessel_J_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
 
 def bessel_G_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
     """Relaxation modulus G(t; nu) on an array of times (each >= t_floor)."""
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     ts = _check_times(ts, policy)
     tab = _table_for(nu, policy, table)
@@ -189,9 +183,11 @@ def bessel_G_time(nu: float, t: float, policy=None, *, table=None) -> float:
     return float(bessel_G_curve(nu, [t], policy, table=table)[0])
 
 
-def _memory_series(order, nu, ts, policy, table, what) -> np.ndarray:
-    """4(nu+1) sum_n exp(-j_{order,n}^2 t) with a geometric tail bound."""
-    sq = _table_for(order, policy, table).squares
+def memory_phi_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
+    """Rate of relaxation Phi(t; nu) = -dG/dt on an array of times."""
+    nu = check_nu(nu)
+    policy = policy or DEFAULT_POLICY
+    sq = _table_for(nu, policy, table).squares
     ts = _check_times(ts, policy)
     amp = 4.0 * (nu + 1.0)
 
@@ -201,31 +197,8 @@ def _memory_series(order, nu, ts, policy, table, what) -> np.ndarray:
 
     n_terms = min(len(sq), policy.n_max) - 1  # tail(idx) reads zero idx + 1
     return amp * _series(sq, ts, policy, tail, n_terms, 0, lambda t: (
-        f"{what}: table of {len(sq)} zeros cannot bound the memory-series "
+        f"Phi series: table of {len(sq)} zeros cannot bound the memory-series "
         f"tail below tol = {policy.tol!r} at t = {t!r}"))
-
-
-def memory_psi_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
-    """Rate of creep Psi(t; nu) = dJ/dt on an array of times."""
-    nu = _check_nu(nu)
-    policy = policy or DEFAULT_POLICY
-    base = 4.0 * (nu + 1.0) * (nu + 2.0)
-    return base + _memory_series(nu + 2.0, nu, ts, policy, table, "Psi series")
-
-
-def memory_phi_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
-    """Rate of relaxation Phi(t; nu) = -dG/dt on an array of times."""
-    nu = _check_nu(nu)
-    policy = policy or DEFAULT_POLICY
-    return _memory_series(nu, nu, ts, policy, table, "Phi series")
-
-
-def memory_psi(nu: float, t: float, policy=None, *, table=None) -> float:
-    return float(memory_psi_curve(nu, [t], policy, table=table)[0])
-
-
-def memory_phi(nu: float, t: float, policy=None, *, table=None) -> float:
-    return float(memory_phi_curve(nu, [t], policy, table=table)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +237,7 @@ def bessel_creep_integral_curve(nu, T, policy=None, *, table=None) -> np.ndarray
     second Rayleigh identity for the complete sum.  Absolute accuracy is
     ~2e-9 (quartic tail of a 200-entry table) or better.
     """
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     T = _check_integral_bounds(T)
     tab = _table_for(nu + 2.0, policy, table)
@@ -279,7 +252,7 @@ def bessel_creep_integral_curve(nu, T, policy=None, *, table=None) -> np.ndarray
 
 def bessel_relax_integral_curve(nu, T, policy=None, *, table=None) -> np.ndarray:
     """Exact primitive int_0^T G(t; nu) dt, valid for any T >= 0 (vectorized)."""
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     T = _check_integral_bounds(T)
     tab = _table_for(nu, policy, table)
@@ -287,20 +260,12 @@ def bessel_relax_integral_curve(nu, T, policy=None, *, table=None) -> np.ndarray
     return amp * (_rayleigh_sigma2(nu) - _exp_quartic_sum(tab, T))
 
 
-def bessel_creep_integral(nu, T, policy=None, *, table=None) -> float:
-    return float(bessel_creep_integral_curve(nu, [T], policy, table=table)[0])
-
-
-def bessel_relax_integral(nu, T, policy=None, *, table=None) -> float:
-    return float(bessel_relax_integral_curve(nu, [T], policy, table=table)[0])
-
-
 def bessel_J_short_time(nu: float, t: float) -> float:
     """Two-term Tauberian expansion of J near t = 0 (error O(t^{3/2})).
 
     From s Jt ~ 1 + 2(nu+1) s^{-1/2} + (nu+1)(2nu+3) s^{-1} as s -> infinity.
     """
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     return (
         1.0
         + 4.0 * (nu + 1.0) / _SQRT_PI * math.sqrt(t)
@@ -310,9 +275,42 @@ def bessel_J_short_time(nu: float, t: float) -> float:
 
 def bessel_G_short_time(nu: float, t: float) -> float:
     """Two-term Tauberian expansion of G near t = 0 (error O(t^{3/2}))."""
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     return (
         1.0
         - 4.0 * (nu + 1.0) / _SQRT_PI * math.sqrt(t)
         + (nu + 1.0) * (2.0 * nu + 1.0) * t
     )
+
+
+SHORT_TIME_CUTOFF = 1e-4  # kernel times below it use the Tauberian expansions
+
+
+def _any_time(curve, short_time, params, ts, policy):
+    """Times below SHORT_TIME_CUTOFF use the two-term Tauberian expansion
+    (absolute error O(t^{3/2}) ~ 1e-6 at the cutoff), all others the
+    Dirichlet series with the policy's floor lowered to the cutoff (a
+    200-entry table still converges there)."""
+    policy = policy or DEFAULT_POLICY
+    ts = np.asarray(ts, dtype=float)
+    kernel_policy = replace(policy, t_floor=min(policy.t_floor, SHORT_TIME_CUTOFF))
+    out = np.empty_like(ts)
+    short = ts < SHORT_TIME_CUTOFF
+    if short.any():
+        out[short] = [short_time(params.nu, t) for t in ts[short]]
+    if (~short).any():
+        out[~short] = curve(params.nu, ts[~short], kernel_policy)
+    return out
+
+
+BESSEL = Family(
+    sJ=lambda p, s: bessel_J_laplace(p.nu, s),
+    sG=lambda p, s: bessel_G_laplace(p.nu, s),
+    J=lambda p, ts, policy: bessel_J_curve(p.nu, ts, policy),
+    G=lambda p, ts, policy: bessel_G_curve(p.nu, ts, policy),
+    creep=lambda p, T, policy: bessel_creep_integral_curve(p.nu, T, policy),
+    relax=lambda p, T, policy: bessel_relax_integral_curve(p.nu, T, policy),
+    J_any=partial(_any_time, bessel_J_curve, bessel_J_short_time),
+    G_any=partial(_any_time, bessel_G_curve, bessel_G_short_time),
+    glass=lambda p: 1.0,
+)

@@ -40,20 +40,9 @@ import numpy as np
 from ..errors import DomainError
 from ..specfun.erf import erfcx, libm_map
 from ..specfun.mittag import mittag_leffler_half
+from .params import Family, check_fmax, check_nu
 
 _SQRT_PI = math.sqrt(math.pi)
-
-
-def _check_fmax(a1: float, b1: float):
-    if not (a1 > 0.0 and math.isfinite(a1) and b1 > 0.0 and math.isfinite(b1)):
-        raise DomainError(f"a1, b1 must be finite and > 0, got {a1!r}, {b1!r}")
-
-
-def _check_nu(nu: float) -> float:
-    nu = float(nu)
-    if not math.isfinite(nu) or nu <= -1.0:
-        raise DomainError(f"nu must be > -1, got {nu!r}")
-    return nu
 
 
 def _check_time(t, ok=lambda t: t >= 0.0, need="time must be finite and >= 0"):
@@ -73,19 +62,19 @@ def _result(values):  # a float for a scalar time
 
 
 def fmax_J_time(a1: float, b1: float, t):
-    _check_fmax(a1, b1)
+    check_fmax(a1, b1)
     t = _check_time(t)
     return _result((a1 / b1) * (1.0 + 2.0 * np.sqrt(t) / (a1 * _SQRT_PI)))
 
 
 def fmax_G_time(a1: float, b1: float, t):
-    _check_fmax(a1, b1)
+    check_fmax(a1, b1)
     t = _check_time(t)
     return _result((b1 / a1) * mittag_leffler_half(-np.sqrt(t) / a1))
 
 
 def fmax_J_laplace(a1: float, b1: float, s):
-    _check_fmax(a1, b1)
+    check_fmax(a1, b1)
     if s == 0:
         raise DomainError("s = 0 is outside the transform domain")
     z = s**0.5
@@ -93,7 +82,7 @@ def fmax_J_laplace(a1: float, b1: float, s):
 
 
 def fmax_G_laplace(a1: float, b1: float, s):
-    _check_fmax(a1, b1)
+    check_fmax(a1, b1)
     if s == 0:
         raise DomainError("s = 0 is outside the transform domain")
     z = s**0.5
@@ -102,14 +91,14 @@ def fmax_G_laplace(a1: float, b1: float, s):
 
 def fmax_creep_integral(a1: float, b1: float, T):
     """int_0^T J_M dt = (a1/b1) (T + 4 T^{3/2} / (3 a1 sqrt(pi)))."""
-    _check_fmax(a1, b1)
+    check_fmax(a1, b1)
     T = _check_time(T)
     return _result((a1 / b1) * (T + 4.0 * libm_map(pow, T, 1.5) / (3.0 * a1 * _SQRT_PI)))
 
 
 def fmax_relax_integral(a1: float, b1: float, T):
     """int_0^T G_M dt = a1 b1 (erfcx(sqrt(T)/a1) - 1) + 2 b1 sqrt(T)/sqrt(pi)."""
-    _check_fmax(a1, b1)
+    check_fmax(a1, b1)
     T = _check_time(T)
     root = np.sqrt(T)
     return _result(a1 * b1 * (erfcx(root / a1) - 1.0) + 2.0 * b1 * root / _SQRT_PI)
@@ -119,26 +108,26 @@ def fmax_relax_integral(a1: float, b1: float, T):
 
 
 def asym_J_time(nu: float, t):
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     t = _check_time(t)
     return _result(1.0 + 4.0 * (nu + 1.0) * np.sqrt(t) / _SQRT_PI)
 
 
 def asym_G_time(nu: float, t):
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     t = _check_time(t)
     return _result(mittag_leffler_half(-2.0 * (nu + 1.0) * np.sqrt(t)))
 
 
 def asym_J_laplace(nu: float, s):
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     if s == 0:
         raise DomainError("s = 0 is outside the transform domain")
     return 1.0 + 2.0 * (nu + 1.0) / s**0.5
 
 
 def asym_G_laplace(nu: float, s):
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     if s == 0:
         raise DomainError("s = 0 is outside the transform domain")
     z = s**0.5
@@ -146,13 +135,13 @@ def asym_G_laplace(nu: float, s):
 
 
 def asym_creep_integral(nu: float, T):
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     T = _check_time(T)
     return _result(T + 8.0 * (nu + 1.0) * libm_map(pow, T, 1.5) / (3.0 * _SQRT_PI))
 
 
 def asym_relax_integral(nu: float, T):
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     T = _check_time(T)
     c = 1.0 / (2.0 * (nu + 1.0))
     root = np.sqrt(T)
@@ -165,8 +154,37 @@ def asym_relaxation_memory(nu: float, t):
     Completely monotonic on t > 0 (lam = 2(nu+1)); diverges like t^{-1/2}
     at the origin, so t must be strictly positive.
     """
-    nu = _check_nu(nu)
+    nu = check_nu(nu)
     t = _check_time(t, lambda t: t > 0.0, "memory function needs t > 0")
     lam = 2.0 * (nu + 1.0)
     root = np.sqrt(t)
     return _result(lam / (_SQRT_PI * root) - lam * lam * erfcx(lam * root))
+
+
+# -- family records --------------------------------------------------------
+
+
+def _closed_form(sJ, sG, J, G, creep, relax, glass) -> Family:
+    """A record whose J and G are exact at every t >= 0, so also its any-time kernels."""
+    return Family(sJ, sG, J, G, creep, relax, J, G, glass)
+
+
+ASYMPTOTIC = _closed_form(
+    sJ=lambda p, s: asym_J_laplace(p.nu, s),
+    sG=lambda p, s: asym_G_laplace(p.nu, s),
+    J=lambda p, ts, policy: asym_J_time(p.nu, ts),
+    G=lambda p, ts, policy: asym_G_time(p.nu, ts),
+    creep=lambda p, T, policy: asym_creep_integral(p.nu, T),
+    relax=lambda p, T, policy: asym_relax_integral(p.nu, T),
+    glass=lambda p: 1.0,
+)
+
+FMAX = _closed_form(
+    sJ=lambda p, s: fmax_J_laplace(p.a1, p.b1, s),
+    sG=lambda p, s: fmax_G_laplace(p.a1, p.b1, s),
+    J=lambda p, ts, policy: fmax_J_time(p.a1, p.b1, ts),
+    G=lambda p, ts, policy: fmax_G_time(p.a1, p.b1, ts),
+    creep=lambda p, T, policy: fmax_creep_integral(p.a1, p.b1, T),
+    relax=lambda p, T, policy: fmax_relax_integral(p.a1, p.b1, T),
+    glass=lambda p: p.a1 / p.b1,
+)

@@ -1,4 +1,4 @@
-"""Parameter containers shared by the three model families.
+"""Parameters, their validators and the material-function record of the three families.
 
 Everything is non-dimensional: the relaxation time is 1 and the glass
 compliance/modulus of the Bessel-type and asymptotic families are 1.  The
@@ -9,10 +9,39 @@ with the asymptotic family of parameter nu.
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from ..errors import DomainError
 
 FAMILIES = ("bessel", "fmax", "asymptotic")
+
+
+class Family(NamedTuple):
+    """One family's material functions; every entry takes the ModelParams first."""
+
+    sJ: Callable  # (params, s): s Jtilde(s), generic arithmetic in s
+    sG: Callable  # (params, s): s Gtilde(s)
+    J: Callable  # (params, ts, policy): creep compliance on an array of times
+    G: Callable  # (params, ts, policy): relaxation modulus
+    creep: Callable  # (params, T, policy): int_0^T J on an array of bounds
+    relax: Callable  # (params, T, policy): int_0^T G
+    J_any: Callable  # (params, ts, policy): J at any t >= 0 (kernel quadratures)
+    G_any: Callable  # (params, ts, policy): G at any t >= 0
+    glass: Callable  # (params): the glass compliance J(0+); G(0+) is its inverse
+
+
+def check_nu(nu) -> float:
+    """nu as a float, or DomainError unless it is finite and > -1."""
+    nu = float(nu)
+    if not math.isfinite(nu) or nu <= -1.0:
+        raise DomainError(f"nu must be > -1, got {nu!r}")
+    return nu
+
+
+def check_fmax(a1, b1):
+    """DomainError unless both fractional Maxwell coefficients are finite and > 0."""
+    if not (a1 > 0.0 and math.isfinite(a1) and b1 > 0.0 and math.isfinite(b1)):
+        raise DomainError(f"a1, b1 must be finite and > 0, got {a1!r}, {b1!r}")
 
 
 @dataclass(frozen=True)
@@ -30,15 +59,11 @@ class ModelParams:
         if self.family in ("bessel", "asymptotic"):
             if self.nu is None or self.a1 is not None or self.b1 is not None:
                 raise DomainError(f"family {self.family!r} takes exactly nu")
-            if not math.isfinite(self.nu) or self.nu <= -1.0:
-                raise DomainError(f"nu must be > -1, got {self.nu!r}")
+            object.__setattr__(self, "nu", check_nu(self.nu))
         else:
             if self.a1 is None or self.b1 is None or self.nu is not None:
                 raise DomainError("family 'fmax' takes exactly a1 and b1")
-            if not (self.a1 > 0.0 and self.b1 > 0.0):
-                raise DomainError(
-                    f"a1 and b1 must be strictly positive, got {self.a1!r}, {self.b1!r}"
-                )
+            check_fmax(self.a1, self.b1)
 
     def label(self) -> str:
         if self.family == "fmax":

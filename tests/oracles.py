@@ -18,8 +18,7 @@ from viscobessel.models.evaluate import (
     creep_integral_curve,
     eval_G_curve,
     eval_J_curve,
-    glass_compliance,
-    glass_modulus,
+    family_of,
     relax_integral_curve,
 )
 from viscobessel.models.params import DEFAULT_POLICY
@@ -249,11 +248,11 @@ def convolution_reference(params, kind: str, dt: float, samples) -> np.ndarray:
     n = len(f)
     grid = dt * np.arange(n)
     if kind == "stress":
-        glass = glass_compliance(params)
+        glass = family_of(params).glass(params)
         kernel = eval_J_curve(params, grid[1:])
         primitive = creep_integral_curve(params, grid)
     else:
-        glass = glass_modulus(params)
+        glass = 1.0 / family_of(params).glass(params)
         kernel = eval_G_curve(params, grid[1:])
         primitive = relax_integral_curve(params, grid)
     kernel = np.concatenate(([glass], kernel))
@@ -289,15 +288,15 @@ def dirichlet_sum_uncut(squares, ts, power: int, n_for=None) -> np.ndarray:
 
 
 def dirichlet_reference(fn: str, nu: float, ts, policy=DEFAULT_POLICY) -> np.ndarray:
-    """Bessel-family J, G, Phi or Psi as one n_use x n_t outer product.
+    """Bessel-family J, G or Phi as one n_use x n_t outer product.
 
     n_use is chosen once, for the smallest time: J/G stop at the first N whose
-    Rayleigh tail 4(nu+1) exp(-j_N^2 t) / (4(order+1)) is below tol, Phi/Psi at
+    Rayleigh tail 4(nu+1) exp(-j_N^2 t) / (4(order+1)) is below tol, Phi at
     the first N whose geometric tail past N is.  Memory grows as n_use x n_t;
     the zero squares come from the package's table.
     """
     ts = np.asarray(ts, dtype=float)
-    order = nu + 2.0 if fn in ("J", "Psi") else nu
+    order = nu + 2.0 if fn == "J" else nu
     sq = zero_table(order, policy.n_max).squares
     t_min = float(ts.min())
     amp = 4.0 * (nu + 1.0)
@@ -320,8 +319,6 @@ def dirichlet_reference(fn: str, nu: float, ts, policy=DEFAULT_POLICY) -> np.nda
     series = terms.sum(axis=0)
     if fn == "J":
         return 2.0 * (nu + 2.0) / (nu + 3.0) + amp * (nu + 2.0) * ts - amp * series
-    if fn == "Psi":
-        return amp * (nu + 2.0) + amp * series
     return amp * series
 
 

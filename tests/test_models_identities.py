@@ -86,10 +86,3 @@ def test_memory_phi_matches_minus_dG_dt():
     numeric = -(bessel_G_time(nu, t + h) - bessel_G_time(nu, t - h)) / (2 * h)
     assert float(memory_phi_curve(nu, [t])[0]) == pytest.approx(numeric, rel=1e-7)
 
-
-def test_memory_psi_matches_dJ_dt():
-    from viscobessel.models import memory_psi_curve
-
-    nu, t, h = 0.5, 0.6, 1e-5
-    numeric = (bessel_J_time(nu, t + h) - bessel_J_time(nu, t - h)) / (2 * h)
-    assert float(memory_psi_curve(nu, [t])[0]) == pytest.approx(numeric, rel=1e-7)

@@ -156,3 +156,14 @@ def test_params_validation():
         ModelParams("fmax", a1=-1.0, b1=1.0)
     with pytest.raises(DomainError):
         ModelParams("kelvin", nu=0.5)
+
+
+@pytest.mark.parametrize("a1,b1", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+def test_params_reject_nonfinite_fmax_coefficients(a1, b1):
+    # the same message the fmax_* functions give for these coefficients
+    with pytest.raises(DomainError) as err:
+        ModelParams("fmax", a1=a1, b1=b1)
+    assert str(err.value) == f"a1, b1 must be finite and > 0, got {a1!r}, {b1!r}"
+    with pytest.raises(DomainError) as same:
+        fmax_J_laplace(a1, b1, 1.0)
+    assert str(same.value) == str(err.value)

@@ -25,7 +25,6 @@ from viscobessel.models import (
     asym_J_time,
     asym_relax_integral,
     asym_relaxation_memory,
-    bessel_creep_integral,
     bessel_G_laplace,
     bessel_G_short_time,
     bessel_G_curve,
@@ -34,19 +33,13 @@ from viscobessel.models import (
     bessel_J_laplace,
     bessel_J_short_time,
     bessel_J_time,
-    bessel_relax_integral,
-    creep_integral,
     eval_G_curve,
     eval_J_curve,
     fmax_creep_integral,
     fmax_G_time,
     fmax_J_time,
     fmax_relax_integral,
-    memory_phi,
     memory_phi_curve,
-    memory_psi,
-    memory_psi_curve,
-    relax_integral,
 )
 from viscobessel.errors import DomainError
 from viscobessel.models import bessel_family
@@ -97,23 +90,16 @@ def test_series_agrees_with_talbot_inversion(nu):
         assert bessel_G_time(nu, t) == pytest.approx(g_inv, rel=1e-7)
 
 
-def test_memory_psi_long_time_plateau():
-    for nu in (-0.5, 0.0, 1.0):
-        # all exponentials vanish: the slope of the linear creep term remains
-        assert memory_psi(nu, 6.0) == pytest.approx(
-            4.0 * (nu + 1.0) * (nu + 2.0), rel=1e-12
-        )
-
-
 def test_memory_phi_single_term_value():
     j01 = bisect_bessel_zero(0.0, 2.0, 3.0)
-    assert memory_phi(0.0, 2.0) == pytest.approx(4.0 * math.exp(-2.0 * j01**2), rel=1e-2)
+    assert memory_phi_curve(0.0, [2.0])[0] == pytest.approx(
+        4.0 * math.exp(-2.0 * j01**2), rel=1e-2)
 
 
 def test_memory_phi_positive_decreasing():
     ts = np.geomspace(1e-3, 3.0, 40)
     for nu in (-0.5, 0.5):
-        values = [memory_phi(nu, float(t)) for t in ts]
+        values = [float(memory_phi_curve(nu, [t])[0]) for t in ts]
         assert all(v > 0.0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -136,7 +122,6 @@ SERIES_CURVES = {
     "J": bessel_J_curve,
     "G": bessel_G_curve,
     "Phi": memory_phi_curve,
-    "Psi": memory_psi_curve,
 }
 
 
@@ -153,7 +138,7 @@ def _series_grid(kind, n):
 
 @pytest.mark.parametrize("kind", ["log", "linear", "reversed", "shuffled"])
 @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 20000])
-@pytest.mark.parametrize("fn", ["J", "G", "Phi", "Psi"])
+@pytest.mark.parametrize("fn", ["J", "G", "Phi"])
 def test_chunked_series_match_one_shot_reference(fn, n, kind):
     # up to one 4096-time chunk the sum is the one-shot one, bit for bit;
     # longer requests drop only terms whose tail bound is below tol per chunk
@@ -177,8 +162,6 @@ def test_table_exhausted_quotes_the_global_minimum():
         "J": f"J series: 20 zeros cannot push the series tail {tail}{float(ts.min())!r}",
         "G": f"G series: 20 zeros cannot push the series tail {tail}{float(ts.min())!r}",
         "Phi": f"Phi series: table of 20 zeros cannot bound the memory-series "
-        f"tail {tail}{float(ts.min())!r}",
-        "Psi": f"Psi series: table of 20 zeros cannot bound the memory-series "
         f"tail {tail}{float(ts.min())!r}",
     }
     for fn, message in expected.items():
@@ -380,8 +363,7 @@ def test_empty_time_arrays_give_empty_curves(params):
             out = fn(params, ts)
             assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == (0,)
     if params.family == "bessel":
-        for fn in (memory_phi_curve, memory_psi_curve):
-            assert fn(params.nu, []).shape == (0,)
+        assert memory_phi_curve(params.nu, []).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +402,7 @@ def test_creep_primitive_vs_quadrature():
         for T in (0.2, 1.0):
             oracle, err = quad(lambda u: eval_J_curve(params, [u])[0], 0.0, T)
             assert err < 1e-9
-            assert creep_integral(params, T) == pytest.approx(oracle, rel=1e-9)
+            assert creep_integral_curve(params, [T])[0] == pytest.approx(oracle, rel=1e-9)
 
 
 def test_relax_primitive_vs_quadrature():
@@ -428,7 +410,7 @@ def test_relax_primitive_vs_quadrature():
     for T in (0.2, 1.0):
         oracle, err = quad(lambda u: eval_G_curve(p, [u])[0], 0.0, T)
         assert err < 1e-9
-        assert relax_integral(p, T) == pytest.approx(oracle, rel=1e-8)
+        assert relax_integral_curve(p, [T])[0] == pytest.approx(oracle, rel=1e-8)
 
 
 def test_bessel_primitives_vs_quadrature():
@@ -442,11 +424,13 @@ def test_bessel_primitives_vs_quadrature():
         head = delta + (2.0 * a / 3.0) * delta**1.5 + 0.5 * 3.0 * delta**2
         body, err = quad(lambda u: bessel_J_time(0.0, u, policy), delta, T, limit=200)
         assert err < 1e-7  # quadpack's estimate is conservative near the sqrt corner
-        assert bessel_creep_integral(0.0, T) == pytest.approx(head + body, abs=5e-7)
+        assert bessel_family.bessel_creep_integral_curve(0.0, [T])[0] == pytest.approx(
+            head + body, abs=5e-7)
         head = delta - (2.0 * a / 3.0) * delta**1.5 + 0.5 * 1.0 * delta**2
         body, err = quad(lambda u: bessel_G_time(0.0, u, policy), delta, T, limit=200)
         assert err < 1e-7
-        assert bessel_relax_integral(0.0, T) == pytest.approx(head + body, abs=5e-7)
+        assert bessel_family.bessel_relax_integral_curve(0.0, [T])[0] == pytest.approx(
+            head + body, abs=5e-7)
 
 
 def test_short_time_expansions_match_series():
