@@ -95,31 +95,42 @@ def test_table_covers_every_family():
     assert set(FAMILY_TABLE) == set(FAMILIES) == set(OWN)
 
 
-@pytest.mark.parametrize("family", sorted(OWN))
-def test_dispatch_calls_the_family_functions(family):
-    params, sJ, sG, J, G, creep, relax, glass = OWN[family]
-    for s in S_VALUES:
-        assert laplace_sJ(params, s) == sJ(s)
-        assert laplace_sG(params, s) == sG(s)
-    assert np.array_equal(eval_J_curve(params, TIMES), J(TIMES))
-    assert np.array_equal(eval_G_curve(params, TIMES), G(TIMES))
-    assert np.array_equal(creep_integral_curve(params, BOUNDS), creep(BOUNDS))
-    assert np.array_equal(relax_integral_curve(params, BOUNDS), relax(BOUNDS))
-    assert family_of(params).glass(params) == glass
+ENTRIES = ("sJ", "sG", "J", "G", "creep", "relax", "glass")
 
 
+@pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize("family", sorted(OWN))
-def test_any_time_kernels_dispatch(family):
+def test_dispatch_calls_the_family_functions(family, entry):
+    # one case per record entry, so a swapped or misrouted entry is named
+    params, *own = OWN[family]
+    own = dict(zip(ENTRIES, own))
+    if entry in ("sJ", "sG"):
+        dispatch = laplace_sJ if entry == "sJ" else laplace_sG
+        for s in S_VALUES:
+            assert dispatch(params, s) == own[entry](s)
+    elif entry in ("J", "G"):
+        dispatch = eval_J_curve if entry == "J" else eval_G_curve
+        assert np.array_equal(dispatch(params, TIMES), own[entry](TIMES))
+    elif entry in ("creep", "relax"):
+        dispatch = creep_integral_curve if entry == "creep" else relax_integral_curve
+        assert np.array_equal(dispatch(params, BOUNDS), own[entry](BOUNDS))
+    else:
+        assert family_of(params).glass(params) == own["glass"]
+
+
+@pytest.mark.parametrize("entry", ["J", "G"])
+@pytest.mark.parametrize("family", sorted(OWN))
+def test_any_time_kernels_dispatch(family, entry):
     params, _, _, J, G, *_ = OWN[family]
+    any_time, own = (eval_J_any_time, J) if entry == "J" else (eval_G_any_time, G)
     ts = np.concatenate(([0.0, 1e-6, 5e-5], TIMES))
+    got = any_time(params, ts)
     if family != "bessel":  # closed forms are exact at every t >= 0
-        assert np.array_equal(eval_J_any_time(params, ts), J(ts))
-        assert np.array_equal(eval_G_any_time(params, ts), G(ts))
+        assert np.array_equal(got, own(ts))
         return
+    short = bessel_J_short_time if entry == "J" else bessel_G_short_time
+    curve = bessel_J_curve if entry == "J" else bessel_G_curve
     cut = ts < SHORT_TIME_CUTOFF
     low = replace(DEFAULT_POLICY, t_floor=SHORT_TIME_CUTOFF)
-    for any_time, curve, short in ((eval_J_any_time, bessel_J_curve, bessel_J_short_time),
-                                   (eval_G_any_time, bessel_G_curve, bessel_G_short_time)):
-        got = any_time(params, ts)
-        assert got[cut].tolist() == [short(params.nu, t) for t in ts[cut]]
-        assert np.array_equal(got[~cut], curve(params.nu, ts[~cut], low))
+    assert got[cut].tolist() == [short(params.nu, t) for t in ts[cut]]
+    assert np.array_equal(got[~cut], curve(params.nu, ts[~cut], low))

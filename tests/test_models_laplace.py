@@ -158,7 +158,9 @@ def test_params_validation():
         ModelParams("kelvin", nu=0.5)
 
 
-@pytest.mark.parametrize("a1,b1", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+@pytest.mark.parametrize("a1,b1", [
+    (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+])
 def test_params_reject_nonfinite_fmax_coefficients(a1, b1):
     # the same message the fmax_* functions give for these coefficients
     with pytest.raises(DomainError) as err:
