@@ -32,7 +32,7 @@ from .fracsim import (
     interconversion_check,
     read_load_history,
     simulate_asymptotic,
-    write_history,
+    write_csv,
 )
 from .laplace import LaplaceFunction, invert_talbot
 from .models import (
@@ -155,12 +155,12 @@ def _params(args) -> ModelParams:
     return ModelParams(args.family, nu=args.nu, a1=args.a1, b1=args.b1)
 
 
-def _write_lines(lines, out):
-    text = "\n".join(lines) + "\n"
+def _write_csv(out, header, ts, *columns):
     if out == "-":
-        sys.stdout.write(text)
+        write_csv(sys.stdout, header, ts, *columns)
     else:
-        Path(out).write_text(text, encoding="ascii")
+        with open(out, "w", encoding="ascii") as fh:
+            write_csv(fh, header, ts, *columns)
 
 
 def _write_gnuplot(out: str, n_columns: int, ylabel: str):
@@ -196,21 +196,22 @@ def _grid(t_start, t_end, points, spacing):
 def _cmd_eval(args) -> int:
     policy = _policy(args)
     if args.figure is not None:
-        return _emit_figure(args, policy)
-    params = _params(args)
-    ts = _grid(args.t_start, args.t_end, args.points, args.spacing)
-    fn = eval_J_curve if args.fn == "J" else eval_G_curve
-    values = fn(params, ts, policy)
-    lines = [f"t,{args.fn}"]
-    lines.extend(f"{t!r},{v!r}" for t, v in zip(ts.tolist(), values.tolist()))
-    _write_lines(lines, args.out)
+        fn, ts, columns = _figure(args.figure, policy)
+    else:
+        fn = args.fn
+        params = _params(args)
+        ts = _grid(args.t_start, args.t_end, args.points, args.spacing)
+        evaluate = eval_J_curve if fn == "J" else eval_G_curve
+        columns = [(fn, evaluate(params, ts, policy))]
+    header = "t," + ",".join(name for name, _ in columns)
+    _write_csv(args.out, header, ts, *(values for _, values in columns))
     if args.gnuplot and args.out != "-":
-        _write_gnuplot(args.out, 1, args.fn)
+        _write_gnuplot(args.out, len(columns), fn)
     return EXIT_OK
 
 
-def _emit_figure(args, policy) -> int:
-    fig = args.figure
+def _figure(fig, policy):
+    """(function name, times, [(column name, values)]) of figure preset fig."""
     fn = "J" if fig in (1, 3) else "G"
     evaluate = eval_J_curve if fn == "J" else eval_G_curve
     columns = []
@@ -226,14 +227,7 @@ def _emit_figure(args, policy) -> int:
             columns.append((f"{fn}_as[nu={nu:g}]", evaluate(params, ts, policy)))
         ref = ModelParams("fmax", a1=1.0, b1=1.0)
         columns.append((f"{fn}_M[a1=1;b1=1]", evaluate(ref, ts, policy)))
-    header = "t," + ",".join(name for name, _ in columns)
-    rows = [header]
-    for i, t in enumerate(ts.tolist()):
-        rows.append(",".join([repr(t)] + [repr(float(col[i])) for _, col in columns]))
-    _write_lines(rows, args.out)
-    if args.gnuplot and args.out != "-":
-        _write_gnuplot(args.out, len(columns), fn)
-    return EXIT_OK
+    return fn, ts, columns
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +272,7 @@ def _check_reciprocity(args, policy):
 
 def _check_zeros(args, policy):
     nu = args.nu if args.nu is not None else 0.0
-    table = zero_table(nu, args.n, args.cache_dir)
+    table = zero_table(nu, args.n)
     residual = max(abs(bessel_j(nu, z)) for z in table.zeros)
     spacing_err = 0.0
     if len(table) > 51:
@@ -426,17 +420,12 @@ def _cmd_simulate(args) -> int:
         response = simulate_asymptotic(params.nu, load)
     else:
         response = convolve_response(params, load, policy)
-    if args.out == "-":
-        sys.stdout.write("t,value\n")
-        for k, v in enumerate(response.samples):
-            sys.stdout.write(f"{k * response.dt!r},{v!r}\n")
-    else:
-        write_history(response, args.out)
+    _write_csv(args.out, "t,value", response.times, response.samples)
     return EXIT_OK
 
 
 def _cmd_zeros(args) -> int:
-    table = zero_table(args.nu, args.n, args.cache_dir or None)
+    table = zero_table(args.nu, args.n)
     path = save_zero_table(table, cache_path(args.nu, args.n, args.cache_dir or None))
     for n, z in enumerate(table.zeros, start=1):
         print(f"{n} {z!r}")

@@ -11,7 +11,7 @@ class DomainError(ValueError):
 
 
 class SeriesRefusalError(ValueError):
-    """Time below the configured series floor; use the Laplace route instead."""
+    """A requested time lies below the configured series floor t_floor."""
 
 
 class TableExhaustedError(RuntimeError):
@@ -24,10 +24,6 @@ class GridError(ValueError):
 
 class RootFindError(RuntimeError):
     """Newton refinement and the bisection fallback both failed."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class InversionError(RuntimeError):

@@ -40,6 +40,12 @@ Initial condition convention: a nonzero load sample at k = 0 is treated as an
 instantaneous step mapped through the glass constants, response(0) = J_g *
 load(0) (stress input) or G_g * load(0) (strain input).
 
+Histories: LoadHistory and ResponseHistory hold their samples as a read-only
+1-D float64 array, copied once when the history is built; the simulators read
+a load's array without converting it.  ``write_csv`` is the one CSV writer
+(every cell the repr of a Python float), used by ``write_history`` and by
+every CSV the CLI emits.
+
 Interconversion: since (s Jt)(s Gt) = 1, the material functions satisfy
 int_0^t J(tau) G(t - tau) dtau = t.  ``interconversion_check`` verifies this
 with a trapezoidal rule under the substitution tau = t sin^2(theta), which
@@ -60,15 +66,35 @@ from .models.params import DEFAULT_POLICY, ModelParams, check_nu
 LOAD_KINDS = ("stress", "strain")
 _GAMMA_3_2 = math.gamma(1.5)
 _TOEPLITZ_BLOCK = 128  # direct np.convolve at and below this length
+_CSV_ROWS = 4096  # rows per write_csv block: its Python floats stay bounded
 
 
-@dataclass(frozen=True)
-class LoadHistory:
-    """Uniformly sampled stress or strain input, samples[k] at t = k dt."""
+@dataclass(frozen=True, eq=False)
+class _History:
+    """kind, dt and samples[k] at t = k dt, held as a read-only float64 copy."""
 
     kind: str
     dt: float
-    samples: tuple[float, ...]
+    samples: np.ndarray
+
+    _role = "response"
+
+    def __post_init__(self):
+        samples = np.array(self.samples, dtype=float)  # the one copy
+        if samples.ndim != 1:
+            raise DomainError(f"{self._role} samples must be a flat sequence of numbers")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(len(self.samples))
+
+
+class LoadHistory(_History):
+    """Uniformly sampled stress or strain input."""
+
+    _role = "load"
 
     def __post_init__(self):
         if self.kind not in LOAD_KINDS:
@@ -77,35 +103,13 @@ class LoadHistory:
             raise DomainError(f"dt must be finite and > 0, got {self.dt!r}")
         if len(self.samples) < 2:
             raise DomainError("a load history needs at least two samples")
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1:
-            raise DomainError("load samples must be a flat sequence of numbers")
-        if not np.isfinite(samples).all():
+        super().__post_init__()
+        if not np.isfinite(self.samples).all():
             raise DomainError("load samples must all be finite")
-        object.__setattr__(self, "samples", tuple(samples.tolist()))
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(len(self.samples))
 
 
-@dataclass(frozen=True)
-class ResponseHistory:
+class ResponseHistory(_History):
     """Conjugate variable on the same grid as the input that produced it."""
-
-    kind: str
-    dt: float
-    samples: tuple[float, ...]
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1:
-            raise DomainError("response samples must be a flat sequence of numbers")
-        object.__setattr__(self, "samples", tuple(samples.tolist()))
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(len(self.samples))
 
 
 def _conjugate(kind: str) -> str:
@@ -214,7 +218,7 @@ def simulate_asymptotic(nu: float, load: LoadHistory) -> ResponseHistory:
     nu = check_nu(nu)
     c = 1.0 / (2.0 * (nu + 1.0))
     dt = load.dt
-    f = np.asarray(load.samples, dtype=float)
+    f = load.samples
     m = len(f) - 1
     w = _l1_weights(m)
     c_kappa = c / (math.sqrt(dt) * _GAMMA_3_2)
@@ -253,7 +257,7 @@ def convolve_response(
     """
     policy = policy or DEFAULT_POLICY
     dt = load.dt
-    f = np.asarray(load.samples, dtype=float)
+    f = load.samples
     n = len(f)
     grid = dt * np.arange(n)
 
@@ -370,11 +374,20 @@ def read_load_history(path, kind: str) -> LoadHistory:
     return LoadHistory(kind=kind, dt=dt, samples=vals)
 
 
+def write_csv(stream, header: str, ts, *columns) -> None:
+    """Write `header`, then one row per time: t and each column's value, every
+    cell the repr of a Python float (shortest round-trip decimal).  Rows are
+    formatted _CSV_ROWS at a time, so memory does not grow with the length."""
+    cols = [np.asarray(c, dtype=float) for c in (ts, *columns)]
+    stream.write(header + "\n")
+    for lo in range(0, len(cols[0]), _CSV_ROWS):
+        rows = zip(*(c[lo : lo + _CSV_ROWS].tolist() for c in cols))
+        stream.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+
+
 def write_history(history, path) -> Path:
     """Write a Load/ResponseHistory as a `t,value` CSV (round-trip exact)."""
     path = Path(path)
-    lines = ["t,value"]
-    for k, v in enumerate(history.samples):
-        lines.append(f"{k * history.dt!r},{v!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with path.open("w", encoding="ascii") as fh:
+        write_csv(fh, "t,value", history.times, history.samples)
     return path

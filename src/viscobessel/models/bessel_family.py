@@ -45,7 +45,7 @@ import numpy as np
 from ..errors import DomainError, SeriesRefusalError, TableExhaustedError
 from ..specfun.bessel import bessel_i_ratio
 from ..specfun.zeros import ZeroTable, zero_table
-from .params import DEFAULT_POLICY, Family, TruncationPolicy, check_nu
+from .params import DEFAULT_POLICY, N_MIN, Family, TruncationPolicy, check_nu
 
 _SQRT_PI = math.sqrt(math.pi)
 _CHUNK = 4096  # times per exp(-j_n^2 t) block; each block truncates on its own
@@ -80,16 +80,6 @@ def bessel_G_laplace(nu: float, s):
 # ---------------------------------------------------------------------------
 
 
-def _table_for(order: float, policy: TruncationPolicy, table) -> ZeroTable:
-    if table is not None:
-        if abs(table.order - order) > 1e-12:
-            raise DomainError(
-                f"zero table has order {table.order!r}, need {order!r}"
-            )
-        return table
-    return zero_table(order, policy.n_max)
-
-
 def _check_times(ts, policy: TruncationPolicy):
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(ts)):
@@ -97,14 +87,14 @@ def _check_times(ts, policy: TruncationPolicy):
     if np.any(ts < policy.t_floor):
         raise SeriesRefusalError(
             f"series evaluation refused below t_floor = {policy.t_floor!r} "
-            f"(smallest requested t = {float(ts.min())!r}); use the Laplace route"
+            f"(smallest requested t = {float(ts.min())!r})"
         )
     return ts
 
 
 def _truncation_index(tail, n_terms: int, t: float, policy: TruncationPolicy):
-    """Smallest 1-based N in [n_min, n_terms] with tail(N - 1, t) <= tol, else None."""
-    hits = (i + 1 for i in range(policy.n_min - 1, n_terms) if tail(i, t) <= policy.tol)
+    """Smallest 1-based N in [N_MIN, n_terms] with tail(N - 1, t) <= tol, else None."""
+    hits = (i + 1 for i in range(N_MIN - 1, n_terms) if tail(i, t) <= policy.tol)
     return next(hits, None)
 
 
@@ -148,12 +138,12 @@ def _rayleigh_series(sq, ts, policy, c, what) -> np.ndarray:
                    f"below tol = {policy.tol!r} at t = {t!r}")
 
 
-def bessel_J_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
+def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
     """Creep compliance J(t; nu) on an array of times (each >= t_floor)."""
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     ts = _check_times(ts, policy)
-    tab = _table_for(nu + 2.0, policy, table)
+    tab = zero_table(nu + 2.0, policy.n_max)
     coeff = (nu + 1.0) / (nu + 3.0)  # 4(nu+1) * Rayleigh tail 1/(4(nu+3))
     series = _rayleigh_series(tab.squares, ts, policy, coeff, "J series")
     return (
@@ -163,31 +153,31 @@ def bessel_J_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
     )
 
 
-def bessel_G_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
+def bessel_G_curve(nu, ts, policy=None) -> np.ndarray:
     """Relaxation modulus G(t; nu) on an array of times (each >= t_floor)."""
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     ts = _check_times(ts, policy)
-    tab = _table_for(nu, policy, table)
+    tab = zero_table(nu, policy.n_max)
     # 4(nu+1) * Rayleigh tail 1/(4(nu+1)) = 1
     return 4.0 * (nu + 1.0) * _rayleigh_series(tab.squares, ts, policy, 1.0, "G series")
 
 
-def bessel_J_time(nu: float, t: float, policy=None, *, table=None) -> float:
+def bessel_J_time(nu: float, t: float, policy=None) -> float:
     """Creep compliance J(t; nu) for a single time t >= t_floor."""
-    return float(bessel_J_curve(nu, [t], policy, table=table)[0])
+    return float(bessel_J_curve(nu, [t], policy)[0])
 
 
-def bessel_G_time(nu: float, t: float, policy=None, *, table=None) -> float:
+def bessel_G_time(nu: float, t: float, policy=None) -> float:
     """Relaxation modulus G(t; nu) for a single time t >= t_floor."""
-    return float(bessel_G_curve(nu, [t], policy, table=table)[0])
+    return float(bessel_G_curve(nu, [t], policy)[0])
 
 
-def memory_phi_curve(nu, ts, policy=None, *, table=None) -> np.ndarray:
+def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
     """Rate of relaxation Phi(t; nu) = -dG/dt on an array of times."""
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
-    sq = _table_for(nu, policy, table).squares
+    sq = zero_table(nu, policy.n_max).squares
     ts = _check_times(ts, policy)
     amp = 4.0 * (nu + 1.0)
 
@@ -229,7 +219,7 @@ def _check_integral_bounds(T) -> np.ndarray:
     return T
 
 
-def bessel_creep_integral_curve(nu, T, policy=None, *, table=None) -> np.ndarray:
+def bessel_creep_integral_curve(nu, T, policy=None) -> np.ndarray:
     """Exact primitive int_0^T J(t; nu) dt, valid for any T >= 0 (vectorized).
 
     Termwise integration of the Dirichlet series is absolutely convergent in
@@ -240,7 +230,7 @@ def bessel_creep_integral_curve(nu, T, policy=None, *, table=None) -> np.ndarray
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     T = _check_integral_bounds(T)
-    tab = _table_for(nu + 2.0, policy, table)
+    tab = zero_table(nu + 2.0, policy.n_max)
     amp = 4.0 * (nu + 1.0)
     return (
         2.0 * (nu + 2.0) / (nu + 3.0) * T
@@ -250,12 +240,12 @@ def bessel_creep_integral_curve(nu, T, policy=None, *, table=None) -> np.ndarray
     )
 
 
-def bessel_relax_integral_curve(nu, T, policy=None, *, table=None) -> np.ndarray:
+def bessel_relax_integral_curve(nu, T, policy=None) -> np.ndarray:
     """Exact primitive int_0^T G(t; nu) dt, valid for any T >= 0 (vectorized)."""
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     T = _check_integral_bounds(T)
-    tab = _table_for(nu, policy, table)
+    tab = zero_table(nu, policy.n_max)
     amp = 4.0 * (nu + 1.0)
     return amp * (_rayleigh_sigma2(nu) - _exp_quartic_sum(tab, T))
 

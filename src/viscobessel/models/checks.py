@@ -28,11 +28,11 @@ def reciprocity_residual(params: ModelParams, s_values) -> float:
     return worst
 
 
-def glass_limits(params: ModelParams, s_large: float = GLASS_S_LARGE):
-    """(J(0+), G(0+)) estimated from the transforms at large real s."""
+def glass_limits(params: ModelParams):
+    """(J(0+), G(0+)) estimated from the transforms at s = GLASS_S_LARGE."""
     return (
-        float(laplace_sJ(params, s_large)),
-        float(laplace_sG(params, s_large)),
+        float(laplace_sJ(params, GLASS_S_LARGE)),
+        float(laplace_sG(params, GLASS_S_LARGE)),
     )
 
 

@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 from ..errors import DomainError
 
 FAMILIES = ("bessel", "fmax", "asymptotic")
+N_MIN = 8  # every Dirichlet-series truncation keeps at least this many terms
 
 
 class Family(NamedTuple):
@@ -75,23 +76,19 @@ class ModelParams:
 class TruncationPolicy:
     """Controls Dirichlet-series truncation for the Bessel family.
 
-    tol is the absolute series-tail target; n_min/n_max bound the number of
-    retained terms; below t_floor series evaluation is refused outright (the
-    Laplace-domain route is the accurate tool there).
+    tol is the absolute series-tail target; at most n_max terms are kept (and
+    at least N_MIN); below t_floor series evaluation is refused outright.
     """
 
     tol: float = 1e-10
-    n_min: int = 8
     n_max: int = 200
     t_floor: float = 1e-3
 
     def __post_init__(self):
         if not (self.tol > 0.0):
             raise DomainError(f"tol must be positive, got {self.tol!r}")
-        if not 1 <= self.n_min <= self.n_max:
-            raise DomainError(
-                f"need 1 <= n_min <= n_max, got {self.n_min!r}, {self.n_max!r}"
-            )
+        if not N_MIN <= self.n_max:
+            raise DomainError(f"n_max must be >= {N_MIN}, got {self.n_max!r}")
         if not (self.t_floor > 0.0):
             raise DomainError(f"t_floor must be positive, got {self.t_floor!r}")
 

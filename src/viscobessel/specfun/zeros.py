@@ -110,7 +110,7 @@ def _bracket(nu: float, guess: float, lo_bound: float, n: int):
         if fa * fx < 0.0:
             return a, x, fa, fx
         a, fa = x, fx
-    raise RootFindError(f"could not bracket zero {n} of J_{nu}", index=n)
+    raise RootFindError(f"could not bracket zero {n} of J_{nu}")
 
 
 def _refine(nu: float, n: int, a: float, b: float, fa: float, fb: float) -> float:
@@ -137,9 +137,7 @@ def _refine(nu: float, n: int, a: float, b: float, fa: float, fb: float) -> floa
         x = x_new
     if b - a <= 1e-11 * max(1.0, b):
         return 0.5 * (a + b)
-    raise RootFindError(
-        f"zero {n} of J_{nu} did not converge (bracket [{a}, {b}])", index=n
-    )
+    raise RootFindError(f"zero {n} of J_{nu} did not converge (bracket [{a}, {b}])")
 
 
 def bessel_j_zeros(nu: float, n_max: int) -> ZeroTable:
@@ -165,7 +163,7 @@ def _zero_table_mem(nu: float, n_max: int) -> ZeroTable:
     return bessel_j_zeros(nu, n_max)
 
 
-# Process-wide default cache directory; None keeps tables purely in memory.
+# Process-wide cache directory; None keeps tables purely in memory.
 # The CLI points this at its --cache-dir so every curve evaluation in the
 # process reuses (and refreshes) the same files.
 _active_cache_dir = None
@@ -177,13 +175,13 @@ def configure_cache(cache_dir) -> None:
     _active_cache_dir = None if cache_dir is None else Path(cache_dir)
 
 
-def zero_table(nu: float, n_max: int, cache_dir=None) -> ZeroTable:
-    """Zero table via the in-process memo, optionally backed by a file cache."""
+def zero_table(nu: float, n_max: int) -> ZeroTable:
+    """Zero table via the in-process memo, backed by the file cache in the
+    directory set with ``configure_cache`` (if any)."""
     nu = float(nu)
-    cache_dir = cache_dir if cache_dir is not None else _active_cache_dir
-    if cache_dir is None:
+    if _active_cache_dir is None:
         return _zero_table_mem(nu, n_max)
-    path = cache_path(nu, n_max, cache_dir)
+    path = cache_path(nu, n_max, _active_cache_dir)
     if path.exists():
         table = load_zero_table(path)
         if table.order == nu and len(table) == n_max:

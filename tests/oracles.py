@@ -21,7 +21,7 @@ from viscobessel.models.evaluate import (
     family_of,
     relax_integral_curve,
 )
-from viscobessel.models.params import DEFAULT_POLICY
+from viscobessel.models.params import DEFAULT_POLICY, N_MIN
 from viscobessel.specfun.erf import ERFCX_CF_MIN
 from viscobessel.specfun.gamma import gamma_fn
 from viscobessel.specfun.zeros import zero_table
@@ -310,7 +310,7 @@ def dirichlet_reference(fn: str, nu: float, ts, policy=DEFAULT_POLICY) -> np.nda
             for i in range(len(sq) - 1)
         ]
     n_use = next(
-        i + 1 for i in range(policy.n_min - 1, len(tails)) if tails[i] <= policy.tol
+        i + 1 for i in range(N_MIN - 1, len(tails)) if tails[i] <= policy.tol
     )
     squares = np.asarray(sq[:n_use])
     terms = np.exp(-np.outer(squares, ts))

@@ -101,6 +101,8 @@ def test_eval_usage_errors_exit_2(tmp_path):
     assert run(["eval", "--family", "fmax", "--a1", "1", "--b1", "1", "--nu", "0"]) == 2
     assert run(["eval", "--family", "bessel", "--nu", "0", "--a1", "1",
                 "--t-start", "0.1"]) == 2
+    # every truncation keeps at least 8 terms, so a smaller table is refused
+    assert run(["eval", "--family", "fmax", "--a1", "1", "--b1", "1", "--n-max", "7"]) == 2
 
 
 def test_eval_deterministic_output(tmp_path):
@@ -258,6 +260,39 @@ def test_simulate_nonuniform_grid_exit_3(tmp_path):
          "--input", str(bad), "--out", str(tmp_path / "o.csv")]
     )
     assert rc == 3
+
+
+@pytest.mark.parametrize("method,family", [
+    ("stepping", ["--family", "asymptotic", "--nu", "0.35"]),
+    ("convolution", ["--family", "fmax", "--a1", "0.6", "--b1", "1.7"]),
+])
+@pytest.mark.parametrize("kind", ["stress", "strain"])
+def test_simulate_stdout_and_out_file_are_byte_identical(tmp_path, capsys, method, family, kind):
+    dt = 2e-3
+    load_csv = tmp_path / "load.csv"
+    write_history(LoadHistory(kind, dt, np.sin(5.0 * dt * np.arange(300))), load_csv)
+    args = ["simulate", *family, "--kind", kind, "--method", method, "--input", str(load_csv)]
+    capsys.readouterr()
+    assert run(args) == 0
+    stdout = capsys.readouterr().out.encode("ascii")
+    out = tmp_path / "resp.csv"
+    assert run([*args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout
+    assert stdout.startswith(b"t,value\n0.0,0.0\n") and stdout.count(b"\n") == 301
+
+
+def test_simulate_bessel_subfloor_grid_refusal_names_the_floor(tmp_path, capsys):
+    load_csv = tmp_path / "load.csv"
+    write_history(LoadHistory("stress", 1e-4, (0.0, 1.0, 1.0)), load_csv)
+    rc = run(
+        ["simulate", "--family", "bessel", "--nu", "0", "--kind", "stress",
+         "--method", "convolution", "--input", str(load_csv), "--out", str(tmp_path / "o.csv")]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and "t_floor = 0.001" in err and "0.0001" in err
+    assert "Laplace route" not in err
 
 
 def test_simulate_stepping_requires_asymptotic(tmp_path):

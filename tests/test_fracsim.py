@@ -1,4 +1,6 @@
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from viscobessel.fracsim import (
     interconversion_check,
     read_load_history,
     simulate_asymptotic,
+    write_csv,
     write_history,
 )
 from viscobessel.models import (
@@ -302,19 +305,30 @@ def test_load_history_validation():
         LoadHistory("stress", 0.1, (1.0, math.inf))
 
 
-def test_histories_store_plain_float_tuples_from_arrays():
+def test_histories_store_read_only_float64_copies():
     samples = np.array([0.0, 0.1, 1.0 / 3.0, -2.5])
     load = LoadHistory("stress", 0.1, samples)
-    assert load.samples == tuple(float(v) for v in samples)
-    assert all(type(v) is float for v in load.samples)
+    response = simulate_asymptotic(0.3, load)
+    for history in (load, response, ResponseHistory("strain", 0.5, [1, 2]),
+                    LoadHistory("strain", 0.1, load.samples)):
+        assert type(history.samples) is np.ndarray
+        assert history.samples.dtype == np.float64 and history.samples.ndim == 1
+        assert not history.samples.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            history.samples[0] = 1.0
+    assert load.samples.tobytes() == samples.tobytes()  # bit-identical values
+    assert ResponseHistory("strain", 0.5, [1, 2]).samples.tolist() == [1.0, 2.0]
+    assert LoadHistory("strain", 0.1, (0.5, 1 / 3)).samples.tolist() == [0.5, 1 / 3]
+    # a copy: changing the caller's array cannot reach the history
+    samples[1] = 7.0
+    assert load.samples[1] == 0.1
+    assert not np.shares_memory(LoadHistory("strain", 0.1, load.samples).samples, load.samples)
+    # histories compare by identity (an array has no truth value)
+    assert load == load and load != LoadHistory("stress", 0.1, load.samples)
     with pytest.raises(DomainError, match="^load samples must all be finite$"):
         LoadHistory("stress", 0.1, np.array([0.0, math.nan, 1.0]))
     with pytest.raises(DomainError, match="^a load history needs at least two samples$"):
         LoadHistory("stress", 0.1, np.array([1.0]))
-    response = simulate_asymptotic(0.3, load)
-    assert type(response.samples) is tuple
-    assert all(type(v) is float for v in response.samples)
-    assert ResponseHistory("strain", 0.5, [1, 2]).samples == (1.0, 2.0)
     with pytest.raises(DomainError, match="^load samples must be a flat sequence of numbers$"):
         LoadHistory("stress", 0.1, [[1, 2], [3, 4]])
     with pytest.raises(DomainError, match="^response samples must be a flat sequence"):
@@ -329,8 +343,51 @@ def test_history_csv_round_trip(tmp_path):
     write_history(load, path)
     assert path.read_text().splitlines()[0] == "t,value"
     back = read_load_history(path, "stress")
-    assert back.samples == load.samples
+    assert np.array_equal(back.samples, load.samples)
     assert back.dt == load.dt
+
+
+def test_large_load_history_holds_one_float64_array():
+    samples = np.linspace(0.0, 1.0, 10**6)
+    tracemalloc.start()
+    try:
+        load = LoadHistory("stress", 1e-3, samples)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(load.samples) == 10**6
+    # 8 MB of float64; a tuple of Python floats held 32 MB
+    assert held <= 12e6
+
+
+class _CountingSink:
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_write_csv_rows_match_the_per_row_format_in_bounded_memory():
+    dt = 1e-3
+    values = np.sin(np.arange(2 * 4096 + 5) * 0.37) / 3.0
+    out = io.StringIO()
+    write_csv(out, "t,value", dt * np.arange(len(values)), values)
+    rows = [f"{k * dt!r},{v!r}" for k, v in enumerate(values.tolist())]
+    assert out.getvalue() == "\n".join(["t,value", *rows]) + "\n"
+
+    n = 2 * 10**5
+    ts, values = dt * np.arange(n), np.linspace(-1.0, 1.0, n)
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        write_csv(sink, "t,value", ts, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 20 * n
+    # one 4096-row block at a time; formatting all rows at once peaks near 30 MB
+    assert peak <= 4e6
 
 
 def test_malformed_csv_reports_line_number(tmp_path):

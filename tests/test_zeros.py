@@ -17,7 +17,7 @@ from viscobessel.specfun import (
     save_zero_table,
     zero_table,
 )
-from viscobessel.specfun.zeros import CACHE_ENV_VAR, CACHE_FORMAT_HEADER
+from viscobessel.specfun.zeros import CACHE_ENV_VAR, CACHE_FORMAT_HEADER, configure_cache
 
 
 def test_first_three_zeros_of_j0_vs_bisection_oracle():
@@ -122,10 +122,11 @@ def test_cache_idempotent_bytes(tmp_path):
 
 
 def test_zero_table_uses_cache_dir(tmp_path):
-    t1 = zero_table(0.0, 12, cache_dir=tmp_path)
+    configure_cache(tmp_path)
+    t1 = zero_table(0.0, 12)
     path = cache_path(0.0, 12, tmp_path)
     assert path.exists()
-    t2 = zero_table(0.0, 12, cache_dir=tmp_path)
+    t2 = zero_table(0.0, 12)
     assert t2.zeros == t1.zeros
 
 
