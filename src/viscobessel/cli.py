@@ -47,7 +47,7 @@ from .models import (
     reciprocity_residual,
     short_time_agreement,
 )
-from .specfun import bessel_j, cache_path, save_zero_table, zero_table
+from .specfun import bessel_j, bessel_j_zeros, cache_path, save_zero_table, zero_table
 from .specfun.zeros import configure_cache
 
 EXIT_OK = 0
@@ -425,7 +425,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    table = zero_table(args.nu, args.n)
+    # zero_table would read this file under --cache-dir, or write it a second time
+    table = bessel_j_zeros(args.nu, args.n)
     path = save_zero_table(table, cache_path(args.nu, args.n, args.cache_dir or None))
     for n, z in enumerate(table.zeros, start=1):
         print(f"{n} {z!r}")

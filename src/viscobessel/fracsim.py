@@ -47,20 +47,20 @@ a load's array without converting it.  ``write_csv`` is the one CSV writer
 every CSV the CLI emits.
 
 Interconversion: since (s Jt)(s Gt) = 1, the material functions satisfy
-int_0^t J(tau) G(t - tau) dtau = t.  ``interconversion_check`` verifies this
-with a trapezoidal rule under the substitution tau = t sin^2(theta), which
-clusters nodes at both endpoints and removes the sqrt(t) corner from the
-integrand, leaving a smooth O(h^2) quadrature.
+int_0^t J(tau) G(t - tau) dtau = t.  ``interconversion_check`` computes it by
+convolution both ways, int_0^tau G as a stress load and int_0^tau J as a strain
+load, each of which must respond with t; J and G are read only at t >= t_floor.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, GridError
-from .models.evaluate import eval_G_any_time, eval_J_any_time, family_of
+from .models.evaluate import family_of
 from .models.params import DEFAULT_POLICY, ModelParams, check_nu
 
 LOAD_KINDS = ("stress", "strain")
@@ -306,7 +306,12 @@ class InterconversionReport:
 def interconversion_check(
     params: ModelParams, t_grid, n_quad: int = 2000, policy=None
 ) -> InterconversionReport:
-    """max_t | int_0^t J(tau) G(t-tau) dtau - t | over the grid."""
+    """max_t | int_0^t J(tau) G(t-tau) dtau - t | over the grid, by convolution.
+
+    Per t, int G as a stress load and int J as a strain load on m panels must
+    each respond with m dt; n_quad caps m: m = min(n_quad, t // t_floor), less
+    one while rounding leaves t / m below t_floor (a Bessel kernel refuses it).
+    """
     policy = policy or DEFAULT_POLICY
     t_min_allowed = max(policy.t_floor, 0.05)
     times = sorted(float(t) for t in t_grid)
@@ -316,18 +321,20 @@ def interconversion_check(
         )
     if n_quad < 16:
         raise DomainError(f"n_quad too small: {n_quad!r}")
-    h = 0.5 * math.pi / n_quad
-    theta = h * np.arange(1, n_quad)  # integrand vanishes at both endpoints
-    s2 = np.sin(theta) ** 2
-    weights = h * np.sin(2.0 * theta)
+    family = family_of(params)
     errors = []
     for t in times:
-        tau = t * s2
-        vals = eval_J_any_time(params, tau, policy) * eval_G_any_time(
-            params, t - tau, policy
-        )
-        integral = t * float(np.dot(weights, vals))
-        errors.append(abs(integral - t))
+        m = min(n_quad, math.floor(t / policy.t_floor))
+        while t / m < policy.t_floor:
+            m -= 1
+        dt = t / m
+        grid = dt * np.arange(m + 1)
+        error = 0.0
+        for kind, primitive in (("stress", family.relax), ("strain", family.creep)):
+            load = LoadHistory(kind=kind, dt=dt, samples=primitive(params, grid, policy))
+            response = convolve_response(params, load, policy)
+            error = max(error, abs(float(response.samples[-1] - grid[-1])))
+        errors.append(error)
     return InterconversionReport(
         params=params,
         times=tuple(times),
@@ -343,23 +350,22 @@ def interconversion_check(
 
 
 def read_load_history(path, kind: str) -> LoadHistory:
-    """Parse a `t,value` CSV on a uniform grid starting at t = 0."""
+    """Parse a `t,value` CSV on a uniform grid starting at t = 0, a line at a time."""
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
-    if not lines or lines[0] != "t,value":
-        raise DomainError(f"{path}:1: expected header 't,value'")
-    ts, vals = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            if len(parts) != 2:
-                raise ValueError("need exactly two columns")
-            ts.append(float(parts[0]))
-            vals.append(float(parts[1]))
-        except ValueError as exc:
-            raise DomainError(f"{path}:{lineno}: malformed row {line!r}") from exc
+    ts, vals = array("d"), array("d")
+    with path.open(encoding="ascii") as fh:
+        if fh.readline().rstrip("\n") != "t,value":
+            raise DomainError(f"{path}:1: expected header 't,value'")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                t, value = line.split(",")  # not two columns: ValueError
+                ts.append(float(t))
+                vals.append(float(value))  # float() ignores the newline
+            except ValueError as exc:
+                row = line.rstrip("\n")
+                raise DomainError(f"{path}:{lineno}: malformed row {row!r}") from exc
     if len(ts) < 2:
         raise DomainError(f"{path}: need at least two samples")
     dt = ts[1] - ts[0]

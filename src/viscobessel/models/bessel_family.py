@@ -37,8 +37,6 @@ subnormal division is slow too.
 """
 
 import math
-from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -47,7 +45,6 @@ from ..specfun.bessel import bessel_i_ratio
 from ..specfun.zeros import ZeroTable, zero_table
 from .params import DEFAULT_POLICY, N_MIN, Family, TruncationPolicy, check_nu
 
-_SQRT_PI = math.sqrt(math.pi)
 _CHUNK = 4096  # times per exp(-j_n^2 t) block; each block truncates on its own
 _SUB_ULP = 60.0 * math.log(2.0)  # exp(-_SUB_ULP) = 2^-60, far below half an ulp
 
@@ -192,7 +189,7 @@ def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exact primitives and short-time expansions (convolution support)
+# Exact primitives (convolution support)
 # ---------------------------------------------------------------------------
 
 
@@ -250,49 +247,6 @@ def bessel_relax_integral_curve(nu, T, policy=None) -> np.ndarray:
     return amp * (_rayleigh_sigma2(nu) - _exp_quartic_sum(tab, T))
 
 
-def bessel_J_short_time(nu: float, t: float) -> float:
-    """Two-term Tauberian expansion of J near t = 0 (error O(t^{3/2})).
-
-    From s Jt ~ 1 + 2(nu+1) s^{-1/2} + (nu+1)(2nu+3) s^{-1} as s -> infinity.
-    """
-    nu = check_nu(nu)
-    return (
-        1.0
-        + 4.0 * (nu + 1.0) / _SQRT_PI * math.sqrt(t)
-        + (nu + 1.0) * (2.0 * nu + 3.0) * t
-    )
-
-
-def bessel_G_short_time(nu: float, t: float) -> float:
-    """Two-term Tauberian expansion of G near t = 0 (error O(t^{3/2}))."""
-    nu = check_nu(nu)
-    return (
-        1.0
-        - 4.0 * (nu + 1.0) / _SQRT_PI * math.sqrt(t)
-        + (nu + 1.0) * (2.0 * nu + 1.0) * t
-    )
-
-
-SHORT_TIME_CUTOFF = 1e-4  # kernel times below it use the Tauberian expansions
-
-
-def _any_time(curve, short_time, params, ts, policy):
-    """Times below SHORT_TIME_CUTOFF use the two-term Tauberian expansion
-    (absolute error O(t^{3/2}) ~ 1e-6 at the cutoff), all others the
-    Dirichlet series with the policy's floor lowered to the cutoff (a
-    200-entry table still converges there)."""
-    policy = policy or DEFAULT_POLICY
-    ts = np.asarray(ts, dtype=float)
-    kernel_policy = replace(policy, t_floor=min(policy.t_floor, SHORT_TIME_CUTOFF))
-    out = np.empty_like(ts)
-    short = ts < SHORT_TIME_CUTOFF
-    if short.any():
-        out[short] = [short_time(params.nu, t) for t in ts[short]]
-    if (~short).any():
-        out[~short] = curve(params.nu, ts[~short], kernel_policy)
-    return out
-
-
 BESSEL = Family(
     sJ=lambda p, s: bessel_J_laplace(p.nu, s),
     sG=lambda p, s: bessel_G_laplace(p.nu, s),
@@ -300,7 +254,5 @@ BESSEL = Family(
     G=lambda p, ts, policy: bessel_G_curve(p.nu, ts, policy),
     creep=lambda p, T, policy: bessel_creep_integral_curve(p.nu, T, policy),
     relax=lambda p, T, policy: bessel_relax_integral_curve(p.nu, T, policy),
-    J_any=partial(_any_time, bessel_J_curve, bessel_J_short_time),
-    G_any=partial(_any_time, bessel_G_curve, bessel_G_short_time),
     glass=lambda p: 1.0,
 )

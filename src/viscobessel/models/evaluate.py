@@ -48,12 +48,3 @@ def relax_integral_curve(params: ModelParams, ts, policy=None) -> np.ndarray:
     """int_0^T G on an array of upper bounds (any T >= 0)."""
     return family_of(params).relax(params, ts, policy)
 
-
-def eval_J_any_time(params: ModelParams, ts, policy=None) -> np.ndarray:
-    """J(t) for kernel quadratures that sample arbitrarily close to t = 0."""
-    return family_of(params).J_any(params, ts, policy)
-
-
-def eval_G_any_time(params: ModelParams, ts, policy=None) -> np.ndarray:
-    """G(t) counterpart of ``eval_J_any_time``."""
-    return family_of(params).G_any(params, ts, policy)

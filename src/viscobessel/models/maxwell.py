@@ -164,12 +164,7 @@ def asym_relaxation_memory(nu: float, t):
 # -- family records --------------------------------------------------------
 
 
-def _closed_form(sJ, sG, J, G, creep, relax, glass) -> Family:
-    """A record whose J and G are exact at every t >= 0, so also its any-time kernels."""
-    return Family(sJ, sG, J, G, creep, relax, J, G, glass)
-
-
-ASYMPTOTIC = _closed_form(
+ASYMPTOTIC = Family(
     sJ=lambda p, s: asym_J_laplace(p.nu, s),
     sG=lambda p, s: asym_G_laplace(p.nu, s),
     J=lambda p, ts, policy: asym_J_time(p.nu, ts),
@@ -179,7 +174,7 @@ ASYMPTOTIC = _closed_form(
     glass=lambda p: 1.0,
 )
 
-FMAX = _closed_form(
+FMAX = Family(
     sJ=lambda p, s: fmax_J_laplace(p.a1, p.b1, s),
     sG=lambda p, s: fmax_G_laplace(p.a1, p.b1, s),
     J=lambda p, ts, policy: fmax_J_time(p.a1, p.b1, ts),

@@ -18,7 +18,10 @@ N_MIN = 8  # every Dirichlet-series truncation keeps at least this many terms
 
 
 class Family(NamedTuple):
-    """One family's material functions; every entry takes the ModelParams first."""
+    """One family's material functions; every entry takes the ModelParams first.
+
+    Bessel J and G refuse times below policy.t_floor, the primitives hold at
+    any T >= 0; convolution reads J and G only at multiples of dt >= t_floor."""
 
     sJ: Callable  # (params, s): s Jtilde(s), generic arithmetic in s
     sG: Callable  # (params, s): s Gtilde(s)
@@ -26,8 +29,6 @@ class Family(NamedTuple):
     G: Callable  # (params, ts, policy): relaxation modulus
     creep: Callable  # (params, T, policy): int_0^T J on an array of bounds
     relax: Callable  # (params, T, policy): int_0^T G
-    J_any: Callable  # (params, ts, policy): J at any t >= 0 (kernel quadratures)
-    G_any: Callable  # (params, ts, policy): G at any t >= 0
     glass: Callable  # (params): the glass compliance J(0+); G(0+) is its inverse
 
 

@@ -205,6 +205,12 @@ def closed_form_reference(fn: str, params, ts) -> np.ndarray:
     return np.array([one(float(t)) for t in np.asarray(ts, dtype=float)])
 
 
+def bessel_J_two_term(nu: float, t: float) -> float:
+    """Two-term Tauberian expansion of the Bessel creep compliance near t = 0,
+    from s Jt ~ 1 + 2(nu+1) s^{-1/2} + (nu+1)(2nu+3) s^{-1}; error O(t^{3/2})."""
+    return 1.0 + 4.0 * (nu + 1.0) / _SQRT_PI * math.sqrt(t) + (nu + 1.0) * (2.0 * nu + 3.0) * t
+
+
 def mittag_leffler_series_oracle(alpha: float, z: float, n_terms: int) -> float:
     """Truncated E_alpha(z) Taylor sum via the stdlib gamma."""
     return math.fsum(z**n / math.gamma(alpha * n + 1.0) for n in range(n_terms))

@@ -186,6 +186,28 @@ def test_zeros_respects_env_cache(tmp_path, monkeypatch, capsys):
     assert any(p.name.startswith("jzeros_nu0.0") for p in tmp_path.iterdir())
 
 
+def test_zeros_writes_its_cache_file_exactly_once(tmp_path, monkeypatch, capsys):
+    import viscobessel.cli as cli
+    from viscobessel.specfun import zeros
+
+    writes, save = [], zeros.save_zero_table
+
+    def counting_save(table, path):
+        writes.append(Path(path))
+        return save(table, path)
+
+    monkeypatch.setattr(cli, "save_zero_table", counting_save)
+    monkeypatch.setattr(zeros, "save_zero_table", counting_save)
+    monkeypatch.setenv("VISCOBESSEL_CACHE_DIR", str(tmp_path / "env"))
+    for cache_dir in ("dir", "dir", "env", "env"):  # a cold run, then a warm one
+        writes.clear()
+        extra = ["--cache-dir", str(tmp_path / "dir")] if cache_dir == "dir" else []
+        assert run(["zeros", "--nu", "0", "--n", "5", *extra]) == 0
+        path = tmp_path / cache_dir / "jzeros_nu0.0_n5_acc1e-10.txt"
+        assert capsys.readouterr().err == f"cached: {path}\n"
+        assert writes == [path]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

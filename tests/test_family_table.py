@@ -6,15 +6,11 @@ tests compare each dispatcher with the family function it must call, bit for
 bit.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from viscobessel.models import (
-    DEFAULT_POLICY,
     FAMILIES,
-    SHORT_TIME_CUTOFF,
     ModelParams,
     asym_creep_integral,
     asym_G_laplace,
@@ -24,13 +20,9 @@ from viscobessel.models import (
     asym_relax_integral,
     bessel_G_curve,
     bessel_G_laplace,
-    bessel_G_short_time,
     bessel_J_curve,
     bessel_J_laplace,
-    bessel_J_short_time,
-    eval_G_any_time,
     eval_G_curve,
-    eval_J_any_time,
     eval_J_curve,
     fmax_creep_integral,
     fmax_G_laplace,
@@ -116,21 +108,3 @@ def test_dispatch_calls_the_family_functions(family, entry):
         assert np.array_equal(dispatch(params, BOUNDS), own[entry](BOUNDS))
     else:
         assert family_of(params).glass(params) == own["glass"]
-
-
-@pytest.mark.parametrize("entry", ["J", "G"])
-@pytest.mark.parametrize("family", sorted(OWN))
-def test_any_time_kernels_dispatch(family, entry):
-    params, _, _, J, G, *_ = OWN[family]
-    any_time, own = (eval_J_any_time, J) if entry == "J" else (eval_G_any_time, G)
-    ts = np.concatenate(([0.0, 1e-6, 5e-5], TIMES))
-    got = any_time(params, ts)
-    if family != "bessel":  # closed forms are exact at every t >= 0
-        assert np.array_equal(got, own(ts))
-        return
-    short = bessel_J_short_time if entry == "J" else bessel_G_short_time
-    curve = bessel_J_curve if entry == "J" else bessel_G_curve
-    cut = ts < SHORT_TIME_CUTOFF
-    low = replace(DEFAULT_POLICY, t_floor=SHORT_TIME_CUTOFF)
-    assert got[cut].tolist() == [short(params.nu, t) for t in ts[cut]]
-    assert np.array_equal(got[~cut], curve(params.nu, ts[~cut], low))

@@ -22,11 +22,13 @@ from viscobessel.fracsim import (
 )
 from viscobessel.models import (
     ModelParams,
+    TruncationPolicy,
     asym_G_time,
     asym_J_time,
     bessel_G_time,
     fmax_J_time,
 )
+from viscobessel.models.evaluate import FAMILY_TABLE
 
 
 def _step(kind, dt, t_end, value=1.0):
@@ -272,9 +274,10 @@ def test_causality_is_bit_exact_at_large_n(k):
 @pytest.mark.parametrize(
     "params,tol",
     [
-        (ModelParams("fmax", a1=1.0, b1=1.0), 1e-5),
-        (ModelParams("asymptotic", nu=0.5), 1e-5),
-        (ModelParams("bessel", nu=0.0), 1e-5),
+        # the convolution route reaches 5.9e-8, 3.2e-7 and 6.9e-7
+        (ModelParams("fmax", a1=1.0, b1=1.0), 3e-7),
+        (ModelParams("asymptotic", nu=0.5), 1.5e-6),
+        (ModelParams("bessel", nu=0.0), 3e-6),
     ],
     ids=lambda v: v.label() if isinstance(v, ModelParams) else str(v),
 )
@@ -282,6 +285,28 @@ def test_interconversion_identity(params, tol):
     report = interconversion_check(params, [0.1, 0.5, 1.0, 2.0], 2000)
     assert isinstance(report, InterconversionReport)
     assert report.max_error <= tol
+
+
+def test_interconversion_panels_stay_at_or_above_the_floor():
+    # 0.051 / 3e-3 floors to 17 panels, but 0.051 / 17 rounds below 3e-3
+    policy = TruncationPolicy(t_floor=3e-3)
+    assert 0.051 / math.floor(0.051 / 3e-3) < 3e-3
+    report = interconversion_check(ModelParams("bessel", nu=0.0), [0.051], 2000, policy)
+    assert report.max_error <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ModelParams("fmax", a1=1.0, b1=1.0), ModelParams("asymptotic", nu=0.5),
+     ModelParams("bessel", nu=0.0)],
+    ids=lambda p: p.family,
+)
+def test_interconversion_reads_the_relaxation_primitive(params, monkeypatch):
+    family = FAMILY_TABLE[params.family]
+    skewed = family._replace(relax=lambda p, T, policy: (1 + 1e-4) * family.relax(p, T, policy))
+    monkeypatch.setitem(FAMILY_TABLE, params.family, skewed)
+    # a 1e-4 relative defect misses t = 2 by 2e-4, above every verify tolerance
+    assert interconversion_check(params, [0.1, 0.5, 1.0, 2.0], 2000).max_error > 1e-4
 
 
 def test_interconversion_grid_validation():
@@ -390,18 +415,47 @@ def test_write_csv_rows_match_the_per_row_format_in_bounded_memory():
     assert peak <= 4e6
 
 
+def test_large_load_csv_reads_in_bounded_memory(tmp_path):
+    path = tmp_path / "load.csv"
+    samples = np.sin(np.arange(10**5) * 1e-3)
+    write_history(LoadHistory("stress", 1e-3, samples), path)
+    tracemalloc.start()
+    try:
+        load = read_load_history(path, "stress")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(load.samples, samples)
+    # 40 bytes a row: two float64 arrays and the history's copy take 24 (2.5 MB
+    # here); the whole text and two lists of Python floats took 157 (15.7 MB)
+    assert peak <= 4e6
+
+
 def test_malformed_csv_reports_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,value\n0.0,0.0\n0.1,oops\n")
     with pytest.raises(DomainError, match=":3"):
         read_load_history(path, "stress")
+    # exact messages: the row is quoted without its line ending, blank lines count
+    for text, message in [
+        ("t,value\r\n0.0,0.0\r\n\r\n0.1,1,2\r\n", "{}:4: malformed row '0.1,1,2'"),
+        ("t,value\n0.0,0.0\n0.1,oops", "{}:3: malformed row '0.1,oops'"),
+        ("t,val\n0.0,0.0\n", "{}:1: expected header 't,value'"),
+        ("", "{}:1: expected header 't,value'"),
+        ("t,value\n0.0,1.0\n\n", "{}: need at least two samples"),
+    ]:
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(DomainError) as err:
+            read_load_history(path, "stress")
+        assert str(err.value) == message.format(path)
 
 
 def test_nonuniform_grid_rejected(tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text("t,value\n0.0,0.0\n0.1,1.0\n0.3,2.0\n")
-    with pytest.raises(GridError):
+    with pytest.raises(GridError) as err:
         read_load_history(path, "stress")
+    assert str(err.value) == f"{path}: non-uniform grid at row 4 (t = 0.3, expected 0.2)"
 
 
 def test_grid_must_start_at_zero(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import (
+    bessel_J_two_term,
     bisect_bessel_zero,
     closed_form_reference,
     dirichlet_reference,
@@ -26,12 +27,10 @@ from viscobessel.models import (
     asym_relax_integral,
     asym_relaxation_memory,
     bessel_G_laplace,
-    bessel_G_short_time,
     bessel_G_curve,
     bessel_G_time,
     bessel_J_curve,
     bessel_J_laplace,
-    bessel_J_short_time,
     bessel_J_time,
     eval_G_curve,
     eval_J_curve,
@@ -45,8 +44,6 @@ from viscobessel.errors import DomainError
 from viscobessel.models import bessel_family
 from viscobessel.models.evaluate import (
     creep_integral_curve,
-    eval_G_any_time,
-    eval_J_any_time,
     relax_integral_curve,
 )
 from viscobessel.specfun import mittag_leffler_half, zero_table
@@ -77,7 +74,7 @@ def test_relaxation_at_two_single_term_dominates():
 def test_short_time_value_approaches_unit_glass():
     # glass compliance is 1; at the series floor J is 1 + O(sqrt(t))
     v = bessel_J_time(0.0, 1e-3)
-    assert v == pytest.approx(bessel_J_short_time(0.0, 1e-3), abs=2e-4)
+    assert v == pytest.approx(bessel_J_two_term(0.0, 1e-3), abs=2e-4)
     assert 1.0 < v < 1.1
 
 
@@ -357,8 +354,7 @@ def test_memory_and_mittag_quote_first_bad_argument():
     ids=lambda p: p.family,
 )
 def test_empty_time_arrays_give_empty_curves(params):
-    dispatchers = list(CLOSED_FORM_DISPATCH.values()) + [eval_J_any_time, eval_G_any_time]
-    for fn in dispatchers:
+    for fn in CLOSED_FORM_DISPATCH.values():
         for ts in ([], np.zeros(0)):
             out = fn(params, ts)
             assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == (0,)
@@ -431,16 +427,3 @@ def test_bessel_primitives_vs_quadrature():
         assert err < 1e-7
         assert bessel_family.bessel_relax_integral_curve(0.0, [T])[0] == pytest.approx(
             head + body, abs=5e-7)
-
-
-def test_short_time_expansions_match_series():
-    # two-term Tauberian forms vs a deep series evaluation at t = 1e-4
-    deep = TruncationPolicy(tol=1e-12, n_max=1500, t_floor=1e-6)
-    for nu in (-0.5, 0.0, 1.0):
-        t = 1e-4
-        assert bessel_J_short_time(nu, t) == pytest.approx(
-            bessel_J_time(nu, t, deep), abs=2e-5
-        )
-        assert bessel_G_short_time(nu, t) == pytest.approx(
-            bessel_G_time(nu, t, deep), abs=2e-5
-        )
