@@ -211,6 +211,12 @@ def bessel_J_two_term(nu: float, t: float) -> float:
     return 1.0 + 4.0 * (nu + 1.0) / _SQRT_PI * math.sqrt(t) + (nu + 1.0) * (2.0 * nu + 3.0) * t
 
 
+def bessel_G_two_term(nu: float, t: float) -> float:
+    """Two-term Tauberian expansion of the Bessel relaxation modulus near t = 0;
+    error O(t^{3/2})."""
+    return 1.0 - 4.0 * (nu + 1.0) / _SQRT_PI * math.sqrt(t) + (nu + 1.0) * (2.0 * nu + 1.0) * t
+
+
 def mittag_leffler_series_oracle(alpha: float, z: float, n_terms: int) -> float:
     """Truncated E_alpha(z) Taylor sum via the stdlib gamma."""
     return math.fsum(z**n / math.gamma(alpha * n + 1.0) for n in range(n_terms))

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import (
+    bessel_G_two_term,
     bessel_J_two_term,
     bisect_bessel_zero,
     closed_form_reference,
@@ -427,3 +428,16 @@ def test_bessel_primitives_vs_quadrature():
         assert err < 1e-7
         assert bessel_family.bessel_relax_integral_curve(0.0, [T])[0] == pytest.approx(
             head + body, abs=5e-7)
+
+
+def test_short_time_expansions_match_series():
+    # two-term Tauberian forms vs a deep series evaluation at t = 1e-4
+    deep = TruncationPolicy(tol=1e-12, n_max=1500, t_floor=1e-6)
+    for nu in (-0.5, 0.0, 1.0):
+        t = 1e-4
+        assert bessel_J_two_term(nu, t) == pytest.approx(
+            bessel_J_time(nu, t, deep), abs=2e-5
+        )
+        assert bessel_G_two_term(nu, t) == pytest.approx(
+            bessel_G_time(nu, t, deep), abs=2e-5
+        )
