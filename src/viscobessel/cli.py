@@ -155,11 +155,20 @@ def _params(args) -> ModelParams:
     return ModelParams(args.family, nu=args.nu, a1=args.a1, b1=args.b1)
 
 
+def _open_out(flag, path):
+    """Open the file named by an output flag; one that cannot be created (a
+    missing directory, say) is a usage error."""
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        raise DomainError(f"cannot write {flag} {path}: {exc.strerror}") from exc
+
+
 def _write_csv(out, header, ts, *columns):
     if out == "-":
         write_csv(sys.stdout, header, ts, *columns)
     else:
-        with open(out, "w", encoding="ascii") as fh:
+        with _open_out("--out", out) as fh:
             write_csv(fh, header, ts, *columns)
 
 
@@ -401,7 +410,8 @@ def _cmd_verify(args) -> int:
             f"max_error={r['max_error']:.3e}  tol={r['tolerance']:.1e}  {status}"
         )
     if args.json_path:
-        Path(args.json_path).write_text(json.dumps(records, indent=2) + "\n", encoding="ascii")
+        with _open_out("--json", args.json_path) as fh:
+            fh.write(json.dumps(records, indent=2) + "\n")
     return EXIT_OK if all(r["pass"] for r in records) else EXIT_CHECK_FAILED
 
 
@@ -413,7 +423,10 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     policy = _policy(args)
     params = _params(args)
-    load = read_load_history(args.input, args.kind)
+    try:
+        load = read_load_history(args.input, args.kind)
+    except OSError as exc:
+        raise DomainError(f"cannot read --input {args.input}: {exc.strerror}") from exc
     if args.method == "stepping":
         if params.family != "asymptotic":
             raise DomainError("--method stepping applies only to --family asymptotic")

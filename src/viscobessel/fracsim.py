@@ -52,6 +52,7 @@ convolution both ways, int_0^tau G as a stress load and int_0^tau J as a strain
 load, each of which must respond with t; J and G are read only at t >= t_floor.
 """
 
+import bisect
 import math
 from array import array
 from dataclasses import dataclass
@@ -350,14 +351,18 @@ def interconversion_check(
 
 
 def read_load_history(path, kind: str) -> LoadHistory:
-    """Parse a `t,value` CSV on a uniform grid starting at t = 0, a line at a time."""
+    """Parse a `t,value` CSV on a uniform grid starting at t = 0, a line at a
+    time; messages number rows by file line.  A byte outside ASCII reads as a
+    `\\xNN` escape, which makes its row malformed."""
     path = Path(path)
     ts, vals = array("d"), array("d")
-    with path.open(encoding="ascii") as fh:
+    blanks = []  # samples read before each blank line
+    with path.open(encoding="ascii", errors="backslashreplace") as fh:
         if fh.readline().rstrip("\n") != "t,value":
             raise DomainError(f"{path}:1: expected header 't,value'")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
+                blanks.append(len(ts))
                 continue
             try:
                 t, value = line.split(",")  # not two columns: ValueError
@@ -373,8 +378,9 @@ def read_load_history(path, kind: str) -> LoadHistory:
         raise GridError(f"{path}: grid must start at t = 0 with positive spacing")
     for k, t in enumerate(ts):
         if abs(t - k * dt) > 1e-9 * max(1.0, abs(t)):
+            lineno = k + 2 + bisect.bisect_right(blanks, k)  # blank lines count
             raise GridError(
-                f"{path}: non-uniform grid at row {k + 2} (t = {t!r}, "
+                f"{path}: non-uniform grid at row {lineno} (t = {t!r}, "
                 f"expected {k * dt!r})"
             )
     return LoadHistory(kind=kind, dt=dt, samples=vals)

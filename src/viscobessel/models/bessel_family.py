@@ -26,16 +26,23 @@ the next tabulated zero.  Below TruncationPolicy.t_floor the series converge
 too slowly for the configured table and evaluation is refused
 (SeriesRefusalError) -- short times belong to the Laplace-domain route.
 
-A chunk then also drops every term with j_n^2 - j_1^2 > 60 ln 2 / t_min: at
-each of its times such a term is below 2^-60 of the first one, so under half an
-ulp of every partial sum, and adding it rounds back to the same double.  A chunk
-of two or more times sums its rows in table order, so its result keeps every
-bit; numpy sums a one-time chunk pairwise, and there the regrouping may move
-the sum by a few ulp.  The dropped terms are the expensive ones: np.exp takes
-its slow path for arguments that underflow to subnormals or zero, and
-subnormal division is slow too.
+Within that count, each contiguous block of a chunk's times also drops every
+term with j_n^2 - j_1^2 > 60 ln 2 / t_min, t_min being the block's smallest
+time: at each of its times such a term is below 2^-60 of the first one, so
+under half an ulp of every partial sum, and adding it rounds back to the same
+double.  A block of two or more times sums its rows in table order, so its
+result keeps every bit; numpy sums a one-time chunk pairwise, and there the
+regrouping may move the sum by a few ulp.  The dropped terms are the expensive
+ones: np.exp takes its slow path for arguments that underflow to subnormals or
+zero, and subnormal division is slow too.
+
+A chunk starts as one block, and a block is halved while each half keeps at
+least 64 times and the halves' own cuts save at least 8192 term evaluations.
+So a grid k dt from t = 0 splits its first chunk into ~7 geometric blocks and
+only the 64 times at t = 0 keep every term; a log grid's chunks do not split.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -45,7 +52,9 @@ from ..specfun.bessel import bessel_i_ratio
 from ..specfun.zeros import ZeroTable, zero_table
 from .params import DEFAULT_POLICY, N_MIN, Family, TruncationPolicy, check_nu
 
-_CHUNK = 4096  # times per exp(-j_n^2 t) block; each block truncates on its own
+_CHUNK = 4096  # times per chunk; each chunk truncates on its own
+_MIN_BLOCK = 64  # fewest times in either half of a split block
+_SPLIT_GAIN = 8192  # term evaluations a split must save; one block costs ~3000
 _SUB_ULP = 60.0 * math.log(2.0)  # exp(-_SUB_ULP) = 2^-60, far below half an ulp
 
 
@@ -97,22 +106,40 @@ def _truncation_index(tail, n_terms: int, t: float, policy: TruncationPolicy):
 
 def _dirichlet_sum(squares, ts, power: int, n_for=None) -> np.ndarray:
     """sum_n exp(-j_n^2 t) / j_n^(2 power) over column chunks of ts; a chunk sums
-    its first n_for(chunk.min()) terms (all if n_for is None) in table order,
-    less the terms that cannot change a bit of the row sum (see module doc)."""
+    its first n_for(chunk.min()) terms (all if n_for is None) in table order, and
+    each block of the chunk drops the terms that cannot change a bit of its row
+    sums (see module doc)."""
     sq = np.asarray(squares, dtype=float)
-    gaps = sq - sq[0]
+    gaps = (sq - sq[0]).tolist()
+    weights = sq[:, None] ** power
     ts = np.asarray(ts, dtype=float).ravel()
     out = np.empty(len(ts))
+
+    def kept(n, t):  # of the first n terms, those that can change a bit at times >= t
+        if t <= 0.0:  # at t = 0 every term counts
+            return n
+        return min(n, bisect.bisect_right(gaps, _SUB_ULP / float(t)))
+
     for lo in range(0, len(ts), _CHUNK):
-        chunk = ts[lo : lo + _CHUNK]
-        t_min = chunk.min()
+        hi = min(lo + _CHUNK, len(ts))
+        t_min = ts[lo:hi].min()
         n = len(sq) if n_for is None else n_for(t_min)
-        if t_min > 0.0:  # at t = 0 every term counts
-            n = min(n, int(np.searchsorted(gaps, _SUB_ULP / t_min, side="right")))
-        terms = np.outer(-sq[:n], chunk)  # in place from here; (-a) b == -(a b)
-        np.exp(terms, out=terms)
-        terms /= sq[:n, None] ** power
-        out[lo : lo + len(chunk)] = terms.sum(axis=0)
+        blocks = [(lo, hi, t_min)]
+        while blocks:
+            a, b, t_min = blocks.pop()
+            m = kept(n, t_min)
+            mid = (a + b) // 2
+            # halve where the halves' own cuts save enough; the largest time
+            # bounds that saving without the two half minima
+            if mid - a >= _MIN_BLOCK and (m - kept(m, ts[a:b].max())) * (b - a) >= _SPLIT_GAIN:
+                halves = [(mid, b, ts[mid:b].min()), (a, mid, ts[a:mid].min())]
+                if sum((m - kept(m, t)) * (y - x) for x, y, t in halves) >= _SPLIT_GAIN:
+                    blocks += halves
+                    continue
+            terms = np.outer(-sq[:m], ts[a:b])  # in place from here; (-a) b == -(a b)
+            np.exp(terms, out=terms)
+            terms /= weights[:m]
+            out[a:b] = terms.sum(axis=0)
     return out
 
 
@@ -199,8 +226,9 @@ def _rayleigh_sigma2(order: float) -> float:
 
 
 def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
-    """sum_n exp(-j_n^2 T) / j_n^4 over the table (tail below ~2e-9); a chunk
-    stops where its terms can no longer change the sum.
+    """sum_n exp(-j_n^2 T) / j_n^4 over the table (tail below ~2e-9); each block
+    of times stops where its terms can no longer change a bit of its sums, so
+    on a grid k dt from T = 0 only the 64 times at T = 0 sum the whole table.
 
     Vectorized over T; the tail past the table is a smooth, exponentially
     flat offset, so grid *differences* of this sum are far more accurate

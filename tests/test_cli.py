@@ -274,14 +274,41 @@ def test_simulate_malformed_csv_exit_2(tmp_path, capsys):
     assert ":3" in capsys.readouterr().err
 
 
-def test_simulate_nonuniform_grid_exit_3(tmp_path):
+def test_simulate_nonuniform_grid_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("t,value\n0.0,0.0\n0.001,1.0\n0.003,2.0\n")
+    bad.write_text("t,value\n0.0,0.0\n\n0.001,1.0\n0.003,2.0\n")
     rc = run(
         ["simulate", "--family", "asymptotic", "--nu", "0", "--kind", "stress",
          "--input", str(bad), "--out", str(tmp_path / "o.csv")]
     )
     assert rc == 3
+    # the off-grid row is on file line 5; the blank line 3 counts
+    assert capsys.readouterr().err == (
+        f"refused: {bad}: non-uniform grid at row 5 (t = 0.003, expected 0.002)\n")
+
+
+def test_unreadable_input_and_unwritable_out_exit_2_with_one_error_line(tmp_path, capsys):
+    load_csv = tmp_path / "load.csv"
+    _write_step_load(load_csv, dt=0.01, t_end=0.1)
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"t,value\n0.0,0.0\n0.01,\xe91.0\n")
+    missing = tmp_path / "missing.csv"
+    no_dir = tmp_path / "no-such-dir" / "out.csv"
+    sim = ["simulate", "--family", "fmax", "--a1", "1", "--b1", "1", "--kind", "stress"]
+    cases = [
+        ([*sim, "--input", str(missing)], f"error: cannot read --input {missing}: "),
+        ([*sim, "--input", str(latin1)], f"error: {latin1}:3: malformed row '0.01,\\\\xe91.0'"),
+        ([*sim, "--input", str(load_csv), "--out", str(no_dir)],
+         f"error: cannot write --out {no_dir}: "),
+        (["eval", "--figure", "3", "--out", str(no_dir)], f"error: cannot write --out {no_dir}: "),
+        (["verify", "--check", "reciprocity", "--family", "fmax", "--a1", "1", "--b1", "1",
+          "--json", str(no_dir)], f"error: cannot write --json {no_dir}: "),
+    ]
+    for argv, start in cases:
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("method,family", [

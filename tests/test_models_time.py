@@ -199,16 +199,23 @@ def _cut_and_uncut(monkeypatch, fn, nu, ts):
 
 
 def _cut_grids(fn, n):
+    rng = np.random.default_rng(n)
     yield np.geomspace(1e-3, 50.0, n)
     yield np.linspace(1e-3, 50.0, n)
+    yield np.linspace(1e-3, 50.0, n)[::-1]
+    yield rng.uniform(1e-3, 50.0, n)
     if fn.endswith("primitive"):
-        yield (50.0 / (n - 1)) * np.arange(n)  # a dt grid from T = 0
+        dt_grid = (50.0 / (n - 1)) * np.arange(n)  # a dt grid from T = 0
+        yield dt_grid
+        yield dt_grid[::-1]
+        yield rng.permutation(dt_grid)
 
 
-@pytest.mark.parametrize("n", [5, 4096, 4097, 20000])
+# 129, 4096 + 129 and 4096 + 2 leave small blocks at the end of a chunk
+@pytest.mark.parametrize("n", [5, 129, 4096, 4097, 4098, 4225, 20000])
 @pytest.mark.parametrize("fn", list(SERIES_KERNELS))
 def test_sub_ulp_term_cut_is_bit_identical(monkeypatch, fn, n):
-    # a chunk of two or more times sums its rows in table order, so a term
+    # a block of two or more times sums its rows in table order, so a term
     # below 2^-60 of the first one is under half an ulp of every partial sum;
     # a one-time chunk is summed pairwise and is checked separately below
     exact = n - 1 if n % bessel_family._CHUNK == 1 else n
@@ -216,6 +223,21 @@ def test_sub_ulp_term_cut_is_bit_identical(monkeypatch, fn, n):
         for ts in _cut_grids(fn, n):
             got, uncut = _cut_and_uncut(monkeypatch, fn, nu, ts)
             assert np.array_equal(got[:exact], uncut[:exact])
+
+
+def test_dt_grid_primitive_memory_is_bounded():
+    # every hereditary simulation reads a primitive on k dt from T = 0; only
+    # the 64-time block at T = 0 sums the whole 200-zero table
+    T = 1e-3 * np.arange(16_000)
+    bessel_family.bessel_relax_integral_curve(0.0, T[:2])  # table outside the trace
+    tracemalloc.start()
+    try:
+        bessel_family.bessel_relax_integral_curve(0.0, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one cut per 4096-time chunk holds a 200 x 4096 block, 6.6 MB
+    assert peak < 1e6
 
 
 def test_sub_ulp_term_cut_moves_single_times_by_at_most_4_ulp():
