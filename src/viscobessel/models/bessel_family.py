@@ -40,6 +40,11 @@ A chunk starts as one block, and a block is halved while each half keeps at
 least 64 times and the halves' own cuts save at least 8192 term evaluations.
 So a grid k dt from t = 0 splits its first chunk into ~7 geometric blocks and
 only the 64 times at t = 0 keep every term; a log grid's chunks do not split.
+
+All blocks are planned first, in time order; a block of two or more times
+merges into the one before it when both keep the same terms and together hold
+at most 2^17 (1 MB).  Its columns still add their terms in table order, so no
+bit moves, and a block of a few terms stops paying numpy's fixed cost alone.
 """
 
 import bisect
@@ -53,6 +58,7 @@ from ..specfun.zeros import ZeroTable, zero_table
 from .params import DEFAULT_POLICY, N_MIN, Family, TruncationPolicy, check_nu
 
 _CHUNK = 4096  # times per chunk; each chunk truncates on its own
+_RUN = 2**17  # most terms (1 MB) in a block merged from blocks of equal term count
 _MIN_BLOCK = 64  # fewest times in either half of a split block
 _SPLIT_GAIN = 8192  # term evaluations a split must save; one block costs ~3000
 _SUB_ULP = 60.0 * math.log(2.0)  # exp(-_SUB_ULP) = 2^-60, far below half an ulp
@@ -88,12 +94,13 @@ def bessel_G_laplace(nu: float, s):
 
 def _check_times(ts, policy: TruncationPolicy):
     ts = np.asarray(ts, dtype=float)
-    if not np.all(np.isfinite(ts)):
+    lo, hi = ts.min(initial=math.inf), ts.max(initial=-math.inf)  # NaN reaches both
+    if ts.size and not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("series evaluation requires finite times")
-    if np.any(ts < policy.t_floor):
+    if lo < policy.t_floor:
         raise SeriesRefusalError(
             f"series evaluation refused below t_floor = {policy.t_floor!r} "
-            f"(smallest requested t = {float(ts.min())!r})"
+            f"(smallest requested t = {float(lo)!r})"
         )
     return ts
 
@@ -104,27 +111,22 @@ def _truncation_index(tail, n_terms: int, t: float, policy: TruncationPolicy):
     return next(hits, None)
 
 
-def _dirichlet_sum(squares, ts, power: int, n_for=None) -> np.ndarray:
-    """sum_n exp(-j_n^2 t) / j_n^(2 power) over column chunks of ts; a chunk sums
-    its first n_for(chunk.min()) terms (all if n_for is None) in table order, and
-    each block of the chunk drops the terms that cannot change a bit of its row
-    sums (see module doc)."""
-    sq = np.asarray(squares, dtype=float)
+def _block_plan(sq, ts, n_for=None) -> list:
+    """(first, end, terms) blocks of ts in time order: a chunk keeps its first
+    n_for(chunk.min()) terms (all if n_for is None), and each block of it those
+    that can change a bit of its row sums (see module doc)."""
     gaps = (sq - sq[0]).tolist()
-    weights = sq[:, None] ** power
-    ts = np.asarray(ts, dtype=float).ravel()
-    out = np.empty(len(ts))
 
     def kept(n, t):  # of the first n terms, those that can change a bit at times >= t
         if t <= 0.0:  # at t = 0 every term counts
             return n
         return min(n, bisect.bisect_right(gaps, _SUB_ULP / float(t)))
 
-    for lo in range(0, len(ts), _CHUNK):
-        hi = min(lo + _CHUNK, len(ts))
-        t_min = ts[lo:hi].min()
+    starts = range(0, len(ts), _CHUNK)
+    plan = []
+    for lo, t_min in zip(starts, np.minimum.reduceat(ts, starts).tolist()):
         n = len(sq) if n_for is None else n_for(t_min)
-        blocks = [(lo, hi, t_min)]
+        blocks = [(lo, min(lo + _CHUNK, len(ts)), t_min)]
         while blocks:
             a, b, t_min = blocks.pop()
             m = kept(n, t_min)
@@ -136,10 +138,30 @@ def _dirichlet_sum(squares, ts, power: int, n_for=None) -> np.ndarray:
                 if sum((m - kept(m, t)) * (y - x) for x, y, t in halves) >= _SPLIT_GAIN:
                     blocks += halves
                     continue
-            terms = np.outer(-sq[:m], ts[a:b])  # in place from here; (-a) b == -(a b)
-            np.exp(terms, out=terms)
-            terms /= weights[:m]
-            out[a:b] = terms.sum(axis=0)
+            # merge into the previous block when both keep m terms; a one-time
+            # block (only ever a grid's last) stays alone: numpy sums it pairwise
+            if plan and plan[-1][2] == m and b - a > 1 and (b - plan[-1][0]) * m <= _RUN:
+                a = plan.pop()[0]
+            plan.append((a, b, m))
+    return plan
+
+
+def _dirichlet_sum(squares, ts, power: int, n_for=None) -> np.ndarray:
+    """sum_n exp(-j_n^2 t) / j_n^(2 power) over the blocks of _block_plan, all
+    summed in one buffer; a column adds its block's terms in table order
+    wherever the block ends, so merged blocks give the same bits."""
+    sq = np.asarray(squares, dtype=float)
+    ts = np.asarray(ts, dtype=float).ravel()
+    plan = _block_plan(sq, ts, n_for)
+    neg, weights = -sq[:, None], sq[:, None] ** power
+    buf = np.empty(max(((b - a) * m for a, b, m in plan), default=0))
+    out = np.empty(len(ts))
+    for a, b, m in plan:
+        terms = buf[: (b - a) * m].reshape(m, b - a)
+        np.multiply(neg[:m], ts[a:b], out=terms)  # (-a) b == -(a b)
+        np.exp(terms, out=terms)
+        terms /= weights[:m]
+        np.add.reduce(terms, axis=0, out=out[a:b])
     return out
 
 
@@ -170,11 +192,11 @@ def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
     tab = zero_table(nu + 2.0, policy.n_max)
     coeff = (nu + 1.0) / (nu + 3.0)  # 4(nu+1) * Rayleigh tail 1/(4(nu+3))
     series = _rayleigh_series(tab.squares, ts, policy, coeff, "J series")
-    return (
-        2.0 * (nu + 2.0) / (nu + 3.0)
-        + 4.0 * (nu + 1.0) * (nu + 2.0) * ts
-        - 4.0 * (nu + 1.0) * series
-    )
+    series *= 4.0 * (nu + 1.0)
+    out = 4.0 * (nu + 1.0) * (nu + 2.0) * ts
+    out += 2.0 * (nu + 2.0) / (nu + 3.0)
+    out -= series
+    return out
 
 
 def bessel_G_curve(nu, ts, policy=None) -> np.ndarray:
@@ -184,7 +206,8 @@ def bessel_G_curve(nu, ts, policy=None) -> np.ndarray:
     ts = _check_times(ts, policy)
     tab = zero_table(nu, policy.n_max)
     # 4(nu+1) * Rayleigh tail 1/(4(nu+1)) = 1
-    return 4.0 * (nu + 1.0) * _rayleigh_series(tab.squares, ts, policy, 1.0, "G series")
+    series = _rayleigh_series(tab.squares, ts, policy, 1.0, "G series")
+    return np.multiply(series, 4.0 * (nu + 1.0), out=series)
 
 
 def bessel_J_time(nu: float, t: float, policy=None) -> float:
@@ -201,8 +224,8 @@ def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
     """Rate of relaxation Phi(t; nu) = -dG/dt on an array of times."""
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
-    sq = zero_table(nu, policy.n_max).squares
     ts = _check_times(ts, policy)
+    sq = zero_table(nu, policy.n_max).squares
     amp = 4.0 * (nu + 1.0)
 
     def tail(idx, t):  # j_n^2 gaps grow, so terms past idx+1 fall faster than rho^k
@@ -210,9 +233,10 @@ def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
         return amp * math.exp(-sq[idx + 1] * t) / (1.0 - rho)
 
     n_terms = min(len(sq), policy.n_max) - 1  # tail(idx) reads zero idx + 1
-    return amp * _series(sq, ts, policy, tail, n_terms, 0, lambda t: (
+    series = _series(sq, ts, policy, tail, n_terms, 0, lambda t: (
         f"Phi series: table of {len(sq)} zeros cannot bound the memory-series "
         f"tail below tol = {policy.tol!r} at t = {t!r}"))
+    return np.multiply(series, amp, out=series)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ def _cf_step(j, f, c, d, x):
     c = x + a / c
     delta = c * d
     f = f * delta
-    return (abs(delta - 1.0) < 1e-16) | (j >= 400), f, c, d, x
+    # |delta - 1| < 1e-16 iff delta == 1: the doubles next to 1 are 1.1e-16, 2.2e-16 away
+    return (delta == 1.0) | (j >= 400), f, c, d, x
 
 
 def erfcx(x):

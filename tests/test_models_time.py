@@ -48,6 +48,7 @@ from viscobessel.models.evaluate import (
     relax_integral_curve,
 )
 from viscobessel.specfun import mittag_leffler_half, zero_table
+from viscobessel.specfun.zeros import configure_cache
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,18 @@ def test_series_refusal_below_floor():
         bessel_J_time(0.0, 1e-4)
     with pytest.raises(SeriesRefusalError):
         bessel_G_time(0.0, 5e-4, TruncationPolicy(t_floor=1e-3))
+
+
+@pytest.mark.parametrize("fn", ["J", "G", "Phi"])
+@pytest.mark.parametrize("ts,error", [([1e-4, 0.5], SeriesRefusalError),
+                                      ([math.nan, 0.5], DomainError)])
+def test_refused_times_build_no_zero_table(tmp_path, fn, ts, error):
+    # the times are checked before the table is built, so a refused request
+    # writes nothing to the cache (0.37 is an order no other test reads)
+    configure_cache(tmp_path)
+    with pytest.raises(error):
+        SERIES_CURVES[fn](0.37, ts)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_table_exhausted_error():
@@ -180,8 +193,10 @@ def test_series_memory_is_bounded(fn, reverse):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a one-shot 49 x 1e6 outer product peaks near 780 MB
-    assert peak < 64e6
+    # a one-shot 49 x 1e6 outer product peaks near 780 MB; assembled in place,
+    # G peaks at its 8 MB result and one block (9.7 MB), J at the result and
+    # the 8 MB series it subtracts (16 MB)
+    assert peak < 20e6
 
 
 SERIES_KERNELS = dict(
@@ -223,6 +238,72 @@ def test_sub_ulp_term_cut_is_bit_identical(monkeypatch, fn, n):
         for ts in _cut_grids(fn, n):
             got, uncut = _cut_and_uncut(monkeypatch, fn, nu, ts)
             assert np.array_equal(got[:exact], uncut[:exact])
+
+
+def _merge_grids(fn):
+    # equal-count blocks that cross chunk boundaries, and no one-time chunk;
+    # on the narrow grid every chunk keeps the same count, so _RUN ends blocks
+    yield np.geomspace(0.1, 10.0, 100_000)
+    yield np.linspace(0.01, 0.0101, 50_000)
+    t0 = 0.0 if fn.endswith("primitive") else DEFAULT_POLICY.t_floor
+    yield t0 + 1e-3 * np.arange(50_000)
+
+
+@pytest.mark.parametrize("fn", list(SERIES_KERNELS))
+def test_merged_blocks_are_bit_identical(monkeypatch, fn):
+    for nu in (-0.8, 0.0, 1.5):
+        for ts in _merge_grids(fn):
+            got, uncut = _cut_and_uncut(monkeypatch, fn, nu, ts)
+            assert np.array_equal(got, uncut)
+
+
+def _merged_and_unmerged_plans(monkeypatch, fn, nu, ts):
+    plans, plan = [], bessel_family._block_plan
+
+    def spy(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(bessel_family, "_block_plan", spy)
+        SERIES_KERNELS[fn](nu, ts)
+        m.setattr(bessel_family, "_RUN", 0)  # no block fits: the plan before merging
+        SERIES_KERNELS[fn](nu, ts)
+    return plans
+
+
+@pytest.mark.parametrize("fn", list(SERIES_KERNELS))
+def test_merged_blocks_join_equal_counts_up_to_the_run(monkeypatch, fn):
+    def largest(plan):
+        return max((b - a) * m for a, b, m in plan)
+
+    for nu in (-0.8, 1.5):
+        for ts in _merge_grids(fn):
+            merged, unmerged = _merged_and_unmerged_plans(monkeypatch, fn, nu, ts)
+            assert len(merged) < len(unmerged)
+            assert largest(merged) <= max(bessel_family._RUN, largest(unmerged))
+            # each merged block is a run of consecutive unmerged blocks of its count
+            blocks = iter(merged)
+            a, b, m = next(blocks)
+            for x, y, k in unmerged:
+                if x == b:
+                    a, b, m = next(blocks)
+                assert a <= x < y <= b and k == m
+            assert b == len(ts) and next(blocks, None) is None
+
+
+@pytest.mark.parametrize("n", [4097, 8193])
+@pytest.mark.parametrize("fn", list(SERIES_KERNELS))
+def test_one_time_chunk_is_not_merged(fn, n):
+    # numpy sums a one-time block pairwise; merged, it would be summed in
+    # table order like the block before it and could move by an ulp.  On a
+    # narrow grid the last time keeps the count of the block before it.
+    grids = [np.linspace(t, 1.01 * t, n) for t in np.geomspace(2e-3, 0.05, 8)]
+    if fn.endswith("primitive"):
+        grids.append(1e-5 * np.arange(n))
+    for nu in (-0.8, 0.0, 1.5):
+        for ts in grids:
+            assert SERIES_KERNELS[fn](nu, ts)[-1] == SERIES_KERNELS[fn](nu, ts[-1:])[0]
 
 
 def test_dt_grid_primitive_memory_is_bounded():
