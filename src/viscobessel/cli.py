@@ -31,14 +31,13 @@ from .fracsim import (
     convolve_response,
     interconversion_check,
     read_load_history,
-    simulate_asymptotic,
+    step_response,
     write_csv,
 )
 from .laplace import LaplaceFunction, invert_talbot
 from .models import (
     ModelParams,
     TruncationPolicy,
-    asym_relaxation_memory,
     eval_G_curve,
     eval_J_curve,
     laplace_sG,
@@ -47,6 +46,8 @@ from .models import (
     reciprocity_residual,
     short_time_agreement,
 )
+from .models.evaluate import family_of
+from .models.maxwell import relaxation_memory
 from .specfun import bessel_j, bessel_j_zeros, cache_path, save_zero_table, zero_table
 from .specfun.zeros import configure_cache
 
@@ -193,6 +194,8 @@ def _write_gnuplot(out: str, n_columns: int, ylabel: str):
 def _grid(t_start, t_end, points, spacing):
     if points < 2:
         raise DomainError(f"need at least 2 points, got {points}")
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise DomainError(f"t-start and t-end must be finite, got {t_start!r}, {t_end!r}")
     if t_start < 0.0 or t_end <= t_start:
         raise DomainError("need 0 <= t-start < t-end")
     if spacing == "log":
@@ -382,7 +385,8 @@ def _check_cm(args, policy):
         records.append(_record("cm-phi", ("bessel", {"nu": nu}), worst, 0.0))
     asym_nus = [args.nu] if args.nu is not None else [-0.8, 0.5]
     for nu in asym_nus:
-        fn = lambda ts, nu=nu: asym_relaxation_memory(nu, ts)
+        p = ModelParams("asymptotic", nu=nu)
+        fn = lambda ts, law=family_of(p).law(p): relaxation_memory(*law, ts)
         worst = max(_cm_signs(fn, t, h) for t in times)
         records.append(_record("cm-asym-memory", ("asymptotic", {"nu": nu}), worst, 0.0))
     return records
@@ -428,9 +432,7 @@ def _cmd_simulate(args) -> int:
     except OSError as exc:
         raise DomainError(f"cannot read --input {args.input}: {exc.strerror}") from exc
     if args.method == "stepping":
-        if params.family != "asymptotic":
-            raise DomainError("--method stepping applies only to --family asymptotic")
-        response = simulate_asymptotic(params.nu, load)
+        response = step_response(params, load)
     else:
         response = convolve_response(params, load, policy)
     _write_csv(args.out, "t,value", response.times, response.samples)

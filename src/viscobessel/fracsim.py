@@ -2,9 +2,10 @@
 
 Two independent routes are implemented, both on uniform grids t_k = k dt:
 
-Caputo-1/2 stepping (asymptotic family only)
-    The constitutive law [1 + c D^{1/2}] sigma = c D^{1/2} eps with
-    c = 1/(2(nu+1)) is discretized with the L1 scheme
+Caputo-1/2 stepping (the fractional Maxwell class: fmax and asymptotic)
+    The constitutive law sigma + a D^{1/2} sigma = b D^{1/2} eps, with a and b
+    from the family's law (a1, b1 for fmax, a = b = 1/(2(nu+1)) for the
+    asymptotic family), is discretized with the L1 scheme
 
         (D^{1/2} f)(t_k) ~ dt^{-1/2}/Gamma(3/2) *
                            sum_{j=0}^{k-1} w_j (f_{k-j} - f_{k-j-1}),
@@ -62,7 +63,7 @@ import numpy as np
 
 from .errors import DomainError, GridError
 from .models.evaluate import family_of
-from .models.params import DEFAULT_POLICY, ModelParams, check_nu
+from .models.params import DEFAULT_POLICY, ModelParams
 
 LOAD_KINDS = ("stress", "strain")
 _GAMMA_3_2 = math.gamma(1.5)
@@ -200,40 +201,56 @@ def caputo_half(samples, dt: float) -> np.ndarray:
     return out
 
 
-def simulate_asymptotic(nu: float, load: LoadHistory) -> ResponseHistory:
-    """Step the Maxwell-like law [1 + c D^{1/2}] sigma = c D^{1/2} eps.
+def step_response(params: ModelParams, load: LoadHistory) -> ResponseHistory:
+    """Step the law sigma + a D^{1/2} sigma = b D^{1/2} eps of a fractional
+    Maxwell family, a = 1/lam and b = a/g from its (lam, g).
 
     With response increments d_k = out[k] - out[k-1], load increments df,
     W the L1 Toeplitz matrix of column w, kappa = 1/(sqrt(dt) Gamma(3/2))
     and L the Toeplitz matrix of ones (cumulative sum), each direction is
     a lower-triangular Toeplitz system in d, evaluated with one product:
 
-    * stress input, kappa W d = sigma / c + kappa W df, so
-      d = df + W^{-1} sigma / (c kappa) (discrete half-order integration);
-    * strain input, (L + c kappa W) d = c kappa W df - eps_0, so with b
-      the reciprocal series of the column 1 + c kappa w,
-      d = c kappa (b*w) applied to df - eps_0 cumsum(b).  The column b*w
-      is one FFT product; the shorter d = df - (L + c kappa W)^{-1} eps
-      cancels at large dt.
+    * stress input, b kappa W d = sigma + a kappa W df, so
+      d = g df + W^{-1} sigma / (b kappa) (discrete half-order integration);
+    * strain input, (L + a kappa W) d = b kappa W df - sigma_0, so with B
+      the reciprocal series of the column 1 + a kappa w,
+      d = b kappa (B*w) applied to df - sigma_0 cumsum(B).  The column B*w
+      is one FFT product; subtracting a solve from the load increments
+      instead would cancel at large dt.
+
+    The response starts from the instantaneous step through the glass
+    constants: g f_0 for stress input, f_0 / g for strain input.  The
+    Bessel family has no finite-order law and is refused (DomainError).
     """
-    nu = check_nu(nu)
-    c = 1.0 / (2.0 * (nu + 1.0))
+    law = family_of(params).law
+    if law is None:
+        raise DomainError(f"stepping needs a fractional Maxwell law; family "
+                          f"{params.family!r} has none (use convolution)")
+    lam, g = law(params)
+    a = 1.0 / lam
+    b = a / g
     dt = load.dt
     f = load.samples
     m = len(f) - 1
     w = _l1_weights(m)
-    c_kappa = c / (math.sqrt(dt) * _GAMMA_3_2)
-    # out[0] = f[0]: an instantaneous step through the glass constants
-    # G_g = J_g = 1.
+    root_kappa = math.sqrt(dt) * _GAMMA_3_2  # 1 / kappa
+    b_kappa = b / root_kappa
     if load.kind == "strain":
-        b = _reciprocal(1.0 + c_kappa * w, m)
+        start = f[0] / g
+        col = _reciprocal(1.0 + a / root_kappa * w, m)
         size = 2 << (m - 1).bit_length()  # no cyclic wrap below index m
-        bw = np.fft.irfft(np.fft.rfft(b, size) * np.fft.rfft(w, size), size)[:m]
-        d = c_kappa * _toeplitz_apply(bw, np.diff(f)) - f[0] * np.cumsum(b)
+        bw = np.fft.irfft(np.fft.rfft(col, size) * np.fft.rfft(w, size), size)[:m]
+        d = b_kappa * _toeplitz_apply(bw, np.diff(f)) - start * np.cumsum(col)
     else:
-        d = np.diff(f) + _toeplitz_apply(_reciprocal(w, m), f[1:] / c_kappa)
-    out = np.concatenate(([f[0]], f[0] + np.cumsum(d)))
+        start = g * f[0]
+        d = g * np.diff(f) + _toeplitz_apply(_reciprocal(w, m), f[1:] / b_kappa)
+    out = np.concatenate(([start], start + np.cumsum(d)))
     return ResponseHistory(kind=_conjugate(load.kind), dt=dt, samples=out)
+
+
+def simulate_asymptotic(nu: float, load: LoadHistory) -> ResponseHistory:
+    """Step the asymptotic law [1 + c D^{1/2}] sigma = c D^{1/2} eps, c = 1/(2(nu+1))."""
+    return step_response(ModelParams("asymptotic", nu=nu), load)
 
 
 # ---------------------------------------------------------------------------

@@ -22,21 +22,7 @@ from .evaluate import (
     laplace_sG,
     laplace_sJ,
 )
-from .maxwell import (
-    asym_creep_integral,
-    asym_G_laplace,
-    asym_G_time,
-    asym_J_laplace,
-    asym_J_time,
-    asym_relax_integral,
-    asym_relaxation_memory,
-    fmax_creep_integral,
-    fmax_G_laplace,
-    fmax_G_time,
-    fmax_J_laplace,
-    fmax_J_time,
-    fmax_relax_integral,
-)
+from .maxwell import asym_G_time, asym_J_time
 from .params import (
     DEFAULT_POLICY,
     FAMILIES,
@@ -51,13 +37,8 @@ __all__ = [
     "ModelParams",
     "ShortTimeAgreementReport",
     "TruncationPolicy",
-    "asym_creep_integral",
-    "asym_G_laplace",
     "asym_G_time",
-    "asym_J_laplace",
     "asym_J_time",
-    "asym_relax_integral",
-    "asym_relaxation_memory",
     "bessel_G_curve",
     "bessel_G_laplace",
     "bessel_G_time",
@@ -66,12 +47,6 @@ __all__ = [
     "bessel_J_time",
     "eval_G_curve",
     "eval_J_curve",
-    "fmax_creep_integral",
-    "fmax_G_laplace",
-    "fmax_G_time",
-    "fmax_J_laplace",
-    "fmax_J_time",
-    "fmax_relax_integral",
     "glass_limits",
     "laplace_sG",
     "laplace_sJ",

@@ -93,6 +93,7 @@ def bessel_G_laplace(nu: float, s):
 
 
 def _check_times(ts, policy: TruncationPolicy):
+    """(ts as an array, its smallest time: inf when empty), or the refusal."""
     ts = np.asarray(ts, dtype=float)
     lo, hi = ts.min(initial=math.inf), ts.max(initial=-math.inf)  # NaN reaches both
     if ts.size and not (math.isfinite(lo) and math.isfinite(hi)):
@@ -102,7 +103,7 @@ def _check_times(ts, policy: TruncationPolicy):
             f"series evaluation refused below t_floor = {policy.t_floor!r} "
             f"(smallest requested t = {float(lo)!r})"
         )
-    return ts
+    return ts, float(lo)
 
 
 def _truncation_index(tail, n_terms: int, t: float, policy: TruncationPolicy):
@@ -165,9 +166,9 @@ def _dirichlet_sum(squares, ts, power: int, n_for=None) -> np.ndarray:
     return out
 
 
-def _series(sq, ts, policy, tail, n_terms, power, refusal) -> np.ndarray:
-    """Sum truncated at ts.min() (or refused there), then per chunk within that."""
-    t_min = float(ts.min(initial=math.inf))  # an empty ts needs no terms
+def _series(sq, ts, t_min, policy, tail, n_terms, power, refusal) -> np.ndarray:
+    """Sum truncated at t_min = ts.min() (or refused there; inf for an empty
+    ts, which needs no terms), then per chunk within that."""
     n_use = _truncation_index(tail, n_terms, t_min, policy)
     if n_use is None:
         raise TableExhaustedError(refusal(t_min))
@@ -176,10 +177,10 @@ def _series(sq, ts, policy, tail, n_terms, power, refusal) -> np.ndarray:
         _truncation_index(tail, n_use, t, policy)))
 
 
-def _rayleigh_series(sq, ts, policy, c, what) -> np.ndarray:
+def _rayleigh_series(sq, ts, t_min, policy, c, what) -> np.ndarray:
     """sum_n exp(-j_n^2 t) / j_n^2; the tail past N is below c exp(-j_N^2 t)."""
     n_terms = min(len(sq), policy.n_max)
-    return _series(sq, ts, policy, lambda i, t: c * math.exp(-sq[i] * t), n_terms, 1,
+    return _series(sq, ts, t_min, policy, lambda i, t: c * math.exp(-sq[i] * t), n_terms, 1,
                    lambda t: f"{what}: {n_terms} zeros cannot push the series tail "
                    f"below tol = {policy.tol!r} at t = {t!r}")
 
@@ -188,10 +189,10 @@ def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
     """Creep compliance J(t; nu) on an array of times (each >= t_floor)."""
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
-    ts = _check_times(ts, policy)
+    ts, t_min = _check_times(ts, policy)
     tab = zero_table(nu + 2.0, policy.n_max)
     coeff = (nu + 1.0) / (nu + 3.0)  # 4(nu+1) * Rayleigh tail 1/(4(nu+3))
-    series = _rayleigh_series(tab.squares, ts, policy, coeff, "J series")
+    series = _rayleigh_series(tab.squares, ts, t_min, policy, coeff, "J series")
     series *= 4.0 * (nu + 1.0)
     out = 4.0 * (nu + 1.0) * (nu + 2.0) * ts
     out += 2.0 * (nu + 2.0) / (nu + 3.0)
@@ -203,10 +204,10 @@ def bessel_G_curve(nu, ts, policy=None) -> np.ndarray:
     """Relaxation modulus G(t; nu) on an array of times (each >= t_floor)."""
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
-    ts = _check_times(ts, policy)
+    ts, t_min = _check_times(ts, policy)
     tab = zero_table(nu, policy.n_max)
     # 4(nu+1) * Rayleigh tail 1/(4(nu+1)) = 1
-    series = _rayleigh_series(tab.squares, ts, policy, 1.0, "G series")
+    series = _rayleigh_series(tab.squares, ts, t_min, policy, 1.0, "G series")
     return np.multiply(series, 4.0 * (nu + 1.0), out=series)
 
 
@@ -224,7 +225,7 @@ def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
     """Rate of relaxation Phi(t; nu) = -dG/dt on an array of times."""
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
-    ts = _check_times(ts, policy)
+    ts, t_min = _check_times(ts, policy)
     sq = zero_table(nu, policy.n_max).squares
     amp = 4.0 * (nu + 1.0)
 
@@ -233,7 +234,7 @@ def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
         return amp * math.exp(-sq[idx + 1] * t) / (1.0 - rho)
 
     n_terms = min(len(sq), policy.n_max) - 1  # tail(idx) reads zero idx + 1
-    series = _series(sq, ts, policy, tail, n_terms, 0, lambda t: (
+    series = _series(sq, ts, t_min, policy, tail, n_terms, 0, lambda t: (
         f"Phi series: table of {len(sq)} zeros cannot bound the memory-series "
         f"tail below tol = {policy.tol!r} at t = {t!r}"))
     return np.multiply(series, amp, out=series)
@@ -307,4 +308,5 @@ BESSEL = Family(
     creep=lambda p, T, policy: bessel_creep_integral_curve(p.nu, T, policy),
     relax=lambda p, T, policy: bessel_relax_integral_curve(p.nu, T, policy),
     glass=lambda p: 1.0,
+    law=None,  # no finite-order law: stepping refuses the Bessel family
 )

@@ -9,6 +9,7 @@ Bessel family and its asymptotic Maxwell-like companion.
 import math
 from dataclasses import dataclass
 
+from ..errors import DomainError, SeriesRefusalError
 from .bessel_family import bessel_J_curve
 from .evaluate import laplace_sG, laplace_sJ
 from .maxwell import asym_J_time
@@ -56,8 +57,11 @@ def short_time_agreement(nu, t_grid, policy=None) -> ShortTimeAgreementReport:
     """Compare J(t; nu) of the Bessel family against J_as on a short-t grid."""
     policy = policy or DEFAULT_POLICY
     ts = sorted(float(t) for t in t_grid)
-    if not ts or ts[0] < policy.t_floor or ts[-1] > 0.5:
-        raise ValueError("short-time grid must sit inside [t_floor, 0.5]")
+    if not ts or ts[-1] > 0.5:
+        raise DomainError("short-time grid must be non-empty and end at or below 0.5")
+    if ts[0] < policy.t_floor:
+        raise SeriesRefusalError(f"short-time agreement refused below t_floor = "
+                                 f"{policy.t_floor!r} (smallest requested t = {ts[0]!r})")
     bessel_vals = bessel_J_curve(nu, ts, policy)
     residuals = tuple(abs(bessel_vals - asym_J_time(nu, ts)).tolist())
     ratios = tuple(r / math.sqrt(t) for r, t in zip(residuals, ts))

@@ -1,7 +1,8 @@
 """Family-dispatching evaluators used by the simulator, the CLI and checks.
 
 ``FAMILY_TABLE`` holds one static ``Family`` record per family, defined next to
-its formulas (``bessel_family.BESSEL``, ``maxwell.ASYMPTOTIC``, ``maxwell.FMAX``);
+its formulas (``bessel_family.BESSEL``, ``maxwell.ASYMPTOTIC``, ``maxwell.FMAX``;
+the last two come from one factory and differ only in their law);
 each evaluator below is a one-line lookup through ``family_of``.
 """
 

@@ -30,6 +30,8 @@ class Family(NamedTuple):
     creep: Callable  # (params, T, policy): int_0^T J on an array of bounds
     relax: Callable  # (params, T, policy): int_0^T G
     glass: Callable  # (params): the glass compliance J(0+); G(0+) is its inverse
+    law: Callable | None  # (params): (lam, g) of sigma + a D^{1/2} sigma = b D^{1/2} eps,
+    # lam = 1/a and g = a/b (see maxwell); None for a family with no such law
 
 
 def check_nu(nu) -> float:

@@ -222,14 +222,15 @@ def mittag_leffler_series_oracle(alpha: float, z: float, n_terms: int) -> float:
     return math.fsum(z**n / math.gamma(alpha * n + 1.0) for n in range(n_terms))
 
 
-def stepping_reference(nu: float, kind: str, dt: float, samples) -> np.ndarray:
+def stepping_reference(a: float, b: float, kind: str, dt: float, samples) -> np.ndarray:
     """Per-step forward substitution of the L1 Caputo-1/2 constitutive law.
 
-    [1 + c D^{1/2}] sigma = c D^{1/2} eps with c = 1/(2(nu+1)); each step
-    sums the whole response history with one O(k) dot product, so the cost
-    is O(n^2).  ``kind`` names the input variable.
+    sigma + a D^{1/2} sigma = b D^{1/2} eps (the asymptotic family has
+    a = b = 1/(2(nu+1))); each step sums the whole response history with one
+    O(k) dot product, so the cost is O(n^2).  ``kind`` names the input
+    variable; the response starts at the glass value f_0 a/b (stress input)
+    or f_0 / (a/b) (strain input).
     """
-    c = 1.0 / (2.0 * (nu + 1.0))
     f = np.asarray(samples, dtype=float)
     n = len(f)
     w = np.sqrt(np.arange(1, n + 1.0)) - np.sqrt(np.arange(n, dtype=float))
@@ -237,16 +238,16 @@ def stepping_reference(nu: float, kind: str, dt: float, samples) -> np.ndarray:
     load_caputo = np.zeros(n)
     load_caputo[1:] = np.convolve(np.diff(f), w)[: n - 1] / (math.sqrt(dt) * math.gamma(1.5))
     out = np.zeros(n)
-    out[0] = f[0]
+    out[0] = f[0] / (a / b) if kind == "strain" else (a / b) * f[0]
     for k in range(1, n):
         inc = np.diff(out[:k])
         hist = float(np.dot(w[1:k], inc[::-1])) if k > 1 else 0.0
         if kind == "strain":
-            out[k] = (c * load_caputo[k] + c * kappa * (w[0] * out[k - 1] - hist)) / (
-                1.0 + c * kappa * w[0]
+            out[k] = (b * load_caputo[k] + a * kappa * (w[0] * out[k - 1] - hist)) / (
+                1.0 + a * kappa * w[0]
             )
         else:
-            out[k] = out[k - 1] + (f[k] / c + load_caputo[k]) / kappa - hist
+            out[k] = out[k - 1] + (f[k] / b + (a / b) * load_caputo[k]) / kappa - hist
     return out
 
 

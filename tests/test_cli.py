@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,20 @@ def test_eval_usage_errors_exit_2(tmp_path):
                 "--t-start", "0.1"]) == 2
     # every truncation keeps at least 8 terms, so a smaller table is refused
     assert run(["eval", "--family", "fmax", "--a1", "1", "--b1", "1", "--n-max", "7"]) == 2
+
+
+@pytest.mark.parametrize("bounds", [["--t-end", "inf"], ["--t-start", "nan"],
+                                    ["--t-start=-inf", "--spacing", "log"]])
+def test_eval_nonfinite_time_bounds_exit_2_with_one_error_line(capsys, bounds):
+    argv = ["eval", "--family", "fmax", "--a1", "1", "--b1", "1", "--points", "3", *bounds]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the refusal
+        assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: t-start and t-end must be finite")
+    assert captured.err.count("\n") == 1
 
 
 def test_eval_deterministic_output(tmp_path):
@@ -344,6 +359,19 @@ def test_simulate_bessel_subfloor_grid_refusal_names_the_floor(tmp_path, capsys)
     assert "Laplace route" not in err
 
 
+@pytest.mark.parametrize("kind", ["stress", "strain"])
+def test_simulate_stepping_fmax(tmp_path, kind):
+    load_csv = tmp_path / "load.csv"
+    write_history(LoadHistory(kind, 0.01, np.ones(11)), load_csv)
+    out = tmp_path / "o.csv"
+    rc = run(["simulate", "--family", "fmax", "--a1", "0.5", "--b1", "2", "--kind", kind,
+              "--method", "stepping", "--input", str(load_csv), "--out", str(out)])
+    assert rc == 0
+    values = [float(r[1]) for r in read_rows(out)[1:]]
+    # a unit step starts at the glass compliance a1/b1 or the glass modulus b1/a1
+    assert values[0] == (0.25 if kind == "stress" else 4.0) and len(values) == 11
+
+
 def test_simulate_stepping_requires_asymptotic(tmp_path):
     load_csv = tmp_path / "load.csv"
     _write_step_load(load_csv, dt=0.01, t_end=0.1)
@@ -386,6 +414,15 @@ def test_verify_zeros(tmp_path):
 def test_verify_asymptotics_and_cm_pass():
     assert run(["verify", "--check", "asymptotics"]) == 0
     assert run(["verify", "--check", "cm"]) == 0
+
+
+def test_verify_asymptotics_grid_outside_the_floor_is_refused(capsys):
+    # the check's grid starts at 0.01: below --t-floor it is a refusal (exit 3)
+    capsys.readouterr()
+    assert run(["verify", "--check", "asymptotics", "--t-floor", "0.05"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("refused: short-time agreement refused below t_floor = 0.05 "
+                   "(smallest requested t = 0.01)\n")
 
 
 def test_verify_interconversion_pass(tmp_path):

@@ -12,26 +12,15 @@ import pytest
 from viscobessel.models import (
     FAMILIES,
     ModelParams,
-    asym_creep_integral,
-    asym_G_laplace,
-    asym_G_time,
-    asym_J_laplace,
-    asym_J_time,
-    asym_relax_integral,
     bessel_G_curve,
     bessel_G_laplace,
     bessel_J_curve,
     bessel_J_laplace,
     eval_G_curve,
     eval_J_curve,
-    fmax_creep_integral,
-    fmax_G_laplace,
-    fmax_G_time,
-    fmax_J_laplace,
-    fmax_J_time,
-    fmax_relax_integral,
     laplace_sG,
     laplace_sJ,
+    maxwell,
 )
 from viscobessel.models.bessel_family import (
     bessel_creep_integral_curve,
@@ -48,7 +37,22 @@ S_VALUES = (0.01, 1.0, 37.5, 1e4, 2 + 3j, -1 + 0.5j, 0.1 - 7j)
 TIMES = np.geomspace(1e-3, 5.0, 57)
 BOUNDS = np.concatenate(([0.0], TIMES))
 
-# family -> (params, its own sJ, sG, J, G, creep, relax, glass compliance)
+
+def _closed_forms(lam, g):
+    """The maxwell kernels at the law's (lam, g), in OWN's entry order."""
+    return (
+        lambda s: maxwell.J_laplace(lam, g, s),
+        lambda s: maxwell.G_laplace(lam, g, s),
+        lambda ts: maxwell.J_time(lam, g, ts),
+        lambda ts: maxwell.G_time(lam, g, ts),
+        lambda ts: maxwell.creep_integral(lam, g, ts),
+        lambda ts: maxwell.relax_integral(lam, g, ts),
+        g,
+        (lam, g),
+    )
+
+
+# family -> (params, its own sJ, sG, J, G, creep, relax, glass compliance, law)
 OWN = {
     "bessel": (
         ModelParams("bessel", nu=0.7),
@@ -59,27 +63,12 @@ OWN = {
         lambda ts: bessel_creep_integral_curve(0.7, ts),
         lambda ts: bessel_relax_integral_curve(0.7, ts),
         1.0,
+        None,
     ),
-    "asymptotic": (
-        ModelParams("asymptotic", nu=-0.3),
-        lambda s: asym_J_laplace(-0.3, s),
-        lambda s: asym_G_laplace(-0.3, s),
-        lambda ts: asym_J_time(-0.3, ts),
-        lambda ts: asym_G_time(-0.3, ts),
-        lambda ts: asym_creep_integral(-0.3, ts),
-        lambda ts: asym_relax_integral(-0.3, ts),
-        1.0,
-    ),
-    "fmax": (
-        ModelParams("fmax", a1=0.4, b1=2.5),
-        lambda s: fmax_J_laplace(0.4, 2.5, s),
-        lambda s: fmax_G_laplace(0.4, 2.5, s),
-        lambda ts: fmax_J_time(0.4, 2.5, ts),
-        lambda ts: fmax_G_time(0.4, 2.5, ts),
-        lambda ts: fmax_creep_integral(0.4, 2.5, ts),
-        lambda ts: fmax_relax_integral(0.4, 2.5, ts),
-        0.4 / 2.5,
-    ),
+    # lam = 2(nu+1), g = 1
+    "asymptotic": (ModelParams("asymptotic", nu=-0.3), *_closed_forms(1.4, 1.0)),
+    # lam = 1/a1, g = a1/b1
+    "fmax": (ModelParams("fmax", a1=0.4, b1=2.5), *_closed_forms(1.0 / 0.4, 0.4 / 2.5)),
 }
 
 
@@ -87,7 +76,7 @@ def test_table_covers_every_family():
     assert set(FAMILY_TABLE) == set(FAMILIES) == set(OWN)
 
 
-ENTRIES = ("sJ", "sG", "J", "G", "creep", "relax", "glass")
+ENTRIES = ("sJ", "sG", "J", "G", "creep", "relax", "glass", "law")
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -106,5 +95,8 @@ def test_dispatch_calls_the_family_functions(family, entry):
     elif entry in ("creep", "relax"):
         dispatch = creep_integral_curve if entry == "creep" else relax_integral_curve
         assert np.array_equal(dispatch(params, BOUNDS), own[entry](BOUNDS))
-    else:
+    elif entry == "glass":
         assert family_of(params).glass(params) == own["glass"]
+    else:
+        law = family_of(params).law
+        assert (law if law is None else law(params)) == own["law"]

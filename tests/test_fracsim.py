@@ -17,6 +17,7 @@ from viscobessel.fracsim import (
     interconversion_check,
     read_load_history,
     simulate_asymptotic,
+    step_response,
     write_csv,
     write_history,
 )
@@ -26,7 +27,7 @@ from viscobessel.models import (
     asym_G_time,
     asym_J_time,
     bessel_G_time,
-    fmax_J_time,
+    eval_J_curve,
 )
 from viscobessel.models.evaluate import FAMILY_TABLE
 
@@ -139,7 +140,7 @@ def test_convolution_ramp_stress_vs_quadrature_oracle():
     n = 1001
     load = LoadHistory("stress", dt, tuple(dt * np.arange(n)))
     r = convolve_response(p, load)
-    oracle, err = quad(lambda u: fmax_J_time(1.0, 1.0, u), 0.0, 1.0)
+    oracle, err = quad(lambda u: eval_J_curve(p, u), 0.0, 1.0)
     assert err < 1e-10
     assert r.samples[-1] == pytest.approx(oracle, abs=1e-3)
 
@@ -187,6 +188,20 @@ def test_cross_path_agreement():
     assert np.max(np.abs(stepping - convolved)) < 5e-4
 
 
+@pytest.mark.parametrize("kind", ["stress", "strain"])
+@pytest.mark.parametrize("a1,b1", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.7)])
+def test_fmax_cross_path_agreement(a1, b1, kind):
+    # the fmax convolution checked by an independent route, at the asymptotic
+    # family's tolerance; relative to the response, which g = a1/b1 scales
+    p = ModelParams("fmax", a1=a1, b1=b1)
+    dt = 1e-3
+    ts = dt * np.arange(1001)
+    load = LoadHistory(kind, dt, np.sin(3.0 * ts) + ts / 2.0)
+    stepping = step_response(p, load).samples
+    convolved = convolve_response(p, load).samples
+    assert np.max(np.abs(stepping - convolved)) < 5e-4 * np.max(np.abs(convolved))
+
+
 def test_convolution_refuses_subfloor_grid_for_bessel():
     p = ModelParams("bessel", nu=0.0)
     with pytest.raises(SeriesRefusalError):
@@ -198,11 +213,22 @@ def test_convolution_refuses_subfloor_grid_for_bessel():
 # ---------------------------------------------------------------------------
 
 
-_SIMULATORS = [("stepping", nu) for nu in (-0.8, 0.0, 1.5)] + [
+_STEPPED = [ModelParams("asymptotic", nu=nu) for nu in (-0.8, 0.0, 1.5)] + [
+    ModelParams("fmax", a1=a1, b1=b1) for a1, b1 in ((2.0, 1.5), (0.5, 2.0), (0.03, 40.0))
+]
+_SIMULATORS = [("stepping", p) for p in _STEPPED] + [
     ("convolution", ModelParams(family, nu=nu))
     for family in ("bessel", "asymptotic")
     for nu in (-0.8, 0.0, 1.5)
 ] + [("convolution", ModelParams("fmax", a1=2.0, b1=1.5))]
+
+
+def _law_ab(params):
+    """(a, b) of sigma + a D^{1/2} sigma = b D^{1/2} eps, for the reference."""
+    if params.family == "fmax":
+        return params.a1, params.b1
+    c = 1.0 / (2.0 * (params.nu + 1.0))
+    return c, c
 
 
 @pytest.mark.parametrize("n", [2, 3, 129, 130, 1000, 4097])
@@ -210,7 +236,7 @@ _SIMULATORS = [("stepping", nu) for nu in (-0.8, 0.0, 1.5)] + [
 @pytest.mark.parametrize(
     "method,model",
     _SIMULATORS,
-    ids=[f"{m}-{v.label() if isinstance(v, ModelParams) else v}" for m, v in _SIMULATORS],
+    ids=[f"{m}-{p.label()}" for m, p in _SIMULATORS],
 )
 def test_simulators_match_per_step_reference(method, model, kind, n):
     # The Toeplitz products see n - 1 samples: n = 2 and 3 are the shortest
@@ -221,8 +247,8 @@ def test_simulators_match_per_step_reference(method, model, kind, n):
     for samples in (np.ones(n), ts, np.sin(5.0 * ts)):
         load = LoadHistory(kind, dt, tuple(samples))
         if method == "stepping":
-            got = simulate_asymptotic(model, load).samples
-            ref = stepping_reference(model, kind, dt, samples)
+            got = step_response(model, load).samples
+            ref = stepping_reference(*_law_ab(model), kind, dt, samples)
         else:
             got = convolve_response(model, load).samples
             ref = convolution_reference(model, kind, dt, samples)
@@ -231,16 +257,16 @@ def test_simulators_match_per_step_reference(method, model, kind, n):
 
 @pytest.mark.parametrize("dt", [0.1, 1.0, 10.0])
 @pytest.mark.parametrize("kind", ["stress", "strain"])
-@pytest.mark.parametrize("nu", [-0.8, 0.0, 1.5])
-def test_stepping_matches_reference_at_large_dt(nu, kind, dt):
+@pytest.mark.parametrize("params", _STEPPED, ids=lambda p: p.label())
+def test_stepping_matches_reference_at_large_dt(params, kind, dt):
     # a strain form that subtracts a solve from the load increments cancels
     # here: slow loads at n = 1000 put it at 1e-12 to 1e-11 relative
     rng = np.random.default_rng(5)
     for n in (200, 1000):
         k = np.arange(n)
         for samples in (np.ones(n), np.sin(2.0 * np.pi * k / n), rng.normal(size=n)):
-            got = simulate_asymptotic(nu, LoadHistory(kind, dt, tuple(samples))).samples
-            ref = stepping_reference(nu, kind, dt, samples)
+            got = step_response(params, LoadHistory(kind, dt, tuple(samples))).samples
+            ref = stepping_reference(*_law_ab(params), kind, dt, samples)
             assert np.max(np.abs(np.array(got) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 

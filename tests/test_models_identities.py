@@ -3,13 +3,16 @@
 import pytest
 
 from viscobessel.models import (
+    ModelParams,
     TruncationPolicy,
-    asym_relaxation_memory,
     bessel_J_time,
     asym_J_time,
     memory_phi_curve,
     short_time_agreement,
 )
+from viscobessel.errors import DomainError, SeriesRefusalError
+from viscobessel.models.evaluate import family_of
+from viscobessel.models.maxwell import relaxation_memory
 
 SHORT_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)
 
@@ -41,10 +44,12 @@ def test_short_time_agreement_leading_coefficient():
 
 
 def test_short_time_grid_validation():
-    with pytest.raises(ValueError):
+    # below the floor is a numerical refusal, past 0.5 or empty a usage error
+    with pytest.raises(SeriesRefusalError, match=r"t_floor = 0.001 \(smallest requested t = 1e-05\)"):
         short_time_agreement(0.0, [1e-5, 0.1])
-    with pytest.raises(ValueError):
-        short_time_agreement(0.0, [0.1, 0.9])
+    for grid in ([0.1, 0.9], []):
+        with pytest.raises(DomainError):
+            short_time_agreement(0.0, grid)
 
 
 def _derivative_signs_alternate(fn, t, h):
@@ -64,9 +69,14 @@ def test_relaxation_memory_completely_monotonic_spot_check(nu):
         assert _derivative_signs_alternate(fn, t, 0.02), t
 
 
+def _asym_memory(nu, t):
+    params = ModelParams("asymptotic", nu=nu)
+    return relaxation_memory(*family_of(params).law(params), t)
+
+
 @pytest.mark.parametrize("nu", [-0.8, 0.0, 0.5])
 def test_asym_memory_completely_monotonic_spot_check(nu):
-    fn = lambda t: asym_relaxation_memory(nu, t)
+    fn = lambda t: _asym_memory(nu, t)
     for t in (0.1, 0.5, 1.0, 2.0):
         assert _derivative_signs_alternate(fn, t, 0.02), t
 
@@ -76,7 +86,17 @@ def test_asym_memory_is_minus_dG_dt():
 
     nu, t, h = 0.5, 0.7, 1e-5
     numeric = -(asym_G_time(nu, t + h) - asym_G_time(nu, t - h)) / (2 * h)
-    assert asym_relaxation_memory(nu, t) == pytest.approx(numeric, rel=1e-8)
+    assert _asym_memory(nu, t) == pytest.approx(numeric, rel=1e-8)
+
+
+@pytest.mark.parametrize("a1,b1", [(1.0, 1.0), (0.4, 2.5), (3.0, 0.7)])
+def test_fmax_memory_is_minus_dG_dt(a1, b1):
+    from viscobessel.models import eval_G_curve
+
+    params = ModelParams("fmax", a1=a1, b1=b1)
+    t, h = 0.7, 1e-5
+    numeric = -(eval_G_curve(params, t + h) - eval_G_curve(params, t - h)) / (2 * h)
+    assert relaxation_memory(*family_of(params).law(params), t) == pytest.approx(numeric, rel=1e-7)
 
 
 def test_memory_phi_matches_minus_dG_dt():

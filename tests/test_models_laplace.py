@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from viscobessel.errors import DomainError
 from viscobessel.models import (
     ModelParams,
-    asym_G_laplace,
-    asym_J_laplace,
     bessel_G_laplace,
     bessel_J_laplace,
-    fmax_G_laplace,
-    fmax_J_laplace,
     glass_limits,
     laplace_sG,
     laplace_sJ,
@@ -80,24 +76,26 @@ def test_bessel_relaxation_glass_side():
 
 
 def test_fmax_transforms_and_reciprocity():
+    params = ModelParams("fmax", a1=2.0, b1=3.0)
     for s in S_GRID:
-        j = fmax_J_laplace(2.0, 3.0, s)
-        g = fmax_G_laplace(2.0, 3.0, s)
+        j = laplace_sJ(params, s)
+        g = laplace_sG(params, s)
         root = math.sqrt(s)
         assert j == pytest.approx((1.0 + 2.0 * root) / (3.0 * root), rel=1e-14)
         assert j * g == pytest.approx(1.0, abs=1e-14)
 
 
 def test_asym_point_values():
-    assert asym_J_laplace(0.0, 4.0) == pytest.approx(2.0, rel=1e-15)
-    assert asym_G_laplace(0.0, 4.0) == pytest.approx(0.5, rel=1e-15)
+    params = ModelParams("asymptotic", nu=0.0)
+    assert laplace_sJ(params, 4.0) == pytest.approx(2.0, rel=1e-15)
+    assert laplace_sG(params, 4.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_asym_matches_bessel_asymptote():
     # the asymptotic family is defined by the Bessel family's large-s limit
     for nu in (-0.5, 0.0, 1.0):
         for s in (1e6, 1e8):
-            assert asym_J_laplace(nu, s) == pytest.approx(
+            assert laplace_sJ(ModelParams("asymptotic", nu=nu), s) == pytest.approx(
                 bessel_J_laplace(nu, s), abs=5.0 * (nu + 1.0) ** 2 / s
             )
 
@@ -136,8 +134,8 @@ def test_reciprocity_property(nu, log_s):
     [
         lambda s: bessel_J_laplace(0.0, s),
         lambda s: bessel_G_laplace(0.0, s),
-        lambda s: fmax_J_laplace(1.0, 1.0, s),
-        lambda s: asym_G_laplace(0.0, s),
+        lambda s: laplace_sJ(ModelParams("fmax", a1=1.0, b1=1.0), s),
+        lambda s: laplace_sG(ModelParams("asymptotic", nu=0.0), s),
     ],
 )
 def test_zero_s_rejected(fn):
@@ -162,10 +160,6 @@ def test_params_validation():
     (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
 ])
 def test_params_reject_nonfinite_fmax_coefficients(a1, b1):
-    # the same message the fmax_* functions give for these coefficients
     with pytest.raises(DomainError) as err:
         ModelParams("fmax", a1=a1, b1=b1)
     assert str(err.value) == f"a1, b1 must be finite and > 0, got {a1!r}, {b1!r}"
-    with pytest.raises(DomainError) as same:
-        fmax_J_laplace(a1, b1, 1.0)
-    assert str(same.value) == str(err.value)

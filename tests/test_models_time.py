@@ -22,11 +22,8 @@ from viscobessel.models import (
     DEFAULT_POLICY,
     ModelParams,
     TruncationPolicy,
-    asym_creep_integral,
     asym_G_time,
     asym_J_time,
-    asym_relax_integral,
-    asym_relaxation_memory,
     bessel_G_laplace,
     bessel_G_curve,
     bessel_G_time,
@@ -35,18 +32,16 @@ from viscobessel.models import (
     bessel_J_time,
     eval_G_curve,
     eval_J_curve,
-    fmax_creep_integral,
-    fmax_G_time,
-    fmax_J_time,
-    fmax_relax_integral,
     memory_phi_curve,
 )
 from viscobessel.errors import DomainError
 from viscobessel.models import bessel_family
 from viscobessel.models.evaluate import (
     creep_integral_curve,
+    family_of,
     relax_integral_curve,
 )
+from viscobessel.models.maxwell import relaxation_memory
 from viscobessel.specfun import mittag_leffler_half, zero_table
 from viscobessel.specfun.zeros import configure_cache
 
@@ -350,19 +345,23 @@ def test_fluid_long_time_behavior():
 # ---------------------------------------------------------------------------
 
 
+def _fmax(a1, b1):
+    return ModelParams("fmax", a1=a1, b1=b1)
+
+
 def test_fmax_glass_compliance():
     for a1, b1 in ((1.0, 1.0), (2.0, 0.5), (0.3, 4.0)):
-        assert fmax_J_time(a1, b1, 0.0) == pytest.approx(a1 / b1, rel=1e-15)
+        assert eval_J_curve(_fmax(a1, b1), 0.0) == pytest.approx(a1 / b1, rel=1e-15)
 
 
 def test_fmax_relaxation_value_from_erfc_oracle():
     expected = 2.0 * math.e * erfc_quadrature(1.0)
     assert expected == pytest.approx(0.85516715231161400, rel=1e-11)
-    assert fmax_G_time(1.0, 2.0, 1.0) == pytest.approx(expected, abs=1e-9)
+    assert eval_G_curve(_fmax(1.0, 2.0), 1.0) == pytest.approx(expected, abs=1e-9)
 
 
 def test_fmax_creep_direct_substitution():
-    assert fmax_J_time(1.0, 1.0, math.pi / 4.0) == pytest.approx(2.0, rel=1e-14)
+    assert eval_J_curve(_fmax(1.0, 1.0), math.pi / 4.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_asym_glass_values():
@@ -383,15 +382,17 @@ def test_asym_creep_reference_point():
 def test_family_equivalence_asym_is_reparametrized_fmax(nu):
     c = 1.0 / (2.0 * (nu + 1.0))
     for t in (0.0, 0.01, 0.5, 1.0, 3.0):
-        assert asym_J_time(nu, t) == pytest.approx(fmax_J_time(c, c, t), rel=1e-14)
-        assert asym_G_time(nu, t) == pytest.approx(fmax_G_time(c, c, t), rel=1e-14)
+        assert asym_J_time(nu, t) == pytest.approx(eval_J_curve(_fmax(c, c), t), rel=1e-14)
+        assert asym_G_time(nu, t) == pytest.approx(eval_G_curve(_fmax(c, c), t), rel=1e-14)
 
 
 CLOSED_FORM_DISPATCH = {"J": eval_J_curve, "G": eval_G_curve,
                         "creep": creep_integral_curve, "relax": relax_integral_curve}
-CLOSED_FORM_PARAMS = [ModelParams("asymptotic", nu=nu) for nu in FIGURE_ASYM_NUS + (-0.95, 3.7)]
-CLOSED_FORM_PARAMS += [ModelParams("fmax", a1=a1, b1=b1)
-                       for a1, b1 in ((1.0, 1.0), (0.07, 2.5), (3.3, 0.4))]
+# orders across (-1, 3], and one beyond; fmax coefficients across [0.01, 100]
+CLOSED_FORM_PARAMS = [ModelParams("asymptotic", nu=nu) for nu in
+                      FIGURE_ASYM_NUS + (-0.999, -0.95, -0.5, 1.0, 1.75, 2.5, 3.0, 3.7)]
+CLOSED_FORM_PARAMS += [_fmax(a1, b1) for a1, b1 in
+                       ((1.0, 1.0), (0.07, 2.5), (3.3, 0.4), (0.01, 100.0), (100.0, 0.01))]
 
 
 def _closed_form_grids(seed):
@@ -405,29 +406,36 @@ def _closed_form_grids(seed):
     }
 
 
+def _assert_matches_reference(params, got, ref):
+    """Bit for bit where the law's (lam, g) is exact: the asymptotic family
+    and fmax at a1 = b1 = 1.  Elsewhere 1/a1 and a1/b1 round, which moves a
+    value a few ulp, and G up to ~1.4e-13 where sqrt(t)/a1 sits at erfcx's
+    series/continued-fraction switch."""
+    if params.family == "asymptotic" or (params.a1, params.b1) == (1.0, 1.0):
+        assert np.array_equal(got, ref)
+    else:
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
 @pytest.mark.parametrize("fn", sorted(CLOSED_FORM_DISPATCH))
 @pytest.mark.parametrize("seed", range(len(CLOSED_FORM_PARAMS)),
                          ids=[p.label() for p in CLOSED_FORM_PARAMS])
-def test_closed_forms_match_per_point_reference_bit_for_bit(seed, fn):
+def test_closed_forms_match_per_point_reference(seed, fn):
     params = CLOSED_FORM_PARAMS[seed]
     for name, ts in _closed_form_grids(seed).items():
         got = CLOSED_FORM_DISPATCH[fn](params, ts)
-        assert np.array_equal(got, closed_form_reference(fn, params, ts)), name
+        _assert_matches_reference(params, got, closed_form_reference(fn, params, ts))
     # a scalar time gives the float the array holds
-    one = {"J": (asym_J_time, fmax_J_time), "G": (asym_G_time, fmax_G_time),
-           "creep": (asym_creep_integral, fmax_creep_integral),
-           "relax": (asym_relax_integral, fmax_relax_integral)}[fn]
-    args = (params.nu,) if params.family == "asymptotic" else (params.a1, params.b1)
-    scalar = one[params.family == "fmax"](*args, 0.37)
+    scalar = CLOSED_FORM_DISPATCH[fn](params, 0.37)
     assert type(scalar) is float
-    assert scalar == closed_form_reference(fn, params, [0.37])[0]
+    assert scalar == CLOSED_FORM_DISPATCH[fn](params, np.array([0.37]))[0]
+    _assert_matches_reference(params, scalar, closed_form_reference(fn, params, [0.37])[0])
 
 
-CLOSED_FORM_TIME_FNS = [
-    lambda t: asym_J_time(0.5, t), lambda t: asym_G_time(0.5, t),
-    lambda t: asym_creep_integral(0.5, t), lambda t: asym_relax_integral(0.5, t),
-    lambda t: fmax_J_time(1.0, 2.0, t), lambda t: fmax_G_time(1.0, 2.0, t),
-    lambda t: fmax_creep_integral(1.0, 2.0, t), lambda t: fmax_relax_integral(1.0, 2.0, t),
+CLOSED_FORM_TIME_FNS = [lambda t: asym_J_time(0.5, t), lambda t: asym_G_time(0.5, t)] + [
+    lambda t, fn=fn, params=params: fn(params, t)
+    for params in (ModelParams("asymptotic", nu=0.5), _fmax(1.0, 2.0))
+    for fn in CLOSED_FORM_DISPATCH.values()
 ]
 
 
@@ -439,12 +447,17 @@ def test_closed_forms_quote_first_bad_time(k, bad):
     assert str(err.value) == f"time must be finite and >= 0, got {bad!r}"
 
 
+def _asym_memory(nu, t):
+    params = ModelParams("asymptotic", nu=nu)
+    return relaxation_memory(*family_of(params).law(params), t)
+
+
 def test_memory_and_mittag_quote_first_bad_argument():
     with pytest.raises(DomainError) as err:
-        asym_relaxation_memory(0.0, np.array([0.5, 0.0, math.nan]))
+        _asym_memory(0.0, np.array([0.5, 0.0, math.nan]))
     assert str(err.value) == "memory function needs t > 0, got 0.0"
-    assert asym_relaxation_memory(0.0, np.array([0.5, 2.0])).tolist() == [
-        asym_relaxation_memory(0.0, 0.5), asym_relaxation_memory(0.0, 2.0)]
+    assert _asym_memory(0.0, np.array([0.5, 2.0])).tolist() == [
+        _asym_memory(0.0, 0.5), _asym_memory(0.0, 2.0)]
     with pytest.raises(DomainError, match=r"requires finite z, got nan"):
         mittag_leffler_half(np.array([-1.0, math.nan, 0.5]))
     with pytest.raises(DomainError, match=r"restricted to z <= 0 \(got 0\.5\)"):
