@@ -274,6 +274,19 @@ def _battery(args):
     return battery
 
 
+def _refuse_uncovered(args, check, families):
+    """DomainError unless --family, if given, is one `check` covers and its
+    parameters are valid; --a1/--b1 without --family ask about fmax."""
+    family = args.family
+    if family is None and (args.a1 is not None or args.b1 is not None):
+        family = "fmax"
+    if family is not None and family not in families:
+        raise DomainError(f"--check {check} covers {' and '.join(families)} only, "
+                          f"not {family}")
+    if args.family is not None:
+        _params(args)
+
+
 def _check_reciprocity(args, policy):
     s_values = [10.0**k for k in range(-2, 5)]
     return [
@@ -283,6 +296,7 @@ def _check_reciprocity(args, policy):
 
 
 def _check_zeros(args, policy):
+    _refuse_uncovered(args, "zeros", ("bessel",))
     nu = args.nu if args.nu is not None else 0.0
     table = zero_table(nu, args.n)
     residual = max(abs(bessel_j(nu, z)) for z in table.zeros)
@@ -342,6 +356,7 @@ def _check_interconversion(args, policy):
 
 
 def _check_asymptotics(args, policy):
+    _refuse_uncovered(args, "asymptotics", ("bessel", "asymptotic"))
     nus = [args.nu] if args.nu is not None else [-0.5, 0.0, 1.0]
     grid = [0.01, 0.02, 0.05, 0.1, 0.2]
     records = []
@@ -375,16 +390,17 @@ def _cm_signs(fn, t, h):
 
 
 def _check_cm(args, policy):
+    _refuse_uncovered(args, "cm", ("bessel", "asymptotic"))
     times = (0.1, 0.5, 1.0, 2.0)
     h = 0.02
     records = []
     bessel_nus = [args.nu] if args.nu is not None else [-0.5, 0.0]
-    for nu in bessel_nus:
+    for nu in bessel_nus if args.family in (None, "bessel") else ():
         fn = lambda ts, nu=nu: [float(memory_phi_curve(nu, [t], policy)[0]) for t in ts]
         worst = max(_cm_signs(fn, t, h) for t in times)
         records.append(_record("cm-phi", ("bessel", {"nu": nu}), worst, 0.0))
     asym_nus = [args.nu] if args.nu is not None else [-0.8, 0.5]
-    for nu in asym_nus:
+    for nu in asym_nus if args.family in (None, "asymptotic") else ():
         p = ModelParams("asymptotic", nu=nu)
         fn = lambda ts, law=family_of(p).law(p): relaxation_memory(*law, ts)
         worst = max(_cm_signs(fn, t, h) for t in times)

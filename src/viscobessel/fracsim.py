@@ -28,14 +28,17 @@ Hereditary convolution (all families)
     responses exactly up to kernel accuracy.
 
 Evaluation: both routes are lower-triangular Toeplitz systems, and each
-simulation applies exactly one causal blocked-FFT product, O(n log^2 n).
+simulation applies exactly one causal blocked product, O(n log^2 n): leaf
+blocks of 256 samples as one BLAS matrix product, then FFT doublings.
 Stress stepping solves the L1 system (the product with the reciprocal power
-series of its column); strain stepping applies the column b*w, with b the
-reciprocal series of the implicit column, folded into one FFT product; a
-convolution folds its near and far panel columns into one.  Each output
-depends only on inputs up to its own time, bit for bit.  Summation order
-differs from a per-step loop, so the last digits of a response can differ
-from one (relative ~1e-13).
+series of its column, which depends only on the length and is computed once
+per process per power of two, at most 32 bytes per sample of the longest
+history); strain stepping applies the column b*w, with b the reciprocal
+series of the implicit column, folded into one FFT product; a convolution
+folds its near and far panel columns into one.  Each output depends only on
+inputs up to its own time, bit for bit.  Summation order differs from a
+per-step loop, and from earlier versions of this module, so the last digits
+of a response can differ from theirs (relative ~1e-13).
 
 Initial condition convention: a nonzero load sample at k = 0 is treated as an
 instantaneous step mapped through the glass constants, response(0) = J_g *
@@ -54,12 +57,14 @@ load, each of which must respond with t; J and G are read only at t >= t_floor.
 """
 
 import bisect
+import functools
 import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, GridError
 from .models.evaluate import family_of
@@ -67,7 +72,7 @@ from .models.params import DEFAULT_POLICY, ModelParams
 
 LOAD_KINDS = ("stress", "strain")
 _GAMMA_3_2 = math.gamma(1.5)
-_TOEPLITZ_BLOCK = 128  # direct np.convolve at and below this length
+_TOEPLITZ_BLOCK = 256  # leaf block of _toeplitz_apply, one BLAS product
 _CSV_ROWS = 4096  # rows per write_csv block: its Python floats stay bounded
 
 
@@ -127,25 +132,24 @@ def _toeplitz_apply(col, x) -> np.ndarray:
     """Causal product y[k] = sum_{j<=k} col[j] x[k-j] for k < len(x).
 
     Blocked fast convolution (Hairer, Lubich & Schlichte 1985), unrolled
-    bottom-up: blocks of _TOEPLITZ_BLOCK samples are convolved directly,
+    bottom-up: the leaf blocks of _TOEPLITZ_BLOCK samples are one BLAS matrix
+    product with the upper-triangular Toeplitz block of the column's head,
     then each doubling h adds the first half of every 2h-aligned segment
     into its second half with one batched rfft/irfft product of size 2h.
-    Output k reads only x[:k+1] through operations fixed by len(x), so
-    editing the input from any index on leaves earlier outputs
-    bit-identical.  O(n log^2 n).
+    A history of at most one block is one zero-padded leaf.  Output k reads
+    only x[:k+1] through operations fixed by len(x) (later samples of its
+    leaf meet exact zeros), so editing the input from any index on leaves
+    earlier outputs bit-identical.  O(n log^2 n).
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
-    col = np.asarray(col, dtype=float)[:n]
-    if n <= _TOEPLITZ_BLOCK:
-        return np.convolve(col, x)[:n]
     size = _TOEPLITZ_BLOCK << (-(-n // _TOEPLITZ_BLOCK) - 1).bit_length()
     xp, cp = np.zeros(size), np.zeros(size)
-    xp[:n], cp[:n] = x, col
-    head = cp[:_TOEPLITZ_BLOCK]
-    y = np.concatenate(
-        [np.convolve(head, blk)[:_TOEPLITZ_BLOCK] for blk in xp.reshape(-1, _TOEPLITZ_BLOCK)]
-    )
+    xp[:n], cp[:n] = x, np.asarray(col, dtype=float)[:n]
+    # leaf[j, r] = col[r - j] for r >= j, 0 above; matmul copies the view for BLAS
+    padded = np.concatenate((np.zeros(_TOEPLITZ_BLOCK - 1), cp[:_TOEPLITZ_BLOCK]))
+    leaf = sliding_window_view(padded, _TOEPLITZ_BLOCK)[::-1]
+    y = (xp.reshape(-1, _TOEPLITZ_BLOCK) @ leaf).reshape(-1)
     h = _TOEPLITZ_BLOCK
     while h < size:
         # Linear products reach index 3h - 2; the wrap lands below h.
@@ -182,6 +186,21 @@ def _l1_weights(n: int) -> np.ndarray:
     return np.sqrt(j + 1.0) - np.sqrt(j)
 
 
+@functools.lru_cache(maxsize=None)
+def _l1_inverse(size: int) -> np.ndarray:
+    """Read-only first `size` coefficients of 1/W(z), W the L1 weight series.
+
+    The series depends on nothing but its length, so stress stepping slices
+    it from the power-of-two size at or above its own and never repeats the
+    Newton reciprocal.  The sizes held are powers of two up to twice the
+    longest history, together under 4 m floats: 32 bytes per sample of the
+    longest m stepped.
+    """
+    inverse = _reciprocal(_l1_weights(size), size)
+    inverse.flags.writeable = False
+    return inverse
+
+
 def caputo_half(samples, dt: float) -> np.ndarray:
     """L1 discretization of the Caputo derivative of order 1/2.
 
@@ -211,7 +230,10 @@ def step_response(params: ModelParams, load: LoadHistory) -> ResponseHistory:
     a lower-triangular Toeplitz system in d, evaluated with one product:
 
     * stress input, b kappa W d = sigma + a kappa W df, so
-      d = g df + W^{-1} sigma / (b kappa) (discrete half-order integration);
+      d = g df + W^{-1} sigma / (b kappa) (discrete half-order integration).
+      The column of W^{-1} depends only on m: it is sliced from a read-only
+      memo of the next power-of-two length, so repeated stepping pays for
+      the Newton reciprocal once per process;
     * strain input, (L + a kappa W) d = b kappa W df - sigma_0, so with B
       the reciprocal series of the column 1 + a kappa w,
       d = b kappa (B*w) applied to df - sigma_0 cumsum(B).  The column B*w
@@ -232,18 +254,19 @@ def step_response(params: ModelParams, load: LoadHistory) -> ResponseHistory:
     dt = load.dt
     f = load.samples
     m = len(f) - 1
-    w = _l1_weights(m)
     root_kappa = math.sqrt(dt) * _GAMMA_3_2  # 1 / kappa
     b_kappa = b / root_kappa
     if load.kind == "strain":
         start = f[0] / g
+        w = _l1_weights(m)
         col = _reciprocal(1.0 + a / root_kappa * w, m)
         size = 2 << (m - 1).bit_length()  # no cyclic wrap below index m
         bw = np.fft.irfft(np.fft.rfft(col, size) * np.fft.rfft(w, size), size)[:m]
         d = b_kappa * _toeplitz_apply(bw, np.diff(f)) - start * np.cumsum(col)
     else:
         start = g * f[0]
-        d = g * np.diff(f) + _toeplitz_apply(_reciprocal(w, m), f[1:] / b_kappa)
+        inverse = _l1_inverse(1 << (m - 1).bit_length())[:m]
+        d = g * np.diff(f) + _toeplitz_apply(inverse, f[1:] / b_kappa)
     out = np.concatenate(([start], start + np.cumsum(d)))
     return ResponseHistory(kind=_conjugate(load.kind), dt=dt, samples=out)
 

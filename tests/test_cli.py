@@ -416,6 +416,27 @@ def test_verify_asymptotics_and_cm_pass():
     assert run(["verify", "--check", "cm"]) == 0
 
 
+@pytest.mark.parametrize("check", ["asymptotics", "cm", "zeros"])
+def test_verify_check_refuses_a_family_it_does_not_cover(check, capsys):
+    # these checks cover the Bessel (and asymptotic) families only; asked
+    # about fmax they must refuse, not pass on their default battery
+    capsys.readouterr()
+    assert run(["verify", "--check", check, "--family", "fmax", "--a1", "0.3", "--b1", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --check {check} covers ")
+    assert captured.err.endswith(" only, not fmax\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_cm_runs_only_the_family_asked_for(tmp_path):
+    summary = tmp_path / "cm.json"
+    assert run(["verify", "--check", "cm", "--family", "asymptotic", "--nu", "0.5",
+                "--json", str(summary)]) == 0
+    records = json.loads(summary.read_text())
+    assert [(r["check"], r["params"]) for r in records] == [("cm-asym-memory", {"nu": 0.5})]
+
+
 def test_verify_asymptotics_grid_outside_the_floor_is_refused(capsys):
     # the check's grid starts at 0.01: below --t-floor it is a refusal (exit 3)
     capsys.readouterr()

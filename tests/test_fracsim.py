@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import convolution_reference, erfc_quadrature, stepping_reference
+from viscobessel import fracsim
 from viscobessel.errors import DomainError, GridError, SeriesRefusalError
 from viscobessel.fracsim import (
     InterconversionReport,
@@ -231,7 +232,10 @@ def _law_ab(params):
     return c, c
 
 
-@pytest.mark.parametrize("n", [2, 3, 129, 130, 1000, 4097])
+_BLOCK = fracsim._TOEPLITZ_BLOCK
+
+
+@pytest.mark.parametrize("n", [2, 3, 129, 130, _BLOCK + 1, _BLOCK + 2, 1000, 4097])
 @pytest.mark.parametrize("kind", ["stress", "strain"])
 @pytest.mark.parametrize(
     "method,model",
@@ -240,8 +244,9 @@ def _law_ab(params):
 )
 def test_simulators_match_per_step_reference(method, model, kind, n):
     # The Toeplitz products see n - 1 samples: n = 2 and 3 are the shortest
-    # histories, 129 the longest direct block and 130 the shortest blocked
-    # one; 4097 fills a power of two of blocks exactly, 1000 does not.
+    # histories, 129 and 130 part-filled single leaf blocks, _BLOCK + 1 the
+    # longest single block and _BLOCK + 2 the shortest blocked history; 4097
+    # fills a power of two of blocks exactly, 1000 does not.
     dt = 2e-3
     ts = dt * np.arange(n)
     for samples in (np.ones(n), ts, np.sin(5.0 * ts)):
@@ -270,8 +275,9 @@ def test_stepping_matches_reference_at_large_dt(params, kind, dt):
             assert np.max(np.abs(np.array(got) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("k", [1000, 3001, 4097])
+@pytest.mark.parametrize("k", [100, _BLOCK, 1000, 3001, 4097])
 def test_causality_is_bit_exact_at_large_n(k):
+    # k = 100 edits inside the first leaf block, k = _BLOCK at a leaf edge
     n = 6000
     dt = 2e-3
     rng = np.random.default_rng(11)
@@ -290,6 +296,29 @@ def test_causality_is_bit_exact_at_large_n(k):
     for before, after in zip(runs(u), runs(v)):
         assert np.array_equal(np.array(before)[:k], np.array(after)[:k])
         assert not np.array_equal(np.array(before)[k:], np.array(after)[k:])
+
+
+def test_l1_inverse_memo_leaves_no_trace():
+    # stress stepping slices 1/W from a per-process memo keyed by a power of
+    # two; neither its order of filling nor a longer run may move a result
+    fracsim._l1_inverse.cache_clear()
+    p = ModelParams("fmax", a1=0.5, b1=2.0)
+    dt = 2e-3
+
+    def runs():
+        for n in (1000, 4097):
+            load = LoadHistory("stress", dt, np.sin(5.0 * dt * np.arange(n)))
+            yield step_response(p, load).samples
+
+    first = list(runs())
+    step_response(p, LoadHistory("stress", dt, np.ones(16000)))
+    for before, after in zip(first, runs()):
+        assert np.array_equal(before, after)
+    for m in (999, 4096, 15999):
+        memo = fracsim._l1_inverse(1 << (m - 1).bit_length())
+        assert not memo.flags.writeable
+        direct = fracsim._reciprocal(fracsim._l1_weights(m), m)
+        assert np.max(np.abs(memo[:m] - direct)) <= 1e-15 * np.max(np.abs(direct))
 
 
 # ---------------------------------------------------------------------------
