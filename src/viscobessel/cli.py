@@ -264,14 +264,15 @@ def _record(check, params, max_error, tolerance):
     }
 
 
-def _battery(args):
-    """Families to check: the explicit one, or a representative battery."""
+def _battery(args, check, default):
+    """Families to check: the explicit one, or the check's default battery.
+    A parameter flag without --family names no family, so it is refused."""
     if args.family is not None:
         return [_params(args)]
-    battery = [ModelParams("bessel", nu=nu) for nu in (-0.8, -0.5, 0.0, 0.5, 1.0)]
-    battery += [ModelParams("asymptotic", nu=nu) for nu in (-0.8, 0.0, 0.5, 1.0)]
-    battery.append(ModelParams("fmax", a1=1.0, b1=1.0))
-    return battery
+    flags = [f"--{k}" for k in ("nu", "a1", "b1") if getattr(args, k) is not None]
+    if flags:
+        raise DomainError(f"--check {check} needs --family with {' and '.join(flags)}")
+    return default
 
 
 def _refuse_uncovered(args, check, families):
@@ -289,9 +290,12 @@ def _refuse_uncovered(args, check, families):
 
 def _check_reciprocity(args, policy):
     s_values = [10.0**k for k in range(-2, 5)]
+    battery = [ModelParams("bessel", nu=nu) for nu in (-0.8, -0.5, 0.0, 0.5, 1.0)]
+    battery += [ModelParams("asymptotic", nu=nu) for nu in (-0.8, 0.0, 0.5, 1.0)]
+    battery.append(ModelParams("fmax", a1=1.0, b1=1.0))
     return [
         _record("reciprocity", p, reciprocity_residual(p, s_values), 1e-10)
-        for p in _battery(args)
+        for p in _battery(args, "reciprocity", battery)
     ]
 
 
@@ -324,7 +328,7 @@ def _check_zeros(args, policy):
 
 
 def _check_laplace_oracle(args, policy):
-    params = _params(args) if args.family else ModelParams("bessel", nu=0.0)
+    (params,) = _battery(args, "laplace-oracle", [ModelParams("bessel", nu=0.0)])
     ts = np.geomspace(max(0.05, policy.t_floor), 2.0, 20)
     worst = 0.0
     j_curve = eval_J_curve(params, ts, policy)
@@ -338,17 +342,11 @@ def _check_laplace_oracle(args, policy):
 
 
 def _check_interconversion(args, policy):
-    if args.family is not None:
-        families = [_params(args)]
-    else:
-        families = [
-            ModelParams("bessel", nu=0.0),
-            ModelParams("asymptotic", nu=0.5),
-            ModelParams("fmax", a1=1.0, b1=1.0),
-        ]
+    battery = [ModelParams("bessel", nu=0.0), ModelParams("asymptotic", nu=0.5),
+               ModelParams("fmax", a1=1.0, b1=1.0)]
     grid = [0.1, 0.5, 1.0, 2.0]
     records = []
-    for p in families:
+    for p in _battery(args, "interconversion", battery):
         rep = interconversion_check(p, grid, 2000, policy)
         tol = 1e-4 if p.family == "bessel" else 1e-5
         records.append(_record("interconversion", p, rep.max_error, tol))

@@ -25,7 +25,10 @@ Hereditary convolution (all families)
     exact first moment int_0^dt tau dJ = dt J(dt) - int_0^dt J (the family
     primitives are closed-form).  This keeps second-order convergence for
     smooth loads despite the singular kernel, and reproduces step-load
-    responses exactly up to kernel accuracy.
+    responses exactly up to kernel accuracy.  Folded into one column, the
+    kernel values cancel: the column reads only the primitive, which holds
+    at every T >= 0, and J or G is read only for the step term of a nonzero
+    first sample.  A Bessel load at rest therefore runs at any dt.
 
 Evaluation: both routes are lower-triangular Toeplitz systems, and each
 simulation applies exactly one causal blocked product, O(n log^2 n): leaf
@@ -53,7 +56,7 @@ every CSV the CLI emits.
 Interconversion: since (s Jt)(s Gt) = 1, the material functions satisfy
 int_0^t J(tau) G(t - tau) dtau = t.  ``interconversion_check`` computes it by
 convolution both ways, int_0^tau G as a stress load and int_0^tau J as a strain
-load, each of which must respond with t; J and G are read only at t >= t_floor.
+load, each of which must respond with t, on panels no narrower than t_floor.
 """
 
 import bisect
@@ -146,9 +149,10 @@ def _toeplitz_apply(col, x) -> np.ndarray:
     size = _TOEPLITZ_BLOCK << (-(-n // _TOEPLITZ_BLOCK) - 1).bit_length()
     xp, cp = np.zeros(size), np.zeros(size)
     xp[:n], cp[:n] = x, np.asarray(col, dtype=float)[:n]
-    # leaf[j, r] = col[r - j] for r >= j, 0 above; matmul copies the view for BLAS
+    # leaf[j, r] = col[r - j] for r >= j, 0 above; copied once from the
+    # strided view, which matmul would otherwise copy at a higher cost
     padded = np.concatenate((np.zeros(_TOEPLITZ_BLOCK - 1), cp[:_TOEPLITZ_BLOCK]))
-    leaf = sliding_window_view(padded, _TOEPLITZ_BLOCK)[::-1]
+    leaf = np.ascontiguousarray(sliding_window_view(padded, _TOEPLITZ_BLOCK)[::-1])
     y = (xp.reshape(-1, _TOEPLITZ_BLOCK) @ leaf).reshape(-1)
     h = _TOEPLITZ_BLOCK
     while h < size:
@@ -290,43 +294,38 @@ def convolve_response(
     samples and integrated against the exact kernel measure dK, using the
     closed-form panel increments dK_j and first moments
 
-        M_j = int (tau - j dt) dK(tau) = dt K((j+1)dt) - (P((j+1)dt) - P(j dt)),
+        M_j = int (tau - j dt) dK(tau) = dt K((j+1)dt) - dP_j,
 
-    P being the family's kernel primitive.  The rule is exact for step loads
-    and second-order for smooth ones, including the t^{-1/2} kernel-rate
-    singularity at tau = 0.
+    P being the family's kernel primitive and dP_j = P((j+1)dt) - P(j dt).
+    The rule is exact for step loads and second-order for smooth ones,
+    including the t^{-1/2} kernel-rate singularity at tau = 0.
+
+    Folded into one causal product over f[1:], the kernel values cancel: the
+    column is dP_0/dt - K(0) and (dP_j - dP_{j-1})/dt, so it reads the
+    primitive alone.  K(k dt) enters only the step term f_0 (K_{k+1} - dP_k/dt)
+    and is evaluated only for a nonzero first sample, the one case in which a
+    Bessel kernel refuses dt below policy.t_floor.
     """
     policy = policy or DEFAULT_POLICY
     dt = load.dt
     f = load.samples
-    n = len(f)
-    grid = dt * np.arange(n)
-
-    # a Bessel kernel refuses grid[1] = dt below policy.t_floor
+    grid = dt * np.arange(len(f))
     family = family_of(params)
     if load.kind == "stress":
-        glass = family.glass(params)
-        kernel = family.J(params, grid[1:], policy)
-        primitive = family.creep(params, grid, policy)
+        glass, kernel, primitive = family.glass(params), family.J, family.creep
     else:
-        glass = 1.0 / family.glass(params)
-        kernel = family.G(params, grid[1:], policy)
-        primitive = family.relax(params, grid, policy)
+        glass, kernel, primitive = 1.0 / family.glass(params), family.G, family.relax
 
-    kernel = np.concatenate(([glass], kernel))  # kernel[j] = K(j dt)
-    dk = np.diff(kernel)
-    m1_over_h = kernel[1:] - np.diff(primitive) / dt  # M_j / dt
     # Load linear on panel j: f(t_k - tau) = f_{k-j} + (f_{k-j-1} - f_{k-j}) u
     # with u = (tau - j dt)/dt, so the panel integral against dK is
-    # f_{k-j} (dK_j - M_j/dt) + f_{k-j-1} M_j/dt.
-    coeff_near = dk - m1_over_h
-    coeff_far = m1_over_h
-
-    # sum_j far_j f_{k-j-1} is far_k f_0 plus a product with far shifted by
-    # one, so both columns share a single product over f[1:]
-    col = coeff_near + np.concatenate(([0.0], coeff_far[:-1]))
+    # f_{k-j} (dK_j - M_j/dt) + f_{k-j-1} M_j/dt; summed over j, the far
+    # terms shift onto the near column except the one reading f_0.
+    dp = np.diff(primitive(params, grid, policy)) / dt  # dP_j / dt
+    response = _toeplitz_apply(np.diff(dp, prepend=glass), f[1:])
+    if f[0] != 0.0:
+        response += f[0] * (kernel(params, grid[1:], policy) - dp)
     out = glass * f
-    out[1:] += _toeplitz_apply(col, f[1:]) + f[0] * coeff_far
+    out[1:] += response
     return ResponseHistory(kind=_conjugate(load.kind), dt=dt, samples=out)
 
 

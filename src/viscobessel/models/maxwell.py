@@ -32,8 +32,9 @@ antiderivative comes from (erfcx)'(u) = 2u erfcx(u) - 2/sqrt(pi):
 
 Time-domain functions map a scalar time to a float and an array to an ndarray,
 check every element and keep each expression's scalar operation order, so an
-array entry is bit-identical to the scalar call.  T^{3/2} goes through libm pow
-(libm_map): numpy's SIMD pow differs from it in the last bit for ~5 % of inputs.
+array entry is bit-identical to the scalar call.  T^{3/2} is T sqrt(T), two
+correctly rounded operations for an array and a scalar alike; numpy's SIMD pow
+differs from libm pow in the last bit for ~5 % of inputs.
 """
 
 import math
@@ -41,7 +42,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from ..specfun.erf import erfcx, libm_map
+from ..specfun.erf import erfcx
 from ..specfun.mittag import mittag_leffler_half
 from .params import Family, ModelParams
 
@@ -94,7 +95,7 @@ def G_time(lam: float, g: float, t):
 def creep_integral(lam: float, g: float, T):
     """int_0^T J dt = g (T + 4 lam T^{3/2} / (3 sqrt(pi)))."""
     T = _check_time(T)
-    return _result(g * (T + 4.0 * lam * libm_map(pow, T, 1.5) / (3.0 * _SQRT_PI)))
+    return _result(g * (T + 4.0 * lam * (T * np.sqrt(T)) / (3.0 * _SQRT_PI)))
 
 
 def relax_integral(lam: float, g: float, T):

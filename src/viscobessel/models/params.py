@@ -21,7 +21,8 @@ class Family(NamedTuple):
     """One family's material functions; every entry takes the ModelParams first.
 
     Bessel J and G refuse times below policy.t_floor, the primitives hold at
-    any T >= 0; convolution reads J and G only at multiples of dt >= t_floor."""
+    any T >= 0; convolution reads only the primitive, and J or G at multiples
+    of dt only for a load whose first sample is nonzero."""
 
     sJ: Callable  # (params, s): s Jtilde(s), generic arithmetic in s
     sG: Callable  # (params, s): s Gtilde(s)

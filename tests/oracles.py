@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import jn_zeros
 
 from viscobessel.errors import DomainError
 from viscobessel.models.bessel_family import _CHUNK
@@ -188,7 +189,7 @@ def closed_form_reference(fn: str, params, ts) -> np.ndarray:
         one = {
             "J": lambda t: 1.0 + 4.0 * (nu + 1.0) * math.sqrt(t) / _SQRT_PI,
             "G": lambda t: erfcx_reference(-(-2.0 * (nu + 1.0) * math.sqrt(t))),
-            "creep": lambda T: T + 8.0 * (nu + 1.0) * T ** 1.5 / (3.0 * _SQRT_PI),
+            "creep": lambda T: T + 8.0 * (nu + 1.0) * (T * math.sqrt(T)) / (3.0 * _SQRT_PI),
             "relax": lambda T: c * c * (erfcx_reference(math.sqrt(T) / c) - 1.0)
             + 2.0 * c * math.sqrt(T) / _SQRT_PI,
         }[fn]
@@ -198,7 +199,7 @@ def closed_form_reference(fn: str, params, ts) -> np.ndarray:
             "J": lambda t: (a1 / b1) * (1.0 + 2.0 * math.sqrt(t) / (a1 * _SQRT_PI)),
             "G": lambda t: (b1 / a1) * erfcx_reference(-(-math.sqrt(t) / a1)),
             "creep": lambda T: (a1 / b1)
-            * (T + 4.0 * T ** 1.5 / (3.0 * a1 * _SQRT_PI)),
+            * (T + 4.0 * (T * math.sqrt(T)) / (3.0 * a1 * _SQRT_PI)),
             "relax": lambda T: a1 * b1 * (erfcx_reference(math.sqrt(T) / a1) - 1.0)
             + 2.0 * b1 * math.sqrt(T) / _SQRT_PI,
         }[fn]
@@ -279,6 +280,29 @@ def convolution_reference(params, kind: str, dt: float, samples) -> np.ndarray:
         acc += float(np.dot(f[0:k][::-1], coeff_far[:k]))
         out[k] = glass * f[k] + acc
     return out
+
+
+def bessel_sine_strain_response(order: int, omega: float, ts, n_zeros: int = 2000) -> np.ndarray:
+    """Exact Bessel-family stress under the strain eps(t) = sin(omega t).
+
+    With nu = order and lam_n = j_{nu,n}^2 from scipy's zeros, G = 4(nu+1)
+    sum_n exp(-lam_n t)/lam_n, and each mode of sigma = int_0^t G(t - tau)
+    eps'(tau) dtau is omega (lam cos(omega t) + omega sin(omega t) -
+    lam exp(-lam t)) / (lam (lam^2 + omega^2)).  Past the last zero the modes
+    are quasi-static, omega cos(omega t) / lam^2 up to O(lam^-3), and sum to
+    omega cos(omega t) times the rest of the Rayleigh sum sigma_2 = sum lam^-2
+    = 1/(16 (nu+1)^2 (nu+2)).  jn_zeros takes integer orders only.
+    """
+    lam = jn_zeros(order, n_zeros) ** 2
+    weight = omega / (lam * (lam * lam + omega * omega))
+    sigma2 = 1.0 / (16.0 * (order + 1.0) ** 2 * (order + 2.0))
+    tail = sigma2 - math.fsum(lam**-2.0)
+    out = []
+    for t in np.asarray(ts, dtype=float).tolist():
+        c, s = math.cos(omega * t), math.sin(omega * t)
+        modes = weight * (lam * c + omega * s - lam * np.exp(-lam * t))
+        out.append(4.0 * (order + 1.0) * (math.fsum(modes) + omega * c * tail))
+    return np.array(out)
 
 
 def dirichlet_sum_uncut(squares, ts, power: int, n_for=None) -> np.ndarray:

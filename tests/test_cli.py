@@ -347,8 +347,9 @@ def test_simulate_stdout_and_out_file_are_byte_identical(tmp_path, capsys, metho
 
 
 def test_simulate_bessel_subfloor_grid_refusal_names_the_floor(tmp_path, capsys):
+    # a nonzero first sample reads J at t = dt, which the series refuses
     load_csv = tmp_path / "load.csv"
-    write_history(LoadHistory("stress", 1e-4, (0.0, 1.0, 1.0)), load_csv)
+    write_history(LoadHistory("stress", 1e-4, (1.0, 1.0, 1.0)), load_csv)
     rc = run(
         ["simulate", "--family", "bessel", "--nu", "0", "--kind", "stress",
          "--method", "convolution", "--input", str(load_csv), "--out", str(tmp_path / "o.csv")]
@@ -357,6 +358,22 @@ def test_simulate_bessel_subfloor_grid_refusal_names_the_floor(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("refused: ") and "t_floor = 0.001" in err and "0.0001" in err
     assert "Laplace route" not in err
+
+
+def test_simulate_bessel_subfloor_grid_from_rest_runs(tmp_path):
+    # a load at rest reads only the kernel primitive, which holds at any dt
+    load_csv = tmp_path / "load.csv"
+    write_history(LoadHistory("stress", 1e-4, (0.0, 1.0, 1.0)), load_csv)
+    out = tmp_path / "o.csv"
+    rc = run(
+        ["simulate", "--family", "bessel", "--nu", "0", "--kind", "stress",
+         "--method", "convolution", "--input", str(load_csv), "--out", str(out)]
+    )
+    assert rc == 0
+    values = [float(r[1]) for r in read_rows(out)[1:]]
+    # the load ramps to 1 over the first panel and holds: the strain starts
+    # above J(0+) = 1 and creeps
+    assert values[0] == 0.0 and 1.0 < values[1] < values[2] < 1.1
 
 
 @pytest.mark.parametrize("kind", ["stress", "strain"])
@@ -435,6 +452,20 @@ def test_verify_cm_runs_only_the_family_asked_for(tmp_path):
                 "--json", str(summary)]) == 0
     records = json.loads(summary.read_text())
     assert [(r["check"], r["params"]) for r in records] == [("cm-asym-memory", {"nu": 0.5})]
+
+
+@pytest.mark.parametrize("check", ["reciprocity", "laplace-oracle", "interconversion"])
+@pytest.mark.parametrize("flags", [["--nu", "0.7"], ["--a1", "0.3", "--b1", "2"]],
+                         ids=["nu", "a1-b1"])
+def test_verify_parameter_flag_without_family_is_refused(check, flags, capsys):
+    # these checks cover every family, so a parameter flag names none: it
+    # must be a usage error, not a pass on the default battery
+    capsys.readouterr()
+    assert run(["verify", "--check", check, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    named = " and ".join(flags[::2])
+    assert captured.err == f"error: --check {check} needs --family with {named}\n"
 
 
 def test_verify_asymptotics_grid_outside_the_floor_is_refused(capsys):

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import convolution_reference, erfc_quadrature, stepping_reference
+from oracles import (
+    bessel_sine_strain_response,
+    convolution_reference,
+    erfc_quadrature,
+    stepping_reference,
+)
 from viscobessel import fracsim
 from viscobessel.errors import DomainError, GridError, SeriesRefusalError
 from viscobessel.fracsim import (
@@ -207,6 +212,46 @@ def test_convolution_refuses_subfloor_grid_for_bessel():
     p = ModelParams("bessel", nu=0.0)
     with pytest.raises(SeriesRefusalError):
         convolve_response(p, _step("stress", 1e-4, 0.01))
+
+
+@pytest.mark.parametrize("dt", [1e-4, 1e-5])
+def test_bessel_convolution_from_rest_runs_below_the_floor(dt):
+    # A load at rest reads only the primitive, which holds at every T >= 0,
+    # so dt below t_floor = 1e-3 runs.  The error against the per-mode
+    # response is second order in dt plus the primitive's quartic tail past
+    # the 200-zero table (~2e-9 at T = 0): 9.7e-9 at dt = 1e-4, 5.1e-9 at 1e-5.
+    n = round(1.0 / dt) + 1
+    ts = dt * np.arange(n)
+    load = LoadHistory("strain", dt, np.sin(3.0 * ts))
+    got = convolve_response(ModelParams("bessel", nu=0.0), load).samples
+    idx = np.unique(np.r_[1, 2, 3, np.linspace(0, n - 1, 201).round().astype(int)])
+    ref = bessel_sine_strain_response(0, 3.0, ts[idx])
+    assert np.max(np.abs(got[idx] - ref)) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["stress", "strain"])
+@pytest.mark.parametrize(
+    "params",
+    [ModelParams("bessel", nu=0.0), ModelParams("asymptotic", nu=0.5),
+     ModelParams("fmax", a1=2.0, b1=1.5)],
+    ids=lambda p: p.family,
+)
+def test_convolution_from_rest_never_reads_the_kernel(params, kind, monkeypatch):
+    # the column is built from the primitive alone; J or G enters only the
+    # step term of a nonzero first sample
+    dt = 2e-3
+    ts = dt * np.arange(500)
+    at_rest = LoadHistory(kind, dt, np.sin(5.0 * ts))
+    expected = convolve_response(params, at_rest).samples
+    family = FAMILY_TABLE[params.family]
+
+    def unread(p, ts, policy):
+        raise AssertionError("kernel evaluated")
+
+    monkeypatch.setitem(FAMILY_TABLE, params.family, family._replace(J=unread, G=unread))
+    assert np.array_equal(convolve_response(params, at_rest).samples, expected)
+    with pytest.raises(AssertionError, match="kernel evaluated"):
+        convolve_response(params, LoadHistory(kind, dt, np.cos(5.0 * ts)))
 
 
 # ---------------------------------------------------------------------------
