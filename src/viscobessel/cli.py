@@ -264,28 +264,29 @@ def _record(check, params, max_error, tolerance):
     }
 
 
-def _battery(args, check, default):
-    """Families to check: the explicit one, or the check's default battery.
-    A parameter flag without --family names no family, so it is refused."""
+_EVERY_FAMILY = ("bessel", "asymptotic", "fmax")
+_FLAG_FAMILIES = {"nu": ("bessel", "asymptotic"), "a1": ("fmax",), "b1": ("fmax",)}
+
+
+def _asked(args, check, covers, battery=()):
+    """The ModelParams `check` runs: --family's, else its default `battery`.
+    --family must be one `check` covers.  Without it, a parameter flag asks
+    about the families that take it (above), and as it names no single one,
+    every family the check covers must take it; else it is a usage error."""
     if args.family is not None:
+        if args.family not in covers:
+            raise DomainError(f"--check {check} covers {' and '.join(covers)} only, "
+                              f"not {args.family}")
         return [_params(args)]
-    flags = [f"--{k}" for k in ("nu", "a1", "b1") if getattr(args, k) is not None]
-    if flags:
-        raise DomainError(f"--check {check} needs --family with {' and '.join(flags)}")
-    return default
-
-
-def _refuse_uncovered(args, check, families):
-    """DomainError unless --family, if given, is one `check` covers and its
-    parameters are valid; --a1/--b1 without --family ask about fmax."""
-    family = args.family
-    if family is None and (args.a1 is not None or args.b1 is not None):
-        family = "fmax"
-    if family is not None and family not in families:
-        raise DomainError(f"--check {check} covers {' and '.join(families)} only, "
-                          f"not {family}")
-    if args.family is not None:
-        _params(args)
+    flags = [k for k in _FLAG_FAMILIES if getattr(args, k) is not None]
+    for k in flags:
+        if set(_FLAG_FAMILIES[k]).isdisjoint(covers):
+            raise DomainError(f"--check {check} covers {' and '.join(covers)} only, "
+                              f"not {' and '.join(_FLAG_FAMILIES[k])}")
+    unfit = [f"--{k}" for k in flags if not set(covers) <= set(_FLAG_FAMILIES[k])]
+    if unfit:
+        raise DomainError(f"--check {check} needs --family with {' and '.join(unfit)}")
+    return battery
 
 
 def _check_reciprocity(args, policy):
@@ -295,12 +296,12 @@ def _check_reciprocity(args, policy):
     battery.append(ModelParams("fmax", a1=1.0, b1=1.0))
     return [
         _record("reciprocity", p, reciprocity_residual(p, s_values), 1e-10)
-        for p in _battery(args, "reciprocity", battery)
+        for p in _asked(args, "reciprocity", _EVERY_FAMILY, battery)
     ]
 
 
 def _check_zeros(args, policy):
-    _refuse_uncovered(args, "zeros", ("bessel",))
+    _asked(args, "zeros", ("bessel",))
     nu = args.nu if args.nu is not None else 0.0
     table = zero_table(nu, args.n)
     residual = max(abs(bessel_j(nu, z)) for z in table.zeros)
@@ -328,7 +329,7 @@ def _check_zeros(args, policy):
 
 
 def _check_laplace_oracle(args, policy):
-    (params,) = _battery(args, "laplace-oracle", [ModelParams("bessel", nu=0.0)])
+    (params,) = _asked(args, "laplace-oracle", _EVERY_FAMILY, [ModelParams("bessel", nu=0.0)])
     ts = np.geomspace(max(0.05, policy.t_floor), 2.0, 20)
     worst = 0.0
     j_curve = eval_J_curve(params, ts, policy)
@@ -346,7 +347,7 @@ def _check_interconversion(args, policy):
                ModelParams("fmax", a1=1.0, b1=1.0)]
     grid = [0.1, 0.5, 1.0, 2.0]
     records = []
-    for p in _battery(args, "interconversion", battery):
+    for p in _asked(args, "interconversion", _EVERY_FAMILY, battery):
         rep = interconversion_check(p, grid, 2000, policy)
         tol = 1e-4 if p.family == "bessel" else 1e-5
         records.append(_record("interconversion", p, rep.max_error, tol))
@@ -354,7 +355,7 @@ def _check_interconversion(args, policy):
 
 
 def _check_asymptotics(args, policy):
-    _refuse_uncovered(args, "asymptotics", ("bessel", "asymptotic"))
+    _asked(args, "asymptotics", ("bessel", "asymptotic"))
     nus = [args.nu] if args.nu is not None else [-0.5, 0.0, 1.0]
     grid = [0.01, 0.02, 0.05, 0.1, 0.2]
     records = []
@@ -388,7 +389,7 @@ def _cm_signs(fn, t, h):
 
 
 def _check_cm(args, policy):
-    _refuse_uncovered(args, "cm", ("bessel", "asymptotic"))
+    _asked(args, "cm", ("bessel", "asymptotic"))
     times = (0.1, 0.5, 1.0, 2.0)
     h = 0.02
     records = []

@@ -26,9 +26,11 @@ Hereditary convolution (all families)
     primitives are closed-form).  This keeps second-order convergence for
     smooth loads despite the singular kernel, and reproduces step-load
     responses exactly up to kernel accuracy.  Folded into one column, the
-    kernel values cancel: the column reads only the primitive, which holds
-    at every T >= 0, and J or G is read only for the step term of a nonzero
-    first sample.  A Bessel load at rest therefore runs at any dt.
+    kernel values cancel: the column reads only the primitive, which has no
+    floor, and J or G is read only for the step term of a nonzero first
+    sample.  A Bessel load at rest therefore runs at any dt; its primitive's
+    error (~1e-14) enters the first panels divided by dt: 1.6e-8 of a step
+    from rest at dt = 1e-8.
 
 Evaluation: both routes are lower-triangular Toeplitz systems, and each
 simulation applies exactly one causal blocked product, O(n log^2 n): leaf
@@ -350,7 +352,8 @@ def interconversion_check(
 
     Per t, int G as a stress load and int J as a strain load on m panels must
     each respond with m dt; n_quad caps m: m = min(n_quad, t // t_floor), less
-    one while rounding leaves t / m below t_floor (a Bessel kernel refuses it).
+    one while rounding leaves t / m below t_floor.  Both loads start at rest
+    (every primitive is 0 at T = 0), so only the primitives are read.
     """
     policy = policy or DEFAULT_POLICY
     t_min_allowed = max(policy.t_floor, 0.05)

@@ -21,8 +21,9 @@ class Family(NamedTuple):
     """One family's material functions; every entry takes the ModelParams first.
 
     Bessel J and G refuse times below policy.t_floor, the primitives hold at
-    any T >= 0; convolution reads only the primitive, and J or G at multiples
-    of dt only for a load whose first sample is nonzero."""
+    any T >= 0 (Bessel: 0 at T = 0, within ~1e-14 absolute elsewhere);
+    convolution reads only the primitive, and J or G at multiples of dt only
+    for a load whose first sample is nonzero."""
 
     sJ: Callable  # (params, s): s Jtilde(s), generic arithmetic in s
     sG: Callable  # (params, s): s Gtilde(s)

@@ -282,26 +282,49 @@ def convolution_reference(params, kind: str, dt: float, samples) -> np.ndarray:
     return out
 
 
+def _bessel_modes(order: int, n_zeros: int):
+    """lam_n = j_{order,n}^2 from scipy's zeros (integer orders only), and the
+    rest of the Rayleigh sum sigma_2 = sum lam^-2 = 1/(16 (order+1)^2 (order+2))."""
+    lam = jn_zeros(order, n_zeros) ** 2
+    sigma2 = 1.0 / (16.0 * (order + 1.0) ** 2 * (order + 2.0))
+    return lam, sigma2 - math.fsum(lam**-2.0)
+
+
 def bessel_sine_strain_response(order: int, omega: float, ts, n_zeros: int = 2000) -> np.ndarray:
     """Exact Bessel-family stress under the strain eps(t) = sin(omega t).
 
-    With nu = order and lam_n = j_{nu,n}^2 from scipy's zeros, G = 4(nu+1)
-    sum_n exp(-lam_n t)/lam_n, and each mode of sigma = int_0^t G(t - tau)
-    eps'(tau) dtau is omega (lam cos(omega t) + omega sin(omega t) -
-    lam exp(-lam t)) / (lam (lam^2 + omega^2)).  Past the last zero the modes
-    are quasi-static, omega cos(omega t) / lam^2 up to O(lam^-3), and sum to
-    omega cos(omega t) times the rest of the Rayleigh sum sigma_2 = sum lam^-2
-    = 1/(16 (nu+1)^2 (nu+2)).  jn_zeros takes integer orders only.
+    With nu = order, G = 4(nu+1) sum_n exp(-lam_n t)/lam_n, and each mode of
+    sigma = int_0^t G(t - tau) eps'(tau) dtau is omega (lam cos(omega t) +
+    omega sin(omega t) - lam exp(-lam t)) / (lam (lam^2 + omega^2)).  Past the
+    last zero the modes are quasi-static, omega cos(omega t) / lam^2 up to
+    O(lam^-3), and sum to omega cos(omega t) times the rest of sigma_2.
     """
-    lam = jn_zeros(order, n_zeros) ** 2
+    lam, tail = _bessel_modes(order, n_zeros)
     weight = omega / (lam * (lam * lam + omega * omega))
-    sigma2 = 1.0 / (16.0 * (order + 1.0) ** 2 * (order + 2.0))
-    tail = sigma2 - math.fsum(lam**-2.0)
     out = []
     for t in np.asarray(ts, dtype=float).tolist():
         c, s = math.cos(omega * t), math.sin(omega * t)
         modes = weight * (lam * c + omega * s - lam * np.exp(-lam * t))
         out.append(4.0 * (order + 1.0) * (math.fsum(modes) + omega * c * tail))
+    return np.array(out)
+
+
+def bessel_primitive(nu: int, kind: str, ts, n_zeros: int = 2000) -> np.ndarray:
+    """int_0^T J (kind "stress") or int_0^T G ("strain") of the Bessel family.
+
+    Each mode of either series integrates to (1 - exp(-lam T)) / lam^2; past
+    the last zero, lam T >= 40 leaves exp(-lam T) below 5e-18, and those modes
+    sum to the rest of sigma_2.  Bounds T with lam_max T < 40 are refused.
+    """
+    lam, tail = _bessel_modes(nu + 2 if kind == "stress" else nu, n_zeros)
+    out = []
+    for T in np.asarray(ts, dtype=float).tolist():
+        if 0.0 < T < 40.0 / lam[-1]:
+            raise ValueError(f"{n_zeros} zeros do not reach the quasi-static tail at T = {T!r}")
+        series = 4.0 * (nu + 1.0) * (math.fsum(-np.expm1(-lam * T) / lam**2) + tail) if T else 0.0
+        if kind == "stress":
+            series = 2.0 * (nu + 2.0) / (nu + 3.0) * T + 2.0 * (nu + 1.0) * (nu + 2.0) * T * T - series
+        out.append(series)
     return np.array(out)
 
 

@@ -433,12 +433,14 @@ def test_verify_asymptotics_and_cm_pass():
     assert run(["verify", "--check", "cm"]) == 0
 
 
+@pytest.mark.parametrize("family", [["--family", "fmax"], []], ids=["family", "bare-flags"])
 @pytest.mark.parametrize("check", ["asymptotics", "cm", "zeros"])
-def test_verify_check_refuses_a_family_it_does_not_cover(check, capsys):
+def test_verify_check_refuses_a_family_it_does_not_cover(check, family, capsys):
     # these checks cover the Bessel (and asymptotic) families only; asked
-    # about fmax they must refuse, not pass on their default battery
+    # about fmax, by name or by its --a1/--b1 alone, they must refuse, not
+    # pass on their default battery
     capsys.readouterr()
-    assert run(["verify", "--check", check, "--family", "fmax", "--a1", "0.3", "--b1", "2"]) == 2
+    assert run(["verify", "--check", check, *family, "--a1", "0.3", "--b1", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: --check {check} covers ")

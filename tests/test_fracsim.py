@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import (
+    bessel_primitive,
     bessel_sine_strain_response,
     convolution_reference,
     erfc_quadrature,
@@ -214,19 +215,36 @@ def test_convolution_refuses_subfloor_grid_for_bessel():
         convolve_response(p, _step("stress", 1e-4, 0.01))
 
 
-@pytest.mark.parametrize("dt", [1e-4, 1e-5])
+@pytest.mark.parametrize("dt", [1e-3, 1e-4, 1e-5])
 def test_bessel_convolution_from_rest_runs_below_the_floor(dt):
-    # A load at rest reads only the primitive, which holds at every T >= 0,
-    # so dt below t_floor = 1e-3 runs.  The error against the per-mode
-    # response is second order in dt plus the primitive's quartic tail past
-    # the 200-zero table (~2e-9 at T = 0): 9.7e-9 at dt = 1e-4, 5.1e-9 at 1e-5.
+    # A load at rest reads only the primitive, which has no floor, so dt
+    # below t_floor = 1e-3 runs.  Against the per-mode response the
+    # error is the rule's second-order term, 0.68 dt^2 for this load (6.7e-7,
+    # 6.8e-9 and 6.8e-11); the bound leaves it 1.5x headroom.
     n = round(1.0 / dt) + 1
     ts = dt * np.arange(n)
     load = LoadHistory("strain", dt, np.sin(3.0 * ts))
     got = convolve_response(ModelParams("bessel", nu=0.0), load).samples
     idx = np.unique(np.r_[1, 2, 3, np.linspace(0, n - 1, 201).round().astype(int)])
     ref = bessel_sine_strain_response(0, 3.0, ts[idx])
-    assert np.max(np.abs(got[idx] - ref)) <= 1e-8
+    assert np.max(np.abs(got[idx] - ref)) <= dt * dt
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-5, 1e-6])
+@pytest.mark.parametrize("kind", ["stress", "strain"])
+def test_bessel_step_from_rest_first_panels(kind, dt):
+    # Samples (0, 1, 1, ...) ramp the load over the first panel and hold it,
+    # and the rule is exact for them: out_k = (P(k dt) - P((k-1) dt)) / dt, so
+    # an error in the primitive P shows divided by dt.  Its modes past the
+    # 200-zero table are within ~4e-15 (measured: 9e-14 at dt = 1e-3, 8e-11
+    # at 1e-5, 3e-9 at 1e-6); left out, they put 1.7e-9 / dt into out_1.
+    n = 40
+    f = np.ones(n)
+    f[0] = 0.0
+    got = convolve_response(ModelParams("bessel", nu=0.0), LoadHistory(kind, dt, f)).samples
+    exact = np.diff(bessel_primitive(0, kind, dt * np.arange(n), n_zeros=4000)) / dt
+    assert got[0] == 0.0
+    assert np.max(np.abs(got[1:] - exact)) <= 1e-14 / dt
 
 
 @pytest.mark.parametrize("kind", ["stress", "strain"])
@@ -252,6 +270,17 @@ def test_convolution_from_rest_never_reads_the_kernel(params, kind, monkeypatch)
     assert np.array_equal(convolve_response(params, at_rest).samples, expected)
     with pytest.raises(AssertionError, match="kernel evaluated"):
         convolve_response(params, LoadHistory(kind, dt, np.cos(5.0 * ts)))
+
+
+def test_interconversion_reads_only_the_primitives(monkeypatch):
+    # every primitive is 0 at T = 0, so both loads start at rest
+    family = FAMILY_TABLE["bessel"]
+
+    def unread(p, ts, policy):
+        raise AssertionError("kernel evaluated")
+
+    monkeypatch.setitem(FAMILY_TABLE, "bessel", family._replace(J=unread, G=unread))
+    assert interconversion_check(ModelParams("bessel", nu=0.0), [0.1, 0.5], 200).max_error < 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -526,6 +526,18 @@ def test_relax_primitive_vs_quadrature():
         assert relax_integral_curve(p, [T])[0] == pytest.approx(oracle, rel=1e-8)
 
 
+@pytest.mark.parametrize("n_max", [50, 200])
+@pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 0.37, 1.5, 4.0])
+def test_bessel_primitives_start_at_exactly_zero(nu, n_max):
+    # the terms past the table sum to the rest of sigma_2 at T = 0, so a load
+    # built from a primitive starts at rest, single times and grids alike
+    policy = TruncationPolicy(n_max=n_max)
+    for fn in (bessel_family.bessel_creep_integral_curve,
+               bessel_family.bessel_relax_integral_curve):
+        assert np.all(fn(nu, [0.0], policy) == 0.0)
+        assert np.all(fn(nu, 1e-4 * np.arange(300), policy)[:1] == 0.0)
+
+
 def test_bessel_primitives_vs_quadrature():
     # A 200-entry table resolves the series down to ~1e-4; the remaining head
     # of the integral comes from the two-term short-time expansion,
