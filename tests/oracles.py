@@ -223,29 +223,40 @@ def mittag_leffler_series_oracle(alpha: float, z: float, n_terms: int) -> float:
     return math.fsum(z**n / math.gamma(alpha * n + 1.0) for n in range(n_terms))
 
 
-def stepping_reference(a: float, b: float, kind: str, dt: float, samples) -> np.ndarray:
+# pi to 36 digits, parsed straight into the extended type
+_PI_DIGITS = "3.14159265358979323846264338327950288"
+
+
+def stepping_reference(
+    a: float, b: float, kind: str, dt: float, samples, dtype=float
+) -> np.ndarray:
     """Per-step forward substitution of the L1 Caputo-1/2 constitutive law.
 
     sigma + a D^{1/2} sigma = b D^{1/2} eps (the asymptotic family has
     a = b = 1/(2(nu+1))); each step sums the whole response history with one
     O(k) dot product, so the cost is O(n^2).  ``kind`` names the input
     variable; the response starts at the glass value f_0 a/b (stress input)
-    or f_0 / (a/b) (strain input).
+    or f_0 / (a/b) (strain input).  With ``dtype=np.longdouble`` every
+    operation runs in extended precision, Gamma(3/2) = sqrt(pi)/2 from pi
+    parsed to that precision; a, b, dt and the samples enter exactly.
     """
-    f = np.asarray(samples, dtype=float)
+    f = np.asarray(samples, dtype=float).astype(dtype)
+    a, b, dt = (dtype(v) for v in (a, b, dt))
     n = len(f)
-    w = np.sqrt(np.arange(1, n + 1.0)) - np.sqrt(np.arange(n, dtype=float))
-    kappa = 1.0 / (math.sqrt(dt) * math.gamma(1.5))
-    load_caputo = np.zeros(n)
-    load_caputo[1:] = np.convolve(np.diff(f), w)[: n - 1] / (math.sqrt(dt) * math.gamma(1.5))
-    out = np.zeros(n)
+    w = np.sqrt(np.arange(1, n + 1, dtype=dtype)) - np.sqrt(np.arange(n, dtype=dtype))
+    gamma_3_2 = math.gamma(1.5) if dtype is float else np.sqrt(dtype(_PI_DIGITS)) / 2
+    root_kappa = np.sqrt(dt) * gamma_3_2
+    kappa = 1 / root_kappa
+    load_caputo = np.zeros(n, dtype=dtype)
+    load_caputo[1:] = np.convolve(np.diff(f), w)[: n - 1] / root_kappa
+    out = np.zeros(n, dtype=dtype)
     out[0] = f[0] / (a / b) if kind == "strain" else (a / b) * f[0]
     for k in range(1, n):
         inc = np.diff(out[:k])
-        hist = float(np.dot(w[1:k], inc[::-1])) if k > 1 else 0.0
+        hist = np.dot(w[1:k], inc[::-1]) if k > 1 else 0
         if kind == "strain":
             out[k] = (b * load_caputo[k] + a * kappa * (w[0] * out[k - 1] - hist)) / (
-                1.0 + a * kappa * w[0]
+                1 + a * kappa * w[0]
             )
         else:
             out[k] = out[k - 1] + (f[k] / b + (a / b) * load_caputo[k]) / kappa - hist

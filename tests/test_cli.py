@@ -456,6 +456,25 @@ def test_verify_cm_runs_only_the_family_asked_for(tmp_path):
     assert [(r["check"], r["params"]) for r in records] == [("cm-asym-memory", {"nu": 0.5})]
 
 
+def test_verify_cm_evaluates_each_asymptotic_order_in_one_call(monkeypatch):
+    # the four five-point stencils of an order are one relaxation_memory call;
+    # erfcx is elementwise, so each row is bit for bit its own call's values
+    from viscobessel import cli
+
+    real = cli.relaxation_memory
+    shapes = []
+
+    def spy(lam, g, t):
+        shapes.append(np.shape(t))
+        out = real(lam, g, t)
+        assert all(np.array_equal(got, real(lam, g, row)) for got, row in zip(out, t))
+        return out
+
+    monkeypatch.setattr(cli, "relaxation_memory", spy)
+    assert run(["verify", "--check", "cm"]) == 0
+    assert shapes == [(4, 5), (4, 5)]
+
+
 @pytest.mark.parametrize("check", ["reciprocity", "laplace-oracle", "interconversion"])
 @pytest.mark.parametrize("flags", [["--nu", "0.7"], ["--a1", "0.3", "--b1", "2"]],
                          ids=["nu", "a1-b1"])

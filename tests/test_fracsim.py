@@ -373,26 +373,93 @@ def test_causality_is_bit_exact_at_large_n(k):
 
 
 def test_l1_inverse_memo_leaves_no_trace():
-    # stress stepping slices 1/W from a per-process memo keyed by a power of
+    # both load kinds slice 1/W from a per-process memo keyed by a power of
     # two; neither its order of filling nor a longer run may move a result
-    fracsim._l1_inverse.cache_clear()
     p = ModelParams("fmax", a1=0.5, b1=2.0)
     dt = 2e-3
 
     def runs():
-        for n in (1000, 4097):
-            load = LoadHistory("stress", dt, np.sin(5.0 * dt * np.arange(n)))
-            yield step_response(p, load).samples
+        for kind in ("strain", "stress"):
+            for n in (1000, 4097):
+                load = LoadHistory(kind, dt, np.sin(5.0 * dt * np.arange(n)))
+                yield step_response(p, load).samples
 
-    first = list(runs())
-    step_response(p, LoadHistory("stress", dt, np.ones(16000)))
-    for before, after in zip(first, runs()):
-        assert np.array_equal(before, after)
+    fracsim._l1_inverse.cache_clear()
+    first = list(runs())  # a strain run fills the memo
+    step_response(p, LoadHistory("strain", dt, np.ones(16000)))
+    after_longer = list(runs())
+    fracsim._l1_inverse.cache_clear()
+    step_response(p, LoadHistory("stress", dt, np.ones(16000)))  # longest first
+    for before, *after in zip(first, after_longer, runs()):
+        assert all(np.array_equal(before, again) for again in after)
     for m in (999, 4096, 15999):
         memo = fracsim._l1_inverse(1 << (m - 1).bit_length())
         assert not memo.flags.writeable
         direct = fracsim._reciprocal(fracsim._l1_weights(m), m)
         assert np.max(np.abs(memo[:m] - direct)) <= 1e-15 * np.max(np.abs(direct))
+
+
+def test_strain_stepping_takes_one_reciprocal_and_one_product(monkeypatch):
+    # with the memo filled, a strain call costs one Newton reciprocal and one
+    # causal product; it never rebuilds the L1 weights
+    load = LoadHistory("strain", 2e-3, np.sin(np.arange(3000.0)))
+    step_response(ModelParams("asymptotic", nu=0.3), load)
+    calls = []
+
+    def counted(name):
+        real = getattr(fracsim, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for name in ("_reciprocal", "_toeplitz_apply", "_l1_weights"):
+        monkeypatch.setattr(fracsim, name, counted(name))
+    step_response(ModelParams("fmax", a1=0.03, b1=40.0), load)
+    assert sorted(calls) == ["_reciprocal", "_toeplitz_apply"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 4097])
+def test_reciprocal_residual(n):
+    # Newton doublings up to _BLOCK coefficients take direct products, later
+    # ones FFT products.  Columns: the L1 weights, and the strain stepping
+    # column c + cumsum(1/W), c from large dt (1e-3) to small (1e3).  The
+    # residual of a b = 1, summed in extended precision, reaches 1.2e-16.
+    inverse_sum = np.cumsum(fracsim._l1_inverse(1 << (n - 1).bit_length())[:n])
+    columns = [fracsim._l1_weights(n)] + [
+        np.concatenate(([c + inverse_sum[0]], inverse_sum[1:])) for c in (1e-3, 1.0, 1e3)
+    ]
+    for col in columns:
+        b = fracsim._reciprocal(col, n)
+        residual = np.convolve(col.astype(np.longdouble), b.astype(np.longdouble))[:n]
+        residual[0] -= 1
+        assert np.max(np.abs(residual)) <= 4 * np.finfo(float).eps
+
+
+_EXTENDED = [ModelParams("asymptotic", nu=nu) for nu in (-0.8, 0.25)] + [
+    ModelParams("fmax", a1=0.03, b1=40.0)
+]
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18, reason="long double is not an extended type here"
+)
+@pytest.mark.parametrize("kind", ["stress", "strain"])
+@pytest.mark.parametrize("params", _EXTENDED, ids=lambda p: p.label())
+def test_stepping_matches_extended_precision_reference(params, kind):
+    # the same L1 system solved step by step in 80-bit arithmetic: both load
+    # kinds reach at most 1.0e-14 relative to the largest response sample,
+    # half the bound
+    n = 2001
+    k = np.arange(n)
+    for dt in (1e-3, 0.1, 10.0):
+        for samples in (np.ones(n), np.sin(6.0 * np.pi * k / (n - 1))):
+            got = step_response(params, LoadHistory(kind, dt, samples)).samples
+            ref = stepping_reference(*_law_ab(params), kind, dt, samples, dtype=np.longdouble)
+            error = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+            assert error <= 2e-14, (dt, error)
 
 
 # ---------------------------------------------------------------------------
