@@ -175,17 +175,21 @@ def _reciprocal(col, n: int) -> np.ndarray:
     with column b, so _toeplitz_apply(b, rhs) solves that system, as causal
     in rhs as any product.  Newton doubling b <- b (2 - a b) mod z^{2k}:
     with a b = 1 + z^k e mod z^{2k}, the update appends -(b e) mod z^k.
-    Doublings up to _TOEPLITZ_BLOCK coefficients take direct products, the
-    rest FFT products whose cyclic wrap misses the kept coefficients.
+    Doublings up to _TOEPLITZ_BLOCK coefficients take direct products, as
+    does a last one that appends only r <= _TOEPLITZ_BLOCK of its k; the rest
+    take FFT products whose cyclic wrap misses the kept coefficients.
     """
     a = np.zeros(1 << (n - 1).bit_length())
     a[:n] = np.asarray(col, dtype=float)[:n]
     b = np.array([1.0 / a[0]])
     while len(b) < n:
-        k = len(b)
+        k, r = len(b), n - len(b)
         if 2 * k <= _TOEPLITZ_BLOCK:
             e = np.convolve(a[: 2 * k], b)[k : 2 * k]
             b = np.concatenate((b, -np.convolve(b, e)[:k]))
+        elif r < k and r <= _TOEPLITZ_BLOCK:  # a short last doubling
+            e = np.convolve(a[1 : k + r], b, "valid")  # (a b)[k : k + r]
+            b = np.concatenate((b, -np.convolve(b[:r], e)[:r]))
         else:
             b_hat = np.fft.rfft(b, 2 * k)
             e = np.fft.irfft(np.fft.rfft(a[: 2 * k]) * b_hat, 2 * k)[k:]
@@ -195,7 +199,7 @@ def _reciprocal(col, n: int) -> np.ndarray:
 
 def _l1_weights(n: int) -> np.ndarray:
     j = np.arange(n, dtype=float)
-    return np.sqrt(j + 1.0) - np.sqrt(j)
+    return 1.0 / (np.sqrt(j + 1.0) + np.sqrt(j))  # sqrt(j + 1) - sqrt(j), without cancelling
 
 
 @functools.lru_cache(maxsize=None)

@@ -27,27 +27,28 @@ too slowly for the configured table and evaluation is refused
 (SeriesRefusalError) -- short times belong to the Laplace-domain route.
 
 Within that count, each contiguous block of a chunk's times also drops every
-term with j_n^2 - j_1^2 > 60 ln 2 / t_min, t_min being the block's smallest
-time: at each of its times such a term is below 2^-60 of the first one, so
-under half an ulp of every partial sum, and adding it rounds back to the same
-double.  A block of two or more times sums its rows in table order, so its
-result keeps every bit; numpy sums a one-time chunk pairwise, and there the
-regrouping may move the sum by a few ulp.  The dropped terms are the expensive
-ones: np.exp takes its slow path for arguments that underflow to subnormals or
-zero, and subnormal division is slow too.
+term with j_n^2 - j_1^2 > 55 ln 2 / t_min, t_min being the block's smallest
+time.  At each of its times such a term d is at most 2^-55 of the first term,
+times 1 plus a few ulp for their rounding.  All terms are positive, so every
+partial sum S of the row is at least that first term, and half an ulp of S
+exceeds 2^-54 S > d: adding d rounds back to S.  A block of two or more times
+sums its rows in table order, so its result keeps every bit; numpy sums a
+one-time chunk pairwise, and there the regrouping may move it by a few ulp.
+The dropped terms are the expensive ones: np.exp takes its slow path for
+arguments that underflow to subnormals or zero, and subnormal division is slow.
 
-A chunk starts as one block, and a block is halved while each half keeps at
-least 64 times and the halves' own cuts save at least 8192 term evaluations.
-So a grid k dt from t = 0 splits its first chunk into ~7 geometric blocks and
-only the 64 times at t = 0 keep every term; a log grid's chunks do not split.
-
-All blocks are planned first, in time order; a block of two or more times
-merges into the one before it when both keep the same terms and together hold
-at most 2^17 (1 MB).  Its columns still add their terms in table order, so no
-bit moves, and a block of a few terms stops paying numpy's fixed cost alone.
+One pass over the times gives every chunk's smallest and largest time, which
+the checks, the counts and the cuts read: the counts come from one array of
+tail bounds, the cuts from one search in j_n^2 - j_1^2.  A chunk starts as
+one block, and a block is halved while each half keeps at least 64 times and
+the halves' own cuts save at least 8192 term evaluations.  So a grid k dt
+from t = 0 splits its first chunk into ~7 geometric blocks and only the 64
+times at t = 0 keep every term; a log grid's chunks do not split.  A block of
+two or more times merges into the one before it when both keep the same terms
+and together hold at most 2^17 (1 MB); its columns still add their terms in
+table order, so no bit moves.  A one-term block skips the buffer.
 """
 
-import bisect
 import math
 
 import numpy as np
@@ -62,7 +63,7 @@ _CHUNK = 4096  # times per chunk; each chunk truncates on its own
 _RUN = 2**17  # most terms (1 MB) in a block merged from blocks of equal term count
 _MIN_BLOCK = 64  # fewest times in either half of a split block
 _SPLIT_GAIN = 8192  # term evaluations a split must save; one block costs ~3000
-_SUB_ULP = 60.0 * math.log(2.0)  # exp(-_SUB_ULP) = 2^-60, far below half an ulp
+_SUB_ULP = 55.0 * math.log(2.0)  # exp(-_SUB_ULP) = 2^-55: under half an ulp (module doc)
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +94,26 @@ def bessel_G_laplace(nu: float, s):
 # ---------------------------------------------------------------------------
 
 
+def _extremes(ts) -> np.ndarray:
+    """Each chunk's smallest (row 0) and largest (row 1) time: one pass."""
+    starts = np.arange(0, len(ts), _CHUNK)
+    return np.array((np.minimum.reduceat(ts, starts), np.maximum.reduceat(ts, starts)))
+
+
 def _check_times(ts, policy: TruncationPolicy):
-    """(ts as an array, its smallest time: inf when empty), or the refusal."""
+    """(ts as an array, its smallest time: inf when empty, its _extremes), or the refusal."""
     ts = np.asarray(ts, dtype=float)
-    lo, hi = ts.min(initial=math.inf), ts.max(initial=-math.inf)  # NaN reaches both
-    if ts.size and not (math.isfinite(lo) and math.isfinite(hi)):
+    ext = _extremes(ts.ravel())  # NaN reaches both rows; a lone chunk's are the grid's
+    t_min, t_max = ext[:, 0].tolist() if ext.shape[1] == 1 else (
+        float(ext[0].min(initial=math.inf)), ext[1].max(initial=-math.inf))
+    if ts.size and not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise DomainError("series evaluation requires finite times")
-    if lo < policy.t_floor:
+    if t_min < policy.t_floor:
         raise SeriesRefusalError(
             f"series evaluation refused below t_floor = {policy.t_floor!r} "
-            f"(smallest requested t = {float(lo)!r})"
+            f"(smallest requested t = {t_min!r})"
         )
-    return ts, float(lo)
+    return ts, t_min, ext
 
 
 def _truncation_index(tail, n_terms: int, t: float, policy: TruncationPolicy):
@@ -113,31 +122,49 @@ def _truncation_index(tail, n_terms: int, t: float, policy: TruncationPolicy):
     return next(hits, None)
 
 
-def _block_plan(sq, ts, n_for=None) -> list:
+def _chunk_counts(tail, n: int, ts, policy: TruncationPolicy, sq) -> np.ndarray:
+    """_truncation_index(tail, n, t, policy) or n at each t of ts, from the tails
+    tail(idx, ts, np.exp, sq) on the squares' array sq; np.exp may differ from
+    math.exp in the last bits, so a tail within 1e-12 of tol is asked again."""
+    idx, ts = np.arange(N_MIN - 1, n), np.asarray(ts, dtype=float)
+    tails = tail(idx, ts[..., None], np.exp, sq)
+    hit = tails <= policy.tol
+    tails -= policy.tol
+    for k in zip(*np.nonzero(tails * tails <= (1e-12 * policy.tol) ** 2)):
+        hit[k] = tail(int(idx[k[-1]]), float(ts[k[:-1]])) <= policy.tol
+    hit[..., -1] = True  # no hit before the last term: n
+    return hit.argmax(-1) + N_MIN
+
+
+def _block_plan(sq, ts, n_for=None, extremes=None) -> list:
     """(first, end, terms) blocks of ts in time order: a chunk keeps its first
-    n_for(chunk.min()) terms (all if n_for is None), and each block of it those
-    that can change a bit of its row sums (see module doc)."""
-    gaps = (sq - sq[0]).tolist()
+    n_for(chunk minima) terms (all if n_for is None), and each block of it
+    those that can change a bit of its row sums (module doc).  extremes are
+    the _extremes of ts, taken here when the caller has none."""
+    ext = _extremes(ts) if extremes is None else extremes
+    gaps = sq - sq[0]
 
     def kept(n, t):  # of the first n terms, those that can change a bit at times >= t
-        if t <= 0.0:  # at t = 0 every term counts
-            return n
-        return min(n, bisect.bisect_right(gaps, _SUB_ULP / float(t)))
+        # (all at t = 0: _SUB_ULP / 1e-300 exceeds every gap); falls with t
+        return min(n, int(gaps.searchsorted(_SUB_ULP / max(float(t), 1e-300), "right")))
 
-    starts = range(0, len(ts), _CHUNK)
-    plan = []
-    for lo, t_min in zip(starts, np.minimum.reduceat(ts, starts).tolist()):
-        n = len(sq) if n_for is None else n_for(t_min)
-        blocks = [(lo, min(lo + _CHUNK, len(ts)), t_min)]
+    # every chunk's m = kept(n, lo) and, within it, its largest time's kept(n, hi)
+    n = len(sq) if n_for is None else n_for(ext[0])
+    cuts = gaps.searchsorted(_SUB_ULP / np.maximum(ext, 1e-300), "right")
+    m, m_hi = np.minimum(n, cuts).tolist()
+    plan, starts = [], list(range(0, len(ts), _CHUNK))
+    for chunk in zip(starts, starts[1:] + [len(ts)], m, m_hi):
+        blocks = [chunk]
         while blocks:
-            a, b, t_min = blocks.pop()
-            m = kept(n, t_min)
+            a, b, m, m_hi = blocks.pop()
             mid = (a + b) // 2
             # halve where the halves' own cuts save enough; the largest time
-            # bounds that saving without the two half minima
-            if mid - a >= _MIN_BLOCK and (m - kept(m, ts[a:b].max())) * (b - a) >= _SPLIT_GAIN:
-                halves = [(mid, b, ts[mid:b].min()), (a, mid, ts[a:mid].min())]
-                if sum((m - kept(m, t)) * (y - x) for x, y, t in halves) >= _SPLIT_GAIN:
+            # bounds that saving without the two half minima (a half's m_hi
+            # is None until it is needed; a count is never 0)
+            m_hi = m_hi or kept(m, ts[a:b].max()) if mid - a >= _MIN_BLOCK else m
+            if (m - m_hi) * (b - a) >= _SPLIT_GAIN:
+                halves = [(x, y, kept(m, ts[x:y].min()), None) for x, y in ((mid, b), (a, mid))]
+                if sum((m - k) * (y - x) for x, y, k, _ in halves) >= _SPLIT_GAIN:
                     blocks += halves
                     continue
             # merge into the previous block when both keep m terms; a one-time
@@ -148,54 +175,62 @@ def _block_plan(sq, ts, n_for=None) -> list:
     return plan
 
 
-def _dirichlet_sum(squares, ts, power: int, n_for=None) -> np.ndarray:
+def _dirichlet_sum(squares, ts, power: int, n_for=None, extremes=None) -> np.ndarray:
     """sum_n exp(-j_n^2 t) / j_n^(2 power) over the blocks of _block_plan, all
     summed in one buffer; a column adds its block's terms in table order
-    wherever the block ends, so merged blocks give the same bits."""
+    wherever the block ends, so merged blocks give the same bits.  A one-term
+    block is written straight into the output."""
     sq = np.asarray(squares, dtype=float)
     ts = np.asarray(ts, dtype=float).ravel()
-    plan = _block_plan(sq, ts, n_for)
-    neg, weights = -sq[:, None], sq[:, None] ** power
-    buf = np.empty(max(((b - a) * m for a, b, m in plan), default=0))
+    plan = _block_plan(sq, ts, n_for, extremes)
+    col = sq[:, None]
+    neg, weights = -col, col if power == 1 else col**power
+    buf = np.empty(max(((b - a) * m for a, b, m in plan if m > 1), default=0))
     out = np.empty(len(ts))
     for a, b, m in plan:
-        terms = buf[: (b - a) * m].reshape(m, b - a)
+        terms = out[None, a:b] if m == 1 else buf[: (b - a) * m].reshape(m, b - a)
         np.multiply(neg[:m], ts[a:b], out=terms)  # (-a) b == -(a b)
         np.exp(terms, out=terms)
         terms /= weights[:m]
-        np.add.reduce(terms, axis=0, out=out[a:b])
+        if m > 1:
+            np.add.reduce(terms, axis=0, out=out[a:b])
     return out
 
 
-def _series(sq, ts, t_min, policy, tail, n_terms, power, refusal) -> np.ndarray:
-    """Sum truncated at t_min = ts.min() (or refused there; inf for an empty
-    ts, which needs no terms), then per chunk within that."""
+def _series(tab, times, policy, tail, n_terms, power, refusal) -> np.ndarray:
+    """Sum truncated at the smallest of times = _check_times(...) (or refused
+    there), then per chunk within that; tail takes arrays, as _chunk_counts."""
+    ts, t_min, ext = times
     n_use = _truncation_index(tail, n_terms, t_min, policy)
     if n_use is None:
         raise TableExhaustedError(refusal(t_min))
-    # a tail bound falls with t, so later chunks need <= n_use terms (None: all)
-    return _dirichlet_sum(sq[:n_use], ts, power, lambda t: n_use if t == t_min else (
-        _truncation_index(tail, n_use, t, policy)))
+    # a tail bound falls with t, so later chunks need N_MIN to n_use terms
+    return _dirichlet_sum(tab.square_array, ts, power, lambda lo: (
+        n_use if n_use == N_MIN or lo.size == 1 and lo.item() <= t_min  # one chunk at t_min
+        else _chunk_counts(tail, n_use, lo, policy, tab.square_array)), ext)
 
 
-def _rayleigh_series(sq, ts, t_min, policy, c, what) -> np.ndarray:
+def _rayleigh_series(tab, times, policy, c, what) -> np.ndarray:
     """sum_n exp(-j_n^2 t) / j_n^2; the tail past N is below c exp(-j_N^2 t)."""
-    n_terms = min(len(sq), policy.n_max)
-    return _series(sq, ts, t_min, policy, lambda i, t: c * math.exp(-sq[i] * t), n_terms, 1,
-                   lambda t: f"{what}: {n_terms} zeros cannot push the series tail "
-                   f"below tol = {policy.tol!r} at t = {t!r}")
+    n_terms = min(len(tab), policy.n_max)
+
+    def tail(i, t, exp=math.exp, sq=tab.squares):
+        return c * exp(-sq[i] * t)
+
+    return _series(tab, times, policy, tail, n_terms, 1, lambda t: f"{what}: {n_terms} zeros "
+                   f"cannot push the series tail below tol = {policy.tol!r} at t = {t!r}")
 
 
 def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
     """Creep compliance J(t; nu) on an array of times (each >= t_floor)."""
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
-    ts, t_min = _check_times(ts, policy)
+    times = _check_times(ts, policy)
     tab = zero_table(nu + 2.0, policy.n_max)
     coeff = (nu + 1.0) / (nu + 3.0)  # 4(nu+1) * Rayleigh tail 1/(4(nu+3))
-    series = _rayleigh_series(tab.squares, ts, t_min, policy, coeff, "J series")
+    series = _rayleigh_series(tab, times, policy, coeff, "J series")
     series *= 4.0 * (nu + 1.0)
-    out = 4.0 * (nu + 1.0) * (nu + 2.0) * ts
+    out = 4.0 * (nu + 1.0) * (nu + 2.0) * times[0]
     out += 2.0 * (nu + 2.0) / (nu + 3.0)
     out -= series
     return out
@@ -205,10 +240,10 @@ def bessel_G_curve(nu, ts, policy=None) -> np.ndarray:
     """Relaxation modulus G(t; nu) on an array of times (each >= t_floor)."""
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
-    ts, t_min = _check_times(ts, policy)
+    times = _check_times(ts, policy)
     tab = zero_table(nu, policy.n_max)
     # 4(nu+1) * Rayleigh tail 1/(4(nu+1)) = 1
-    series = _rayleigh_series(tab.squares, ts, t_min, policy, 1.0, "G series")
+    series = _rayleigh_series(tab, times, policy, 1.0, "G series")
     return np.multiply(series, 4.0 * (nu + 1.0), out=series)
 
 
@@ -226,17 +261,18 @@ def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
     """Rate of relaxation Phi(t; nu) = -dG/dt on an array of times."""
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
-    ts, t_min = _check_times(ts, policy)
-    sq = zero_table(nu, policy.n_max).squares
+    times = _check_times(ts, policy)
+    tab = zero_table(nu, policy.n_max)
     amp = 4.0 * (nu + 1.0)
 
-    def tail(idx, t):  # j_n^2 gaps grow, so terms past idx+1 fall faster than rho^k
-        rho = math.exp(-(sq[idx + 1] - sq[idx]) * t)
-        return amp * math.exp(-sq[idx + 1] * t) / (1.0 - rho)
+    def tail(idx, t, exp=math.exp, sq=tab.squares):
+        # j_n^2 gaps grow, so terms past idx+1 fall faster than rho^k
+        rho = exp(-(sq[idx + 1] - sq[idx]) * t)
+        return amp * exp(-sq[idx + 1] * t) / (1.0 - rho)
 
-    n_terms = min(len(sq), policy.n_max) - 1  # tail(idx) reads zero idx + 1
-    series = _series(sq, ts, t_min, policy, tail, n_terms, 0, lambda t: (
-        f"Phi series: table of {len(sq)} zeros cannot bound the memory-series "
+    n_terms = min(len(tab), policy.n_max) - 1  # tail(idx) reads zero idx + 1
+    series = _series(tab, times, policy, tail, n_terms, 0, lambda t: (
+        f"Phi series: table of {len(tab)} zeros cannot bound the memory-series "
         f"tail below tol = {policy.tol!r} at t = {t!r}"))
     return np.multiply(series, amp, out=series)
 
@@ -261,10 +297,11 @@ def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
     integral of exp(-T j^2) / j^4 over the zeros' ~pi spacing past j0, with
     j0 = (3 pi R(0))^(-1/3) to match R(0).  Against 2e5 scipy zeros (orders
     0-5, 200-zero tables) that is within 2.3e-6 R(0), ~1e-15.  Past x^2 =
-    60 ln 2 it is below 2^-60 R(0) and dropped (T > 1.1e-4 for 200 zeros).
+    55 ln 2 it is below 2^-55 R(0), far below the table's first term, and is
+    dropped (T > 9.6e-5 for 200 zeros).
     """
     T = np.asarray(T, dtype=float).ravel()
-    sq = np.asarray(tab.squares, dtype=float)
+    sq = tab.square_array
     out = _dirichlet_sum(sq, T, 2)
     sigma2 = _rayleigh_sigma2(tab.order)
     r0 = sigma2 - math.fsum((sq * sq) ** -1.0)

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
+
 from ..errors import DomainError, RootFindError
 from .bessel import _j
 
@@ -41,6 +43,7 @@ class ZeroTable:
     order: float
     zeros: tuple[float, ...]
     squares: tuple[float, ...] = field(init=False, repr=False)
+    square_array: np.ndarray = field(init=False, repr=False, compare=False)  # read-only
 
     def __post_init__(self):
         if not math.isfinite(self.order) or self.order <= -1.0:
@@ -53,6 +56,8 @@ class ZeroTable:
                 raise DomainError("zeros must be positive and strictly increasing")
             prev = z
         object.__setattr__(self, "squares", tuple(z * z for z in self.zeros))
+        object.__setattr__(self, "square_array", np.array(self.squares))
+        self.square_array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.zeros)

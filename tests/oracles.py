@@ -5,6 +5,7 @@ series, bisection, quadrature, stdlib gamma, per-step loops) so the tests
 never validate the package against its own code paths.
 """
 
+import bisect
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -14,6 +15,7 @@ from scipy.integrate import quad
 from scipy.special import jn_zeros
 
 from viscobessel.errors import DomainError
+from viscobessel.models import bessel_family
 from viscobessel.models.bessel_family import _CHUNK
 from viscobessel.models.evaluate import (
     creep_integral_curve,
@@ -339,11 +341,13 @@ def bessel_primitive(nu: int, kind: str, ts, n_zeros: int = 2000) -> np.ndarray:
     return np.array(out)
 
 
-def dirichlet_sum_uncut(squares, ts, power: int, n_for=None) -> np.ndarray:
+def dirichlet_sum_uncut(squares, ts, power: int, n_for=None, extremes=None) -> np.ndarray:
     """The series kernel before terms below half an ulp were dropped.
 
     Kept verbatim (chunk size included) so the cut kernel can be checked
     against it bit for bit; it sums every term the truncation rule keeps.
+    It takes the package kernel's arguments; ``extremes``, the chunk extremes
+    that the package's checks pass on to its block plan, is not needed here.
     """
     sq = np.asarray(squares, dtype=float)
     ts = np.asarray(ts, dtype=float).ravel()
@@ -355,6 +359,101 @@ def dirichlet_sum_uncut(squares, ts, power: int, n_for=None) -> np.ndarray:
         np.exp(terms, out=terms)
         terms /= sq[:n, None] ** power
         out[lo : lo + len(chunk)] = terms.sum(axis=0)
+    return out
+
+
+SUB_ULP_CUT_BEFORE = 60.0 * math.log(2.0)  # the cut before its half-ulp proof: 2^-60
+
+
+def block_plan_reference(sq, ts, n_for=None, sub_ulp=SUB_ULP_CUT_BEFORE) -> list:
+    """The Dirichlet-series block plan as it was made chunk by chunk in Python.
+
+    Kept verbatim, with the sub-ulp cut constant as a parameter: each chunk
+    calls n_for(chunk minimum) and ts[a:b].max(), and its blocks are halved
+    and merged one by one.  The package plans the same blocks from arrays.
+    """
+    _RUN, _MIN_BLOCK = bessel_family._RUN, bessel_family._MIN_BLOCK
+    _SPLIT_GAIN, _SUB_ULP = bessel_family._SPLIT_GAIN, sub_ulp
+    gaps = (sq - sq[0]).tolist()
+
+    def kept(n, t):  # of the first n terms, those that can change a bit at times >= t
+        if t <= 0.0:  # at t = 0 every term counts
+            return n
+        return min(n, bisect.bisect_right(gaps, _SUB_ULP / float(t)))
+
+    starts = range(0, len(ts), _CHUNK)
+    plan = []
+    for lo, t_min in zip(starts, np.minimum.reduceat(ts, starts).tolist()):
+        n = len(sq) if n_for is None else n_for(t_min)
+        blocks = [(lo, min(lo + _CHUNK, len(ts)), t_min)]
+        while blocks:
+            a, b, t_min = blocks.pop()
+            m = kept(n, t_min)
+            mid = (a + b) // 2
+            # halve where the halves' own cuts save enough; the largest time
+            # bounds that saving without the two half minima
+            if mid - a >= _MIN_BLOCK and (m - kept(m, ts[a:b].max())) * (b - a) >= _SPLIT_GAIN:
+                halves = [(mid, b, ts[mid:b].min()), (a, mid, ts[a:mid].min())]
+                if sum((m - kept(m, t)) * (y - x) for x, y, t in halves) >= _SPLIT_GAIN:
+                    blocks += halves
+                    continue
+            # merge into the previous block when both keep m terms; a one-time
+            # block (only ever a grid's last) stays alone: numpy sums it pairwise
+            if plan and plan[-1][2] == m and b - a > 1 and (b - plan[-1][0]) * m <= _RUN:
+                a = plan.pop()[0]
+            plan.append((a, b, m))
+    return plan
+
+
+def series_plan_reference(fn: str, nu: float, ts, sub_ulp=SUB_ULP_CUT_BEFORE,
+                          policy=DEFAULT_POLICY) -> list:
+    """``block_plan_reference`` of a Bessel series on ts, with its term counts
+    taken chunk by chunk as before they were planned from arrays.
+
+    fn is "J", "G" or "Phi" (the tail bounds of ``dirichlet_reference``, with
+    the package's J coefficient (nu+1)/(nu+3)), or "creep"/"relax" for the
+    primitives' whole-table quartic sums.  J, G and Phi keep the first N in
+    [N_MIN, n_use] whose tail bound at the chunk's smallest time is below
+    tol, n_use being that count at the smallest time of all.
+    """
+    ts = np.asarray(ts, dtype=float).ravel()
+    sq = zero_table(nu + 2.0 if fn in ("J", "creep") else nu, policy.n_max).squares
+    if fn in ("creep", "relax"):
+        return block_plan_reference(np.asarray(sq), ts, None, sub_ulp)
+    amp = 4.0 * (nu + 1.0)
+    if fn == "Phi":
+        n_terms = min(len(sq), policy.n_max) - 1
+
+        def tail(i, t):
+            return amp * math.exp(-sq[i + 1] * t) / (1.0 - math.exp(-(sq[i + 1] - sq[i]) * t))
+    else:
+        n_terms, c = min(len(sq), policy.n_max), (nu + 1.0) / (nu + 3.0) if fn == "J" else 1.0
+
+        def tail(i, t):
+            return c * math.exp(-sq[i] * t)
+
+    def first(n, t):
+        return next((i + 1 for i in range(N_MIN - 1, n) if tail(i, t) <= policy.tol), None)
+
+    t_min = float(ts.min())
+    n_use = first(n_terms, t_min)
+    return block_plan_reference(np.asarray(sq[:n_use]), ts,
+                                lambda t: n_use if t == t_min else first(n_use, t), sub_ulp)
+
+
+def planned_dirichlet_sum(squares, ts, power: int, plan) -> np.ndarray:
+    """sum_n exp(-j_n^2 t) / j_n^(2 power) over the blocks of a plan, each
+    block's (terms x times) array reduced over its terms, as the series kernel
+    summed before its one-term blocks skipped the buffer."""
+    sq = np.asarray(squares, dtype=float)
+    ts = np.asarray(ts, dtype=float).ravel()
+    neg, weights = -sq[:, None], sq[:, None] ** power
+    out = np.empty(len(ts))
+    for a, b, m in plan:
+        terms = np.multiply(neg[:m], ts[a:b])
+        np.exp(terms, out=terms)
+        terms /= weights[:m]
+        np.add.reduce(terms, axis=0, out=out[a:b])
     return out
 
 

@@ -438,6 +438,40 @@ def test_reciprocal_residual(n):
         assert np.max(np.abs(residual)) <= 4 * np.finfo(float).eps
 
 
+def test_short_last_doubling_appends_only_the_coefficients_still_needed(monkeypatch):
+    # one coefficient past a power of two costs direct products for that one
+    # alone; the coefficients before it keep their bits, and the lengths that
+    # stepping meets (n - 1 for the 1000 to 16000-sample loads, and the memo's
+    # powers of two) keep their FFT doublings
+    col = fracsim._l1_weights(16_384)
+    assert np.array_equal(fracsim._reciprocal(col, 4097)[:4096], fracsim._reciprocal(col, 4096))
+    modes, convolve = [], np.convolve
+
+    def spy(*args):
+        modes.append(args[2] if len(args) > 2 else "full")
+        return convolve(*args)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    for n, direct in ((4097, 1), (4352, 1), (999, 0), (1999, 0), (3999, 0), (7999, 0),
+                      (15999, 0), (512, 0), (4096, 0), (16_384, 0)):
+        modes.clear()
+        fracsim._reciprocal(col, n)
+        assert modes.count("valid") == direct, n
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18, reason="long double is not an extended type here"
+)
+def test_l1_weights_do_not_cancel():
+    # w_j = sqrt(j+1) - sqrt(j) is formed as 1/(sqrt(j+1) + sqrt(j)): 2.4e-16
+    # off the 80-bit value over 16,384 weights, where the difference of the
+    # two roots reached 3.4e-12
+    n = 16_384
+    j = np.arange(n, dtype=np.longdouble)
+    exact = 1 / (np.sqrt(j + 1) + np.sqrt(j))
+    assert np.max(np.abs(fracsim._l1_weights(n) - exact) / exact) <= 4e-16
+
+
 _EXTENDED = [ModelParams("asymptotic", nu=nu) for nu in (-0.8, 0.25)] + [
     ModelParams("fmax", a1=0.03, b1=40.0)
 ]

@@ -4,9 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import (
+    SUB_ULP_CUT_BEFORE,
     bessel_G_two_term,
     bessel_J_two_term,
     bisect_bessel_zero,
@@ -14,6 +17,8 @@ from oracles import (
     dirichlet_reference,
     dirichlet_sum_uncut,
     erfc_quadrature,
+    planned_dirichlet_sum,
+    series_plan_reference,
 )
 from viscobessel.cli import FIGURE_ASYM_NUS, FIGURE_GRID_LIN
 from viscobessel.errors import SeriesRefusalError, TableExhaustedError
@@ -42,6 +47,7 @@ from viscobessel.models.evaluate import (
     relax_integral_curve,
 )
 from viscobessel.models.maxwell import relaxation_memory
+from viscobessel.models.params import N_MIN
 from viscobessel.specfun import mittag_leffler_half, zero_table
 from viscobessel.specfun.zeros import configure_cache
 
@@ -226,7 +232,7 @@ def _cut_grids(fn, n):
 @pytest.mark.parametrize("fn", list(SERIES_KERNELS))
 def test_sub_ulp_term_cut_is_bit_identical(monkeypatch, fn, n):
     # a block of two or more times sums its rows in table order, so a term
-    # below 2^-60 of the first one is under half an ulp of every partial sum;
+    # below 2^-55 of the first one is under half an ulp of every partial sum;
     # a one-time chunk is summed pairwise and is checked separately below
     exact = n - 1 if n % bessel_family._CHUNK == 1 else n
     for nu in (-0.8, 0.0, 1.5):
@@ -328,6 +334,89 @@ def test_sub_ulp_term_cut_moves_single_times_by_at_most_4_ulp():
                     got = bessel_family._dirichlet_sum(sq[:n], [t], power)[0]
                     uncut = dirichlet_sum_uncut(sq[:n], [t], power)[0]
                     assert abs(got - uncut) <= 4.0 * np.spacing(uncut)
+
+
+# kernel name -> (the reference's series name, power of 1/j^2 in its terms)
+_PLANNED = {"J": ("J", 1), "G": ("G", 1), "Phi": ("Phi", 0),
+            "creep_primitive": ("creep", 2), "relax_primitive": ("relax", 2)}
+
+
+@st.composite
+def _plan_grids(draw):
+    # lengths 0, 1, 64 and 4095 past a multiple of the 4096-time chunk (no
+    # short last chunk, a one-time one, short ones); times sorted, reversed,
+    # shuffled, with duplicates, and k dt from T = 0 (primitives only)
+    n = draw(st.sampled_from([0, 1, 64, 4095])) + bessel_family._CHUNK * draw(st.integers(0, 3))
+    n = max(n, 2)
+    t0 = draw(st.sampled_from([1e-3, 3e-3, 0.02, 0.1, 1.0])) * draw(st.floats(1.0, 1.5))
+    t1 = t0 * draw(st.sampled_from([1.001, 1.1, 10.0, 1e3, 1e4]))
+    kind = draw(st.sampled_from(["sorted", "reversed", "shuffled", "duplicates", "from_zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ts = (np.geomspace if draw(st.booleans()) else np.linspace)(t0, t1, n)
+    if kind == "reversed":
+        ts = ts[::-1].copy()
+    elif kind == "shuffled":
+        ts = rng.permutation(ts)
+    elif kind == "duplicates":
+        ts = np.sort(rng.choice(ts[: max(2, n // 8)], size=n))
+    elif kind == "from_zero":
+        ts = (t1 / (n - 1)) * np.arange(n)
+        ts = rng.permutation(ts) if draw(st.booleans()) else ts
+    return kind, ts
+
+
+@settings(max_examples=40)
+@given(grid=_plan_grids(), nu=st.sampled_from([-0.8, 0.0, 0.3, 1.5]))
+def test_block_plan_from_arrays_matches_the_chunk_by_chunk_plan(grid, nu):
+    # the plan equals the reference's at the same cut, every kernel keeps
+    # the bits that reference plan gives, and the bits of the 2^-60 cut (the
+    # parent kernel) wherever no one-time chunk is summed pairwise
+    kind, ts = grid
+    exact = len(ts) - 1 if len(ts) % bessel_family._CHUNK == 1 else len(ts)
+    for fn, (name, power) in _PLANNED.items():
+        if kind == "from_zero" and power != 2:
+            continue
+        plans, plan = [], bessel_family._block_plan
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(bessel_family, "_block_plan", lambda *a: plans.append(plan(*a)) or plans[-1])
+            got = SERIES_KERNELS[fn](nu, ts)
+        assert plans == [series_plan_reference(name, nu, ts, bessel_family._SUB_ULP)]
+        for cut, upto in ((bessel_family._SUB_ULP, len(ts)), (SUB_ULP_CUT_BEFORE, exact)):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(bessel_family, "_SUB_ULP", cut)  # the primitives' closed-form tail too
+                m.setattr(bessel_family, "_dirichlet_sum", lambda sq, t, p, *_: (
+                    planned_dirichlet_sum(sq, t, p, series_plan_reference(name, nu, t, cut))))
+                reference = SERIES_KERNELS[fn](nu, ts)
+            assert np.array_equal(got[:upto], reference[:upto]), (fn, cut)
+
+
+def test_wide_curve_searches_the_tail_once():
+    # every chunk's count comes from one array of tails: the scalar search
+    # runs once, for the smallest time, not once per chunk
+    calls, search = [], bessel_family._truncation_index
+    ts = np.geomspace(1e-3, 2.0, 1_000_000)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bessel_family, "_truncation_index", lambda *a: calls.append(a[2]) or search(*a))
+        bessel_G_curve(0.3, ts)
+    assert calls == [1e-3]
+
+
+@pytest.mark.parametrize("skew", [-1e-14, 1e-14])
+def test_chunk_counts_equal_the_scalar_search(skew):
+    # where a tail lies within a few ulp of tol (times where the count steps
+    # up), the counts follow the scalar tail even if the array one is 1e-14 off
+    tab = zero_table(0.3, DEFAULT_POLICY.n_max)
+    sq, tol = tab.squares, DEFAULT_POLICY.tol
+
+    def tail(i, t, exp=math.exp, sq=sq):
+        return exp(-sq[i] * t) * (1.0 if exp is math.exp else 1.0 + skew)
+
+    edges = [-math.log(tol) / s for s in sq[N_MIN - 1 : 60]]
+    ts = np.array([np.nextafter(t, d) for t in edges for d in (0.0, np.inf)] + edges)
+    counts = bessel_family._chunk_counts(tail, 60, ts, DEFAULT_POLICY, tab.square_array)
+    assert counts.tolist() == [
+        bessel_family._truncation_index(tail, 60, float(t), DEFAULT_POLICY) or 60 for t in ts
+    ]
 
 
 def test_fluid_long_time_behavior():
