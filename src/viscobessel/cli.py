@@ -6,13 +6,15 @@ Subcommands:
   simulate  response of a load history (Caputo stepping or convolution)
   zeros     build/refresh a Bessel-zero cache file
 
+The simulators (fracsim), the Talbot oracle (laplace) and json are imported
+by the subcommands that use them, so that eval and zeros load none of them.
+
 Exit codes: 0 success, 1 verification check failed, 2 usage/invalid input,
 3 numerical-domain refusal (series floor, grid violation, exhausted table),
 4 computation failure (root finder, inversion, overflow).
 """
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -27,14 +29,7 @@ from .errors import (
     SeriesRefusalError,
     TableExhaustedError,
 )
-from .fracsim import (
-    convolve_response,
-    interconversion_check,
-    read_load_history,
-    step_response,
-    write_csv,
-)
-from .laplace import LaplaceFunction, invert_talbot
+from .csvout import write_csv
 from .models import (
     ModelParams,
     TruncationPolicy,
@@ -329,6 +324,8 @@ def _check_zeros(args, policy):
 
 
 def _check_laplace_oracle(args, policy):
+    from .laplace import LaplaceFunction, invert_talbot
+
     (params,) = _asked(args, "laplace-oracle", _EVERY_FAMILY, [ModelParams("bessel", nu=0.0)])
     ts = np.geomspace(max(0.05, policy.t_floor), 2.0, 20)
     worst = 0.0
@@ -343,6 +340,8 @@ def _check_laplace_oracle(args, policy):
 
 
 def _check_interconversion(args, policy):
+    from .fracsim import interconversion_check
+
     battery = [ModelParams("bessel", nu=0.0), ModelParams("asymptotic", nu=0.5),
                ModelParams("fmax", a1=1.0, b1=1.0)]
     grid = [0.1, 0.5, 1.0, 2.0]
@@ -429,6 +428,8 @@ def _cmd_verify(args) -> int:
             f"max_error={r['max_error']:.3e}  tol={r['tolerance']:.1e}  {status}"
         )
     if args.json_path:
+        import json
+
         with _open_out("--json", args.json_path) as fh:
             fh.write(json.dumps(records, indent=2) + "\n")
     return EXIT_OK if all(r["pass"] for r in records) else EXIT_CHECK_FAILED
@@ -440,6 +441,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .fracsim import convolve_response, read_load_history, step_response
+
     policy = _policy(args)
     params = _params(args)
     try:

@@ -53,9 +53,10 @@ load(0) (stress input) or G_g * load(0) (strain input).
 
 Histories: LoadHistory and ResponseHistory hold their samples as a read-only
 1-D float64 array, copied once when the history is built; the simulators read
-a load's array without converting it.  ``write_csv`` is the one CSV writer
-(every cell the repr of a Python float), used by ``write_history`` and by
-every CSV the CLI emits.
+a load's array without converting it.  ``write_history`` writes through
+``csvout.write_csv``, the one CSV writer (every cell the repr of a Python
+float), which every CSV the CLI emits also uses; it stays importable from
+here as ``fracsim.write_csv``.
 
 Interconversion: since (s Jt)(s Gt) = 1, the material functions satisfy
 int_0^t J(tau) G(t - tau) dtau = t.  ``interconversion_check`` computes it by
@@ -73,6 +74,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .csvout import write_csv
 from .errors import DomainError, GridError
 from .models.evaluate import family_of
 from .models.params import DEFAULT_POLICY, ModelParams
@@ -80,7 +82,6 @@ from .models.params import DEFAULT_POLICY, ModelParams
 LOAD_KINDS = ("stress", "strain")
 _GAMMA_3_2 = math.gamma(1.5)
 _TOEPLITZ_BLOCK = 256  # leaf block of _toeplitz_apply, one BLAS product
-_CSV_ROWS = 4096  # rows per write_csv block: its Python floats stay bounded
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,17 +437,6 @@ def read_load_history(path, kind: str) -> LoadHistory:
                 f"expected {k * dt!r})"
             )
     return LoadHistory(kind=kind, dt=dt, samples=vals)
-
-
-def write_csv(stream, header: str, ts, *columns) -> None:
-    """Write `header`, then one row per time: t and each column's value, every
-    cell the repr of a Python float (shortest round-trip decimal).  Rows are
-    formatted _CSV_ROWS at a time, so memory does not grow with the length."""
-    cols = [np.asarray(c, dtype=float) for c in (ts, *columns)]
-    stream.write(header + "\n")
-    for lo in range(0, len(cols[0]), _CSV_ROWS):
-        rows = zip(*(c[lo : lo + _CSV_ROWS].tolist() for c in cols))
-        stream.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def write_history(history, path) -> Path:

@@ -47,6 +47,16 @@ times at t = 0 keep every term; a log grid's chunks do not split.  A block of
 two or more times merges into the one before it when both keep the same terms
 and together hold at most 2^17 (1 MB); its columns still add their terms in
 table order, so no bit moves.  A one-term block skips the buffer.
+
+A series reads only its first n_use zeros (one more for Phi), so it asks the
+zero memo for just the prefix its smallest time t_min needs, estimated from
+j_{mu,n} >= (n + mu/2 - 3/4) pi and rounded up to a multiple of 16: at the
+default tol, at most 64 zeros from t_min = 1e-3 and 16 from 0.1.  A prefix
+holds the first zeros of the full table bit for bit, so every sum is the one
+over the n_max table.  Where the estimate runs short (Phi's bound has a
+factor 1 / (1 - rho) the estimate leaves out, which tells below t = 1e-3),
+the series is evaluated again on the n_max table, which also gives every
+refusal.  The exact primitives read the whole table.
 """
 
 import math
@@ -197,28 +207,62 @@ def _dirichlet_sum(squares, ts, power: int, n_for=None, extremes=None) -> np.nda
     return out
 
 
-def _series(tab, times, policy, tail, n_terms, power, refusal) -> np.ndarray:
-    """Sum truncated at the smallest of times = _check_times(...) (or refused
-    there), then per chunk within that; tail takes arrays, as _chunk_counts."""
+def _prefix_length(order: float, t: float, c: float, policy: TruncationPolicy) -> int:
+    """Zeros a series with tail c exp(-j_n^2 t) past its count n reads at t:
+    the first n at which j_{order,n} >= (n + order/2 - 3/4) pi (the bound of
+    ZeroTable.rayleigh_tail_bound) puts the tail below tol, rounded up to a
+    multiple of 16 so that a process holds few prefixes of an order, within
+    [N_MIN + 1, n_max]."""
+    x = (math.log(c) - math.log(policy.tol)) / t  # the j_n^2 t must pass; t > 0
+    n = math.sqrt(x) / math.pi - 0.5 * order + 0.75 if x > 0.0 else 0.0
+    n = -(-math.ceil(min(n, policy.n_max)) // 16) * 16
+    return min(max(n, N_MIN + 1), policy.n_max)
+
+
+def _rayleigh_tail(c: float, squares):
+    """Tail bound of the J and G series: past N, below c exp(-j_N^2 t)."""
+    def tail(i, t, exp=math.exp, sq=squares):
+        return c * exp(-sq[i] * t)
+
+    return tail
+
+
+def _memory_tail(amp: float, squares):
+    """Tail bound of amp sum_n exp(-j_n^2 t): j_n^2 gaps grow, so terms past
+    idx+1 fall faster than rho^k; the bound past N reads zero N + 1."""
+    def tail(idx, t, exp=math.exp, sq=squares):
+        rho = exp(-(sq[idx + 1] - sq[idx]) * t)
+        return amp * exp(-sq[idx + 1] * t) / (1.0 - rho)
+
+    return tail
+
+
+def _series(order, times, policy, c, power, what) -> np.ndarray:
+    """sum_n exp(-j_n^2 t) / j_n^(2 power) over the zeros of J_order: power 1
+    for J and G (c times the tail is below _rayleigh_tail's bound), 0 for Phi
+    (below _memory_tail's).  Truncated at the smallest of times =
+    _check_times(...) (or refused there), then per chunk within that; the
+    tails take arrays, as _chunk_counts.  The zeros are the prefix
+    _prefix_length asks for, or the n_max table where the tail does not fall
+    below tol within that prefix (module doc)."""
     ts, t_min, ext = times
-    n_use = _truncation_index(tail, n_terms, t_min, policy)
-    if n_use is None:
-        raise TableExhaustedError(refusal(t_min))
+    n = _prefix_length(order, t_min, c, policy)
+    while True:
+        tab = zero_table(order, n)
+        tail = (_rayleigh_tail if power else _memory_tail)(c, tab.squares)
+        n_use = _truncation_index(tail, n - (power == 0), t_min, policy)
+        if n_use is not None:
+            break
+        if n == policy.n_max:
+            detail = (f"{n} zeros cannot push the series tail" if power
+                      else f"table of {n} zeros cannot bound the memory-series tail")
+            raise TableExhaustedError(
+                f"{what}: {detail} below tol = {policy.tol!r} at t = {t_min!r}")
+        n = policy.n_max
     # a tail bound falls with t, so later chunks need N_MIN to n_use terms
     return _dirichlet_sum(tab.square_array, ts, power, lambda lo: (
         n_use if n_use == N_MIN or lo.size == 1 and lo.item() <= t_min  # one chunk at t_min
         else _chunk_counts(tail, n_use, lo, policy, tab.square_array)), ext)
-
-
-def _rayleigh_series(tab, times, policy, c, what) -> np.ndarray:
-    """sum_n exp(-j_n^2 t) / j_n^2; the tail past N is below c exp(-j_N^2 t)."""
-    n_terms = min(len(tab), policy.n_max)
-
-    def tail(i, t, exp=math.exp, sq=tab.squares):
-        return c * exp(-sq[i] * t)
-
-    return _series(tab, times, policy, tail, n_terms, 1, lambda t: f"{what}: {n_terms} zeros "
-                   f"cannot push the series tail below tol = {policy.tol!r} at t = {t!r}")
 
 
 def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
@@ -226,9 +270,8 @@ def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     times = _check_times(ts, policy)
-    tab = zero_table(nu + 2.0, policy.n_max)
     coeff = (nu + 1.0) / (nu + 3.0)  # 4(nu+1) * Rayleigh tail 1/(4(nu+3))
-    series = _rayleigh_series(tab, times, policy, coeff, "J series")
+    series = _series(nu + 2.0, times, policy, coeff, 1, "J series")
     series *= 4.0 * (nu + 1.0)
     out = 4.0 * (nu + 1.0) * (nu + 2.0) * times[0]
     out += 2.0 * (nu + 2.0) / (nu + 3.0)
@@ -241,9 +284,8 @@ def bessel_G_curve(nu, ts, policy=None) -> np.ndarray:
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     times = _check_times(ts, policy)
-    tab = zero_table(nu, policy.n_max)
     # 4(nu+1) * Rayleigh tail 1/(4(nu+1)) = 1
-    series = _rayleigh_series(tab, times, policy, 1.0, "G series")
+    series = _series(nu, times, policy, 1.0, 1, "G series")
     return np.multiply(series, 4.0 * (nu + 1.0), out=series)
 
 
@@ -262,18 +304,8 @@ def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
     nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     times = _check_times(ts, policy)
-    tab = zero_table(nu, policy.n_max)
     amp = 4.0 * (nu + 1.0)
-
-    def tail(idx, t, exp=math.exp, sq=tab.squares):
-        # j_n^2 gaps grow, so terms past idx+1 fall faster than rho^k
-        rho = exp(-(sq[idx + 1] - sq[idx]) * t)
-        return amp * exp(-sq[idx + 1] * t) / (1.0 - rho)
-
-    n_terms = min(len(tab), policy.n_max) - 1  # tail(idx) reads zero idx + 1
-    series = _series(tab, times, policy, tail, n_terms, 0, lambda t: (
-        f"Phi series: table of {len(tab)} zeros cannot bound the memory-series "
-        f"tail below tol = {policy.tol!r} at t = {t!r}"))
+    series = _series(nu, times, policy, amp, 0, "Phi series")
     return np.multiply(series, amp, out=series)
 
 
@@ -291,11 +323,11 @@ def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
     """sum_n exp(-j_n^2 T) / j_n^4 over every zero, T >= 0 (vectorized).
 
     The table's terms are summed like the J and G series (module doc).  The
-    rest sum to R(0) = sigma_2 - (table sum) at T = 0, where the result is
-    sigma_2 itself so that both primitives start at exactly 0, and to
-    R(0) exp(-x^2) (1 - 2x^2 + 2 sqrt(pi) x^3 erfcx(x)), x = j0 sqrt(T): the
-    integral of exp(-T j^2) / j^4 over the zeros' ~pi spacing past j0, with
-    j0 = (3 pi R(0))^(-1/3) to match R(0).  Against 2e5 scipy zeros (orders
+    rest sum to R(0) = sigma_2 - (table sum, ZeroTable.quartic_partial) at
+    T = 0, where the result is sigma_2 itself so that both primitives start
+    at exactly 0, and to R(0) exp(-x^2) (1 - 2x^2 + 2 sqrt(pi) x^3 erfcx(x)),
+    x = j0 sqrt(T): the integral of exp(-T j^2) / j^4 over the zeros' ~pi
+    spacing past j0, with j0 = (3 pi R(0))^(-1/3) to match R(0).  Against 2e5 scipy zeros (orders
     0-5, 200-zero tables) that is within 2.3e-6 R(0), ~1e-15.  Past x^2 =
     55 ln 2 it is below 2^-55 R(0), far below the table's first term, and is
     dropped (T > 9.6e-5 for 200 zeros).
@@ -304,7 +336,7 @@ def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
     sq = tab.square_array
     out = _dirichlet_sum(sq, T, 2)
     sigma2 = _rayleigh_sigma2(tab.order)
-    r0 = sigma2 - math.fsum((sq * sq) ** -1.0)
+    r0 = sigma2 - tab.quartic_partial
     if r0 > 0.0:  # else the table holds the whole sum to rounding
         j0 = (3.0 * math.pi * r0) ** (-1.0 / 3.0)
         near = np.flatnonzero(T < _SUB_ULP / (j0 * j0))

@@ -13,14 +13,21 @@ tables through their squares, and the Rayleigh identity
 sum_n j_{nu,n}^-2 = 1/(4(nu+1)) provides both a truncation-tail bound and an
 end-to-end validation target.
 
+Zero k depends only on (nu, k) and zero k - 1 (its bracket starts 0.05 past
+it), so the first n zeros of any longer table are bit-identical to a table of
+n.  The in-process memo keeps, per order, the zeros found so far and grows
+that prefix on request: ``zero_table(nu, n)`` computes only the zeros past
+the longest table of that order built before.
+
 Cache files are plain text (one zero per line in shortest round-trip decimal
-form) under a user-configurable directory; see ``save_zero_table``.
+form) under a user-configurable directory; see ``save_zero_table``.  A file
+holds one table of exactly n zeros, keyed by (nu, n).
 """
 
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +72,12 @@ class ZeroTable:
     def rayleigh_partial(self) -> float:
         """Partial sum of 1/j^2; approaches 1/(4(nu+1)) from below."""
         return math.fsum(1.0 / s for s in self.squares)
+
+    @cached_property
+    def quartic_partial(self) -> float:
+        """Partial sum of 1/j^4, once per table; approaches
+        1/(16 (nu+1)^2 (nu+2)) from below."""
+        return math.fsum((self.square_array * self.square_array) ** -1.0)
 
     def rayleigh_limit(self) -> float:
         return 1.0 / (4.0 * (self.order + 1.0))
@@ -145,27 +158,43 @@ def _refine(nu: float, n: int, a: float, b: float, fa: float, fb: float) -> floa
     raise RootFindError(f"zero {n} of J_{nu} did not converge (bracket [{a}, {b}])")
 
 
-def bessel_j_zeros(nu: float, n_max: int) -> ZeroTable:
-    """First n_max positive zeros of J_nu, each accurate to better than 1e-10."""
+def _check_request(nu, n_max: int) -> float:
     nu = float(nu)
     if not math.isfinite(nu) or nu <= -1.0:
         raise DomainError(f"order must satisfy nu > -1, got {nu!r}")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max!r}")
-    zeros = []
-    lo_bound = 1e-9
-    for n in range(1, n_max + 1):
+    return nu
+
+
+def _extend(nu: float, zeros: list, n_max: int) -> list:
+    """Append zeros len(zeros) + 1 to n_max of J_nu to zeros, its first ones."""
+    lo_bound = zeros[-1] + 0.05 if zeros else 1e-9
+    for n in range(len(zeros) + 1, n_max + 1):
         guess = _mcmahon_guess(nu, n)
         a, b, fa, fb = _bracket(nu, guess, lo_bound, n)
         root = _refine(nu, n, a, b, fa, fb)
         zeros.append(root)
         lo_bound = root + 0.05
-    return ZeroTable(order=nu, zeros=tuple(zeros))
+    return zeros
+
+
+def bessel_j_zeros(nu: float, n_max: int) -> ZeroTable:
+    """First n_max positive zeros of J_nu, each accurate to better than 1e-10."""
+    nu = _check_request(nu, n_max)
+    return ZeroTable(order=nu, zeros=tuple(_extend(nu, [], n_max)))
+
+
+# order -> the zeros of J_order found so far in this process, in order
+_found: dict = {}
 
 
 @lru_cache(maxsize=None)
 def _zero_table_mem(nu: float, n_max: int) -> ZeroTable:
-    return bessel_j_zeros(nu, n_max)
+    """The first n_max zeros, grown from (and into) the order's prefix in _found."""
+    nu = _check_request(nu, n_max)
+    zeros = _extend(nu, _found.setdefault(nu, []), n_max)
+    return ZeroTable(order=nu, zeros=tuple(zeros[:n_max]))
 
 
 # Process-wide cache directory; None keeps tables purely in memory.

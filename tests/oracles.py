@@ -245,7 +245,8 @@ def stepping_reference(
     f = np.asarray(samples, dtype=float).astype(dtype)
     a, b, dt = (dtype(v) for v in (a, b, dt))
     n = len(f)
-    w = np.sqrt(np.arange(1, n + 1, dtype=dtype)) - np.sqrt(np.arange(n, dtype=dtype))
+    j = np.arange(n, dtype=dtype)
+    w = 1 / (np.sqrt(j + 1) + np.sqrt(j))  # sqrt(j + 1) - sqrt(j), without cancelling
     gamma_3_2 = math.gamma(1.5) if dtype is float else np.sqrt(dtype(_PI_DIGITS)) / 2
     root_kappa = np.sqrt(dt) * gamma_3_2
     kappa = 1 / root_kappa

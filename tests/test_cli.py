@@ -537,11 +537,11 @@ _PROBE = (
 )
 
 
-def _fresh_process(argv, cwd):
+def _fresh_process(argv, cwd, probe=_PROBE):
     src = Path(viscobessel.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv],
+        [sys.executable, "-c", probe, *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
     )
     tag, rc, *loaded = proc.stdout.splitlines()[-1].split()
@@ -581,3 +581,38 @@ def test_cold_laplace_oracle_process_loads_mpmath_and_passes(tmp_path):
     rc, loaded = _fresh_process(argv, tmp_path)
     assert rc == 0
     assert "mpmath" in loaded
+
+
+# Runs main(argv) in a fresh interpreter and prints the exit code, the most
+# zeros the memo holds of any one order, and which of the simulators and the
+# Talbot oracle loaded.
+_WORK_PROBE = (
+    "import sys\n"
+    "from viscobessel.cli import main\n"
+    "from viscobessel.specfun import zeros\n"
+    "rc = main(sys.argv[1:])\n"
+    "held = max(map(len, zeros._found.values()), default=0)\n"
+    "print('probe', rc, held, *sorted({'viscobessel.fracsim', 'viscobessel.laplace'}"
+    " & set(sys.modules)))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--figure", "1", "--out", "fig1.csv"],
+        ["eval", "--figure", "2", "--out", "fig2.csv"],
+        ["eval", "--family", "bessel", "--nu", "0.5", "--t-start", "0.1", "--points", "20",
+         "--out", "curve.csv"],
+        ["zeros", "--nu", "1", "--n", "50", "--cache-dir", "cache"],
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_eval_and_zeros_build_only_what_they_read(tmp_path, argv):
+    # the Bessel figures start at t = 1e-3, where a series reads at most 49
+    # zeros of an order (64 once rounded up), not the 200 of a full table;
+    # writing a CSV loads neither the simulators nor the Talbot oracle
+    rc, (held, *loaded) = _fresh_process(argv, tmp_path, _WORK_PROBE)
+    assert rc == 0
+    assert int(held) <= 64
+    assert loaded == []

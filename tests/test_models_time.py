@@ -20,7 +20,7 @@ from oracles import (
     planned_dirichlet_sum,
     series_plan_reference,
 )
-from viscobessel.cli import FIGURE_ASYM_NUS, FIGURE_GRID_LIN
+from viscobessel.cli import FIGURE_ASYM_NUS, FIGURE_GRID_LIN, FIGURE_GRID_LOG
 from viscobessel.errors import SeriesRefusalError, TableExhaustedError
 from viscobessel.laplace import invert_talbot
 from viscobessel.models import (
@@ -180,6 +180,47 @@ def test_table_exhausted_quotes_the_global_minimum():
         with pytest.raises(TableExhaustedError) as err:
             SERIES_CURVES[fn](0.0, ts, policy)
         assert str(err.value) == message
+
+
+def _on_the_full_table(monkeypatch, fn, nu, ts, policy=DEFAULT_POLICY):
+    """fn summed as when every series read the whole n_max table."""
+    with monkeypatch.context() as m:
+        m.setattr(bessel_family, "_prefix_length", lambda order, t, c, policy: policy.n_max)
+        return SERIES_CURVES[fn](nu, ts, policy)
+
+
+def _tables_read(monkeypatch, fn, nu, ts, policy=DEFAULT_POLICY):
+    """(fn on ts, the (order, n) of every zero table it asked for)."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(bessel_family, "zero_table",
+                  lambda order, n: calls.append((order, n)) or zero_table(order, n))
+        return SERIES_CURVES[fn](nu, ts, policy), calls
+
+
+@pytest.mark.parametrize("fn", ["J", "G", "Phi"])
+def test_series_on_a_prefix_equal_the_full_table(monkeypatch, fn):
+    # a series reads only its first n_use zeros (one more for Phi), so the
+    # prefix its smallest time asks for gives the bits of the whole table
+    grids = [np.geomspace(1e-3, 50.0, 5000), np.linspace(1e-3, 50.0, 5000),
+             np.geomspace(*FIGURE_GRID_LOG), [1e-3], [0.02], [0.5], [7.0]]
+    for nu in (-0.9, -0.5, 0.0, 0.37, 1.0, 3.0):
+        for ts in grids:
+            got, calls = _tables_read(monkeypatch, fn, nu, ts)
+            assert np.array_equal(got, _on_the_full_table(monkeypatch, fn, nu, ts))
+            # t >= 1e-3 reads at most 49 zeros, 64 when rounded up
+            assert len(calls) == 1 and calls[0][1] <= 64, calls
+
+
+def test_short_prefix_estimate_evaluates_again_on_the_full_table(monkeypatch):
+    # Phi of order 0 from t_min = 2e-4 at tol = 1e-10: the estimate leaves
+    # out the memory tail's 1 / (1 - rho), asks for 112 zeros and runs off
+    # them, so the series is evaluated again on the 200-zero table
+    policy = TruncationPolicy(tol=1e-10, t_floor=1e-4)
+    for ts in (np.geomspace(2e-4, 2.0, 300), [2e-4]):
+        got, calls = _tables_read(monkeypatch, "Phi", 0.0, ts, policy)
+        assert calls == [(0.0, 112), (0.0, 200)]
+        assert np.array_equal(got, _on_the_full_table(monkeypatch, "Phi", 0.0, ts, policy))
 
 
 @pytest.mark.parametrize("fn,reverse", [("G", False), ("J", True)])

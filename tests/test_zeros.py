@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -82,6 +83,33 @@ def test_zero_tables_bit_identical_to_reference_finder(monkeypatch):
     monkeypatch.setattr(zeros_module, "_j", bessel_j_reference)
     for nu in BIT_IDENTITY_ORDERS:
         assert bessel_j_zeros(nu, 200).zeros == tables[nu], nu
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty in-process zero memo for the test; the shared one is restored after."""
+    monkeypatch.setattr(zeros_module, "_found", {})
+    fresh = lru_cache(maxsize=None)(zeros_module._zero_table_mem.__wrapped__)
+    monkeypatch.setattr(zeros_module, "_zero_table_mem", fresh)
+    return zeros_module._found
+
+
+@pytest.mark.parametrize("full_first", [False, True], ids=["prefix-first", "full-first"])
+@pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 0.37, 1.0, 3.0, 5.0])
+def test_zero_table_prefixes_are_bit_identical_to_the_full_table(
+    monkeypatch, fresh_memo, nu, full_first
+):
+    # zero k depends only on (nu, k) and zero k - 1, so the memo grows one
+    # prefix per order and finds each zero once, in either order of requests
+    full = bessel_j_zeros(nu, 200).zeros
+    refined, refine = [], zeros_module._refine
+    monkeypatch.setattr(zeros_module, "_refine", lambda *a: refined.append(a[1]) or refine(*a))
+    lengths = [1, 8, 16, 49, 64, 200]
+    for n in lengths[::-1] if full_first else lengths:
+        table = zero_table(nu, n)
+        assert table.order == nu and table.zeros == full[:n]
+    assert refined == list(range(1, 201))
+    assert fresh_memo == {nu: list(full)}
 
 
 def test_zero_table_validation():
