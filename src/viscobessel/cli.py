@@ -6,10 +6,12 @@ Subcommands:
   simulate  response of a load history (Caputo stepping or convolution)
   zeros     build/refresh a Bessel-zero cache file
 
-The simulators (fracsim), the Talbot oracle (laplace) and json are imported
-by the subcommands that use them, so that eval and zeros load none of them.
+The checks are the table models.checks.CHECKS.  The simulators (fracsim),
+the Talbot oracle (laplace) and json are imported by the subcommands and
+checks that use them, so that eval and zeros load none of them.
 
-Exit codes: 0 success, 1 verification check failed, 2 usage/invalid input,
+Exit codes: 0 success, 1 verification check failed, 2 usage/invalid input
+(among them a Bessel-family nu above 6, or a zero table above order 8),
 3 numerical-domain refusal (series floor, grid violation, exhausted table),
 4 computation failure (root finder, inversion, overflow).
 """
@@ -17,33 +19,17 @@ Exit codes: 0 success, 1 verification check failed, 2 usage/invalid input,
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    GridError,
-    InversionError,
-    RootFindError,
-    SeriesRefusalError,
-    TableExhaustedError,
-)
+from .errors import (DomainError, GridError, InversionError, RootFindError, SeriesRefusalError,
+                     TableExhaustedError)
 from .csvout import write_csv
-from .models import (
-    ModelParams,
-    TruncationPolicy,
-    eval_G_curve,
-    eval_J_curve,
-    laplace_sG,
-    laplace_sJ,
-    memory_phi_curve,
-    reciprocity_residual,
-    short_time_agreement,
-)
-from .models.evaluate import family_of
-from .models.maxwell import relaxation_memory
-from .specfun import bessel_j, bessel_j_zeros, cache_path, save_zero_table, zero_table
+from .models import ModelParams, TruncationPolicy, eval_G_curve, eval_J_curve
+from .models.checks import CHECKS, run_check
+from .specfun import bessel_j_zeros, cache_path, save_zero_table
 from .specfun.zeros import configure_cache
 
 EXIT_OK = 0
@@ -101,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--check",
         required=True,
-        choices=("reciprocity", "interconversion", "laplace-oracle", "asymptotics", "cm", "zeros"),
+        choices=tuple(CHECKS),
     )
     _add_family_flags(p_verify)
     p_verify.add_argument("--n", type=int, default=200, help="zeros per table (zeros check)")
@@ -242,183 +228,41 @@ def _figure(fig, policy):
 # ---------------------------------------------------------------------------
 
 
-def _record(check, params, max_error, tolerance):
-    if isinstance(params, ModelParams):
-        family = params.family
-        pdict = {k: getattr(params, k) for k in ("nu", "a1", "b1")
-                 if getattr(params, k) is not None}
-    else:
-        family, pdict = params
-    return {
-        "check": check,
-        "family": family,
-        "params": pdict,
-        "max_error": max_error,
-        "tolerance": tolerance,
-        "pass": bool(max_error <= tolerance),
-    }
-
-
-_EVERY_FAMILY = ("bessel", "asymptotic", "fmax")
 _FLAG_FAMILIES = {"nu": ("bessel", "asymptotic"), "a1": ("fmax",), "b1": ("fmax",)}
 
 
-def _asked(args, check, covers, battery=()):
-    """The ModelParams `check` runs: --family's, else its default `battery`.
-    --family must be one `check` covers.  Without it, a parameter flag asks
-    about the families that take it (above), and as it names no single one,
-    every family the check covers must take it; else it is a usage error."""
+def _asked(args):
+    """The params `verify` runs its check on: --family's, else the check's
+    battery.  --family must be one the check covers.  Without it, a parameter
+    flag asks about the families that take it (above), and as it names no
+    single one, every family the check covers must take it; else it is a
+    usage error.  The battery runs with the flags' values (and --n's, for a
+    zeros entry), each distinct entry once."""
+    check = CHECKS[args.check]
+    covers = " and ".join(check.covers)
     if args.family is not None:
-        if args.family not in covers:
-            raise DomainError(f"--check {check} covers {' and '.join(covers)} only, "
-                              f"not {args.family}")
-        return [_params(args)]
+        if args.family not in check.covers:
+            raise DomainError(f"--check {args.check} covers {covers} only, not {args.family}")
+        params = _params(args)  # validates --family's flags; a labelled battery takes its nu
+        if isinstance(check.battery[0], ModelParams):
+            return [params]
     flags = [k for k in _FLAG_FAMILIES if getattr(args, k) is not None]
     for k in flags:
-        if set(_FLAG_FAMILIES[k]).isdisjoint(covers):
-            raise DomainError(f"--check {check} covers {' and '.join(covers)} only, "
+        if set(_FLAG_FAMILIES[k]).isdisjoint(check.covers):
+            raise DomainError(f"--check {args.check} covers {covers} only, "
                               f"not {' and '.join(_FLAG_FAMILIES[k])}")
-    unfit = [f"--{k}" for k in flags if not set(covers) <= set(_FLAG_FAMILIES[k])]
+    unfit = [f"--{k}" for k in flags if not set(check.covers) <= set(_FLAG_FAMILIES[k])]
     if unfit:
-        raise DomainError(f"--check {check} needs --family with {' and '.join(unfit)}")
-    return battery
-
-
-def _check_reciprocity(args, policy):
-    s_values = [10.0**k for k in range(-2, 5)]
-    battery = [ModelParams("bessel", nu=nu) for nu in (-0.8, -0.5, 0.0, 0.5, 1.0)]
-    battery += [ModelParams("asymptotic", nu=nu) for nu in (-0.8, 0.0, 0.5, 1.0)]
-    battery.append(ModelParams("fmax", a1=1.0, b1=1.0))
-    return [
-        _record("reciprocity", p, reciprocity_residual(p, s_values), 1e-10)
-        for p in _asked(args, "reciprocity", _EVERY_FAMILY, battery)
-    ]
-
-
-def _check_zeros(args, policy):
-    _asked(args, "zeros", ("bessel",))
-    nu = args.nu if args.nu is not None else 0.0
-    table = zero_table(nu, args.n)
-    residual = max(abs(bessel_j(nu, z)) for z in table.zeros)
-    spacing_err = 0.0
-    if len(table) > 51:
-        spacing_err = max(
-            abs((b - a) - math.pi)
-            for a, b in zip(table.zeros[50:], table.zeros[51:])
-        )
-    gap = table.rayleigh_limit() - table.rayleigh_partial()
-    records = [
-        _record("zeros-residual", ("bessel", {"nu": nu, "n": args.n}), residual, 1e-9),
-        _record(
-            "zeros-rayleigh",
-            ("bessel", {"nu": nu, "n": args.n}),
-            gap if gap > 0.0 else math.inf,  # partial sum must stay below the limit
-            table.rayleigh_tail_bound(),
-        ),
-    ]
-    if spacing_err:
-        records.append(
-            _record("zeros-spacing", ("bessel", {"nu": nu, "n": args.n}), spacing_err, 0.01)
-        )
-    return records
-
-
-def _check_laplace_oracle(args, policy):
-    from .laplace import LaplaceFunction, invert_talbot
-
-    (params,) = _asked(args, "laplace-oracle", _EVERY_FAMILY, [ModelParams("bessel", nu=0.0)])
-    ts = np.geomspace(max(0.05, policy.t_floor), 2.0, 20)
-    worst = 0.0
-    j_curve = eval_J_curve(params, ts, policy)
-    g_curve = eval_G_curve(params, ts, policy)
-    for t, jv, gv in zip(ts, j_curve, g_curve):
-        for tag, sfn, direct in (("J", laplace_sJ, jv), ("G", laplace_sG, gv)):
-            F = LaplaceFunction(lambda s, sfn=sfn: sfn(params, s) / s, f"{tag}~")
-            inv = invert_talbot(F, float(t), 64)
-            worst = max(worst, abs(inv - direct) / abs(direct))
-    return [_record("laplace-oracle", params, worst, 1e-6)]
-
-
-def _check_interconversion(args, policy):
-    from .fracsim import interconversion_check
-
-    battery = [ModelParams("bessel", nu=0.0), ModelParams("asymptotic", nu=0.5),
-               ModelParams("fmax", a1=1.0, b1=1.0)]
-    grid = [0.1, 0.5, 1.0, 2.0]
-    records = []
-    for p in _asked(args, "interconversion", _EVERY_FAMILY, battery):
-        rep = interconversion_check(p, grid, 2000, policy)
-        tol = 1e-4 if p.family == "bessel" else 1e-5
-        records.append(_record("interconversion", p, rep.max_error, tol))
-    return records
-
-
-def _check_asymptotics(args, policy):
-    _asked(args, "asymptotics", ("bessel", "asymptotic"))
-    nus = [args.nu] if args.nu is not None else [-0.5, 0.0, 1.0]
-    grid = [0.01, 0.02, 0.05, 0.1, 0.2]
-    records = []
-    for nu in nus:
-        rep = short_time_agreement(nu, grid, policy)
-        # ratios are ordered by increasing t; r/sqrt(t) must grow with t, so
-        # any drop from one grid point to the next is a violation.
-        violation = max(
-            [0.0] + [b - a for a, b in zip(rep.ratios[1:], rep.ratios[:-1])]
-        )
-        records.append(
-            _record("asymptotics", ("bessel+asymptotic", {"nu": nu}), violation, 0.0)
-        )
-    return records
-
-
-def _cm_signs(stencil, h):
-    """Violation magnitude of the alternating-derivative pattern at the middle
-    of five values spaced h apart."""
-    stencil = np.asarray(stencil).tolist()
-    d1 = (stencil[3] - stencil[1]) / (2 * h)
-    d2 = (stencil[3] - 2 * stencil[2] + stencil[1]) / h**2
-    d3 = (stencil[4] - 2 * stencil[3] + 2 * stencil[1] - stencil[0]) / (2 * h**3)
-    d4 = (stencil[4] - 4 * stencil[3] + 6 * stencil[2] - 4 * stencil[1] + stencil[0]) / h**4
-    worst = 0.0
-    for order, d in enumerate((d1, d2, d3, d4), start=1):
-        signed = d * (-1.0) ** order  # CM: (-1)^k f^(k) >= 0
-        if signed < 0.0:
-            worst = max(worst, -signed)
-    return worst
-
-
-def _check_cm(args, policy):
-    _asked(args, "cm", ("bessel", "asymptotic"))
-    h = 0.02
-    stencils = np.add.outer((0.1, 0.5, 1.0, 2.0), np.arange(-2.0, 3.0) * h)  # a row per time
-    records = []
-    bessel_nus = [args.nu] if args.nu is not None else [-0.5, 0.0]
-    for nu in bessel_nus if args.family in (None, "bessel") else ():
-        rows = [[float(memory_phi_curve(nu, [t], policy)[0]) for t in row] for row in stencils]
-        worst = max(_cm_signs(row, h) for row in rows)
-        records.append(_record("cm-phi", ("bessel", {"nu": nu}), worst, 0.0))
-    asym_nus = [args.nu] if args.nu is not None else [-0.8, 0.5]
-    for nu in asym_nus if args.family in (None, "asymptotic") else ():
-        p = ModelParams("asymptotic", nu=nu)
-        rows = relaxation_memory(*family_of(p).law(p), stencils)  # one erfcx call
-        worst = max(_cm_signs(row, h) for row in rows)
-        records.append(_record("cm-asym-memory", ("asymptotic", {"nu": nu}), worst, 0.0))
-    return records
-
-
-_CHECKS = {
-    "reciprocity": _check_reciprocity,
-    "zeros": _check_zeros,
-    "laplace-oracle": _check_laplace_oracle,
-    "interconversion": _check_interconversion,
-    "asymptotics": _check_asymptotics,
-    "cm": _check_cm,
-}
+        raise DomainError(f"--check {args.check} needs --family with {' and '.join(unfit)}")
+    given = {k: getattr(args, k) for k in flags}
+    entries = [replace(p, **given) if isinstance(p, ModelParams)
+               else (p[0], {k: {**given, "n": args.n}.get(k, v) for k, v in p[1].items()})
+               for p in check.battery]
+    return [p for i, p in enumerate(entries) if p not in entries[:i]]
 
 
 def _cmd_verify(args) -> int:
-    policy = _policy(args)
-    records = _CHECKS[args.check](args, policy)
+    records = run_check(args.check, _asked(args), _policy(args))
     width = max(len(r["check"]) for r in records)
     for r in records:
         status = "PASS" if r["pass"] else "FAIL"

@@ -53,10 +53,10 @@ zero memo for just the prefix its smallest time t_min needs, estimated from
 j_{mu,n} >= (n + mu/2 - 3/4) pi and rounded up to a multiple of 16: at the
 default tol, at most 64 zeros from t_min = 1e-3 and 16 from 0.1.  A prefix
 holds the first zeros of the full table bit for bit, so every sum is the one
-over the n_max table.  Where the estimate runs short (Phi's bound has a
-factor 1 / (1 - rho) the estimate leaves out, which tells below t = 1e-3),
-the series is evaluated again on the n_max table, which also gives every
-refusal.  The exact primitives read the whole table.
+over the n_max table.  Phi's estimate carries its bound's factor 1 / (1 - rho).
+Where an estimate runs short, the series is evaluated again on the n_max
+table, which also gives every refusal.  The exact primitives read the whole
+table.
 """
 
 import math
@@ -246,7 +246,11 @@ def _series(order, times, policy, c, power, what) -> np.ndarray:
     _prefix_length asks for, or the n_max table where the tail does not fall
     below tol within that prefix (module doc)."""
     ts, t_min, ext = times
-    n = _prefix_length(order, t_min, c, policy)
+    # Phi's bound has a factor 1 / (1 - rho): zeros ~pi apart past the j =
+    # sqrt(lc / t_min) its tail needs (lc = ln(c / tol)) give rho ~ exp(-2 pi j t_min)
+    lc = math.log(c / policy.tol)
+    n = _prefix_length(order, t_min, c if power or lc <= 0.0 else
+                       c / -math.expm1(-2.0 * math.pi * math.sqrt(lc * t_min)), policy)
     while True:
         tab = zero_table(order, n)
         tail = (_rayleigh_tail if power else _memory_tail)(c, tab.squares)
@@ -267,7 +271,7 @@ def _series(order, times, policy, c, power, what) -> np.ndarray:
 
 def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
     """Creep compliance J(t; nu) on an array of times (each >= t_floor)."""
-    nu = check_nu(nu)
+    nu = check_nu(nu, bessel=True)
     policy = policy or DEFAULT_POLICY
     times = _check_times(ts, policy)
     coeff = (nu + 1.0) / (nu + 3.0)  # 4(nu+1) * Rayleigh tail 1/(4(nu+3))
@@ -281,7 +285,7 @@ def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
 
 def bessel_G_curve(nu, ts, policy=None) -> np.ndarray:
     """Relaxation modulus G(t; nu) on an array of times (each >= t_floor)."""
-    nu = check_nu(nu)
+    nu = check_nu(nu, bessel=True)
     policy = policy or DEFAULT_POLICY
     times = _check_times(ts, policy)
     # 4(nu+1) * Rayleigh tail 1/(4(nu+1)) = 1
@@ -301,7 +305,7 @@ def bessel_G_time(nu: float, t: float, policy=None) -> float:
 
 def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
     """Rate of relaxation Phi(t; nu) = -dG/dt on an array of times."""
-    nu = check_nu(nu)
+    nu = check_nu(nu, bessel=True)
     policy = policy or DEFAULT_POLICY
     times = _check_times(ts, policy)
     amp = 4.0 * (nu + 1.0)
@@ -364,7 +368,7 @@ def bessel_creep_integral_curve(nu, T, policy=None) -> np.ndarray:
     table are added in closed form (``_exp_quartic_sum``), so the primitive is
     0 at T = 0 and within ~1e-14 absolute at every T >= 0.
     """
-    nu = check_nu(nu)
+    nu = check_nu(nu, bessel=True)
     policy = policy or DEFAULT_POLICY
     T = _check_integral_bounds(T)
     tab = zero_table(nu + 2.0, policy.n_max)
@@ -378,7 +382,7 @@ def bessel_creep_integral_curve(nu, T, policy=None) -> np.ndarray:
 
 def bessel_relax_integral_curve(nu, T, policy=None) -> np.ndarray:
     """Exact primitive int_0^T G(t; nu) dt, valid for any T >= 0 (vectorized)."""
-    nu = check_nu(nu)
+    nu = check_nu(nu, bessel=True)
     policy = policy or DEFAULT_POLICY
     T = _check_integral_bounds(T)
     tab = zero_table(nu, policy.n_max)

@@ -12,9 +12,11 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from ..errors import DomainError
+from ..specfun.zeros import ORDER_MAX
 
 FAMILIES = ("bessel", "fmax", "asymptotic")
 N_MIN = 8  # every Dirichlet-series truncation keeps at least this many terms
+BESSEL_NU_MAX = ORDER_MAX - 2.0  # the Bessel J series reads zeros of order nu + 2
 
 
 class Family(NamedTuple):
@@ -36,11 +38,14 @@ class Family(NamedTuple):
     # lam = 1/a and g = a/b (see maxwell); None for a family with no such law
 
 
-def check_nu(nu) -> float:
-    """nu as a float, or DomainError unless it is finite and > -1."""
+def check_nu(nu, bessel=False) -> float:
+    """nu as a float, or DomainError unless it is finite and > -1, and for the
+    Bessel family at most BESSEL_NU_MAX."""
     nu = float(nu)
     if not math.isfinite(nu) or nu <= -1.0:
         raise DomainError(f"nu must be > -1, got {nu!r}")
+    if bessel and nu > BESSEL_NU_MAX:
+        raise DomainError(f"the Bessel family takes nu <= {BESSEL_NU_MAX:g}, got {nu!r}")
     return nu
 
 
@@ -65,7 +70,7 @@ class ModelParams:
         if self.family in ("bessel", "asymptotic"):
             if self.nu is None or self.a1 is not None or self.b1 is not None:
                 raise DomainError(f"family {self.family!r} takes exactly nu")
-            object.__setattr__(self, "nu", check_nu(self.nu))
+            object.__setattr__(self, "nu", check_nu(self.nu, self.family == "bessel"))
         else:
             if self.a1 is None or self.b1 is None or self.nu is not None:
                 raise DomainError("family 'fmax' takes exactly a1 and b1")

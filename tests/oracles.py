@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import jn_zeros
+from scipy.optimize import brentq
+from scipy.special import jn_zeros, jv
 
 from viscobessel.errors import DomainError
 from viscobessel.models import bessel_family
@@ -111,6 +112,28 @@ def bisect_bessel_zero(nu: float, lo: float, hi: float, tol: float = 1e-13) -> f
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+@lru_cache(maxsize=None)
+def scipy_bessel_zeros(order: float, count: int) -> tuple:
+    """First count positive zeros of J_order: sign changes of scipy's jv on a
+    0.05 grid, each polished by brentq."""
+    x = np.arange(1e-3, (count + 0.5 * order + 2.0) * math.pi, 0.05)
+    f = jv(order, x)
+    at = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)[:count]
+    assert len(at) == count, f"found only {len(at)} zeros of J_{order}"
+    return tuple(brentq(lambda z: jv(order, z), x[i], x[i + 1], xtol=1e-15, rtol=1e-15)
+                 for i in at)
+
+
+def scipy_series(fn: str, nu: float, ts, count: int = 1000) -> np.ndarray:
+    """The Bessel family's J or G on a count-term series over scipy_bessel_zeros."""
+    ts = np.asarray(ts, dtype=float)
+    sq = np.array(scipy_bessel_zeros(nu + 2.0 if fn == "J" else nu, count)) ** 2
+    series = (np.exp(-np.outer(ts, sq)) / sq).sum(axis=1)
+    if fn == "G":
+        return 4 * (nu + 1) * series
+    return 2 * (nu + 2) / (nu + 3) + 4 * (nu + 1) * (nu + 2) * ts - 4 * (nu + 1) * series
 
 
 def erfc_quadrature(x: float) -> float:

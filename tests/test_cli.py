@@ -459,9 +459,9 @@ def test_verify_cm_runs_only_the_family_asked_for(tmp_path):
 def test_verify_cm_evaluates_each_asymptotic_order_in_one_call(monkeypatch):
     # the four five-point stencils of an order are one relaxation_memory call;
     # erfcx is elementwise, so each row is bit for bit its own call's values
-    from viscobessel import cli
+    from viscobessel.models import checks
 
-    real = cli.relaxation_memory
+    real = checks.relaxation_memory
     shapes = []
 
     def spy(lam, g, t):
@@ -470,7 +470,7 @@ def test_verify_cm_evaluates_each_asymptotic_order_in_one_call(monkeypatch):
         assert all(np.array_equal(got, real(lam, g, row)) for got, row in zip(out, t))
         return out
 
-    monkeypatch.setattr(cli, "relaxation_memory", spy)
+    monkeypatch.setattr(checks, "relaxation_memory", spy)
     assert run(["verify", "--check", "cm"]) == 0
     assert shapes == [(4, 5), (4, 5)]
 
@@ -514,13 +514,48 @@ def test_verify_unknown_check_exit_2(capsys):
 
 
 def test_verify_failure_exits_1(monkeypatch):
-    import viscobessel.cli as cli
+    from viscobessel.models.checks import CHECKS, Check
 
-    def failing_check(args, policy):
-        return [cli._record("synthetic", ("bessel", {"nu": 0.0}), 1.0, 0.5)]
-
-    monkeypatch.setitem(cli._CHECKS, "reciprocity", failing_check)
+    synthetic = Check(("bessel",), (("bessel", {"nu": 0.0}),), {"synthetic": 0.5},
+                      lambda params, policy: {"synthetic": 1.0})
+    monkeypatch.setitem(CHECKS, "reciprocity", synthetic)
     assert run(["verify", "--check", "reciprocity"]) == 1
+
+
+@pytest.mark.parametrize("check", ["reciprocity", "interconversion", "asymptotics", "cm", "zeros"])
+def test_verify_json_is_the_library_call_on_the_default_battery(tmp_path, check):
+    # every check but the slow laplace-oracle: the records a library call
+    # returns are exactly those `verify --json` writes
+    from viscobessel.models.checks import run_check
+
+    out = tmp_path / "v.json"
+    assert run(["verify", "--check", check, "--json", str(out)]) == 0
+    records = run_check(check)
+    assert out.read_text() == json.dumps(records, indent=2) + "\n"
+    assert json.loads(out.read_text()) == records
+
+
+@pytest.mark.parametrize("argv,rc", [
+    (["eval", "--family", "bessel", "--nu", "6", "--t-start", "0.01", "--points", "3"], 0),
+    (["eval", "--family", "bessel", "--nu", "6.05", "--t-start", "0.01", "--points", "3"], 2),
+    (["verify", "--check", "asymptotics", "--nu", "6"], 0),
+    (["verify", "--check", "cm", "--family", "bessel", "--nu", "6.05"], 2),
+    (["verify", "--check", "zeros", "--nu", "8", "--n", "60"], 0),
+    (["verify", "--check", "zeros", "--nu", "8.05", "--n", "60"], 2),
+    (["zeros", "--nu", "8", "--n", "3"], 0),
+    (["zeros", "--nu", "8.05", "--n", "3"], 2),
+])
+def test_order_bounds_exit_2_with_one_error_line_naming_the_bound(tmp_path, capsys, argv, rc):
+    # the Bessel family stops at nu = 6 (its J reads zeros of order nu + 2)
+    # and zero tables at order 8; past either, one error line names the bound
+    if argv[0] == "zeros":
+        argv = [*argv, "--cache-dir", str(tmp_path)]
+    capsys.readouterr()
+    assert run(argv) == rc
+    err = capsys.readouterr().err
+    if rc:
+        bound = "nu <= 6" if "6.05" in argv else "order 8"
+        assert err.startswith("error: ") and bound in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from oracles import (
     dirichlet_sum_uncut,
     erfc_quadrature,
     planned_dirichlet_sum,
+    scipy_series,
     series_plan_reference,
 )
 from viscobessel.cli import FIGURE_ASYM_NUS, FIGURE_GRID_LIN, FIGURE_GRID_LOG
@@ -213,14 +214,28 @@ def test_series_on_a_prefix_equal_the_full_table(monkeypatch, fn):
 
 
 def test_short_prefix_estimate_evaluates_again_on_the_full_table(monkeypatch):
-    # Phi of order 0 from t_min = 2e-4 at tol = 1e-10: the estimate leaves
-    # out the memory tail's 1 / (1 - rho), asks for 112 zeros and runs off
-    # them, so the series is evaluated again on the 200-zero table
+    # a prefix estimate forced short (16 zeros from t_min = 2e-4, where the
+    # series needs about 100): the series runs off it and is evaluated again
+    # on the 200-zero table, with the same bits
     policy = TruncationPolicy(tol=1e-10, t_floor=1e-4)
-    for ts in (np.geomspace(2e-4, 2.0, 300), [2e-4]):
-        got, calls = _tables_read(monkeypatch, "Phi", 0.0, ts, policy)
-        assert calls == [(0.0, 112), (0.0, 200)]
-        assert np.array_equal(got, _on_the_full_table(monkeypatch, "Phi", 0.0, ts, policy))
+    monkeypatch.setattr(bessel_family, "_prefix_length", lambda order, t, c, policy: 16)
+    for fn in ("J", "G", "Phi"):
+        order = 2.0 if fn == "J" else 0.0
+        for ts in (np.geomspace(2e-4, 2.0, 300), [2e-4]):
+            got, calls = _tables_read(monkeypatch, fn, 0.0, ts, policy)
+            assert calls == [(order, 16), (order, 200)]
+            assert np.array_equal(got, _on_the_full_table(monkeypatch, fn, 0.0, ts, policy))
+
+
+def test_phi_prefix_estimate_holds_its_tail_factor(monkeypatch):
+    # Phi's tail bound has a factor 1 / (1 - rho) past the J and G bound;
+    # the estimate includes it, so below t = 1e-3 Phi builds one table
+    policy = TruncationPolicy(tol=1e-10, n_max=400, t_floor=1e-5)
+    for nu in (-0.9, 0.0, 1.0, 3.0, 6.0):
+        for t in np.geomspace(2e-5, 1e-3, 12):
+            got, calls = _tables_read(monkeypatch, "Phi", nu, [t], policy)
+            assert len(calls) == 1, (nu, t, calls)
+            assert np.array_equal(got, _on_the_full_table(monkeypatch, "Phi", nu, [t], policy))
 
 
 @pytest.mark.parametrize("fn,reverse", [("G", False), ("J", True)])
@@ -699,3 +714,24 @@ def test_short_time_expansions_match_series():
         assert bessel_G_two_term(nu, t) == pytest.approx(
             bessel_G_time(nu, t, deep), abs=2e-5
         )
+
+
+@pytest.mark.parametrize("nu", [5.5, 6.0])
+def test_family_at_its_nu_bound_matches_a_series_on_scipy_zeros(nu):
+    # J reads zeros of order nu + 2: right up to nu = 6.2 (order 8.2), off by
+    # 1.4e-3 at nu = 6.25
+    ts = [1e-3, 1e-2, 0.1, 1.0]
+    for fn, curve in (("J", bessel_J_curve), ("G", bessel_G_curve)):
+        assert np.max(np.abs(curve(nu, ts) - scipy_series(fn, nu, ts))) < 1e-10
+
+
+def test_bessel_family_refuses_nu_above_6_and_the_asymptotic_family_does_not():
+    for call in (lambda nu: ModelParams("bessel", nu=nu),
+                 lambda nu: bessel_J_curve(nu, [0.5]), lambda nu: bessel_G_curve(nu, [0.5]),
+                 lambda nu: memory_phi_curve(nu, [0.5]),
+                 lambda nu: bessel_family.bessel_creep_integral_curve(nu, [0.5]),
+                 lambda nu: bessel_family.bessel_relax_integral_curve(nu, [0.5])):
+        call(6.0)
+        with pytest.raises(DomainError, match=r"the Bessel family takes nu <= 6, got 6\.05"):
+            call(6.05)
+    assert eval_J_curve(ModelParams("asymptotic", nu=50.0), [0.5])[0] > 1.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bessel_j_reference, bisect_bessel_zero
+from oracles import bessel_j_reference, bisect_bessel_zero, scipy_bessel_zeros
 from viscobessel.specfun import zeros as zeros_module
 from viscobessel.errors import DomainError
 from viscobessel.specfun import (
@@ -185,3 +185,39 @@ def test_cache_round_trip_property(tmp_path_factory, increments):
     path = tmp_path_factory.mktemp("zc") / "t.txt"
     save_zero_table(table, path)
     assert load_zero_table(path).zeros == table.zeros
+
+
+@pytest.mark.parametrize("order", [6.0, 7.0, 7.5, 7.75, 8.0])
+def test_tables_up_to_the_order_bound_match_scipy(order):
+    # 200-zero tables hold up to order 8.2 and are off by 0.11 at 8.25; the
+    # tables stop at order 8
+    table = bessel_j_zeros(order, 200)
+    assert max(abs(a - b) for a, b in zip(table.zeros, scipy_bessel_zeros(order, 200))) < 1e-10
+
+
+@pytest.mark.parametrize("order", [8.05, 8.25, 10.0])
+def test_tables_above_order_8_are_refused(tmp_path, order):
+    for build in (bessel_j_zeros, zero_table):
+        with pytest.raises(DomainError, match="zero tables stop at order 8, got "):
+            build(order, 20)
+    configure_cache(tmp_path)  # the file cache refuses before it reads
+    with pytest.raises(DomainError, match="order 8"):
+        zero_table(order, 20)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_dir_reads_each_file_once_per_process(tmp_path, monkeypatch):
+    # verify --check cm asks for its tables 38 times; under --cache-dir each
+    # file is read (or written) once, and later asks reuse that table
+    from viscobessel.cli import main
+
+    argv = ["verify", "--check", "cm", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    files = sorted(tmp_path.iterdir())
+    assert files
+    loads = []
+    real = zeros_module.load_zero_table
+    monkeypatch.setattr(zeros_module, "load_zero_table", lambda p: loads.append(p) or real(p))
+    zeros_module._zero_table_file.cache_clear()  # as in a new process
+    assert main(argv) == 0
+    assert sorted(loads) == files
