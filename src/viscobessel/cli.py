@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=tuple(CHECKS),
     )
     _add_family_flags(p_verify)
-    p_verify.add_argument("--n", type=int, default=200, help="zeros per table (zeros check)")
+    p_verify.add_argument("--n", type=int, help="zeros per table (zeros check only; default 200)")
     p_verify.add_argument("--json", dest="json_path", help="write machine-readable summary here")
     _add_policy_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
@@ -236,10 +236,13 @@ def _asked(args):
     battery.  --family must be one the check covers.  Without it, a parameter
     flag asks about the families that take it (above), and as it names no
     single one, every family the check covers must take it; else it is a
-    usage error.  The battery runs with the flags' values (and --n's, for a
-    zeros entry), each distinct entry once."""
+    usage error.  The battery runs with the flags' values, each distinct
+    entry once.  --n sizes the tables of a battery whose every entry has one
+    (zeros); any other check refuses it."""
     check = CHECKS[args.check]
     covers = " and ".join(check.covers)
+    if args.n is not None and not all(isinstance(p, tuple) and "n" in p[1] for p in check.battery):
+        raise DomainError(f"--check {args.check} takes no --n (zeros per table, zeros check only)")
     if args.family is not None:
         if args.family not in check.covers:
             raise DomainError(f"--check {args.check} covers {covers} only, not {args.family}")
@@ -254,9 +257,9 @@ def _asked(args):
     unfit = [f"--{k}" for k in flags if not set(check.covers) <= set(_FLAG_FAMILIES[k])]
     if unfit:
         raise DomainError(f"--check {args.check} needs --family with {' and '.join(unfit)}")
-    given = {k: getattr(args, k) for k in flags}
+    given = {k: getattr(args, k) for k in flags + ["n"] if getattr(args, k) is not None}
     entries = [replace(p, **given) if isinstance(p, ModelParams)
-               else (p[0], {k: {**given, "n": args.n}.get(k, v) for k, v in p[1].items()})
+               else (p[0], {k: given.get(k, v) for k, v in p[1].items()})
                for p in check.battery]
     return [p for i, p in enumerate(entries) if p not in entries[:i]]
 

@@ -32,20 +32,23 @@ Hereditary convolution (all families)
     error (~1e-14) enters the first panels divided by dt: 1.6e-8 of a step
     from rest at dt = 1e-8.
 
-Evaluation: both routes are lower-triangular Toeplitz systems, and each
-simulation applies exactly one causal blocked product, O(n log^2 n): leaf
-blocks of 256 samples as one BLAS matrix product, then FFT doublings.
-Stress stepping solves the L1 system with V = 1/W, the reciprocal series of
-the L1 weights, computed once per process per power-of-two length (at most
-32 bytes per sample of the longest history); strain stepping applies
-1/(c + cumsum(V)) to the load samples, one reciprocal per call; a
-convolution folds its near and far panel columns into one.  Each output
-depends only on inputs up to its own time, bit for bit.  Summation order
-differs from a per-step loop and from earlier versions of this module, so
-last digits can differ: stepping is within 1.0e-14 (relative to the largest
-sample) of an 80-bit forward substitution of the same L1 system at n = 2001,
-dt 1e-3 to 10; convolution errors grow along the history (2.2e-12 at
-n = 20,000).
+Evaluation: both routes are lower-triangular Toeplitz systems, evaluated
+by blocks (Hairer, Lubich & Schlichte 1985) in O(n log^2 n) from a plan of
+the column: 256-sample leaf blocks through one BLAS product, then one FFT
+spectrum per doubling.  Stepping reads one plan per process, of
+U = cumsum(1/W), W the L1 weight series; a longer U starts with the same
+bits, so the plan is rebuilt only for a longer history (16 bytes per sample
+of the longest padded length, plus a 512 KiB leaf).  Stress stepping is one
+product through it; strain stepping solves (c + U) S = b kappa F by blocks,
+each leaf through the 256-coefficient reciprocal of c + U[:256], the only
+work that depends on c.  A convolution folds its near and far panel columns
+into one and plans it per call.  Each output depends only on inputs up to
+its own time, bit for bit.  Summation order differs from a per-step loop
+and from earlier versions of this module, so last digits can differ:
+stepping is within 7.7e-15 (relative to the largest sample) of an 80-bit
+forward substitution of the same L1 system at n = 2001, dt 1e-3 to 10;
+convolution errors grow along the history: at n = 20,000 and dt = 1e-2,
+stress loads reach 3.3e-11 (Bessel) and 5.3e-12 (fmax), strain loads 5e-14.
 
 Initial condition convention: a nonzero load sample at k = 0 is treated as an
 instantaneous step mapped through the glass constants, response(0) = J_g *
@@ -136,61 +139,103 @@ def _conjugate(kind: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _toeplitz_apply(col, x) -> np.ndarray:
-    """Causal product y[k] = sum_{j<=k} col[j] x[k-j] for k < len(x).
+def _plan_size(n: int) -> int:
+    """Padded length of an n-sample product: a power of two of leaf blocks."""
+    return _TOEPLITZ_BLOCK << (-(-n // _TOEPLITZ_BLOCK) - 1).bit_length()
+
+
+def _leaf(col) -> np.ndarray:
+    """leaf[j, r] = col[r - j] for r >= j, 0 above, so x @ leaf is the causal
+    product of a block; copied once from the strided view, which matmul would
+    otherwise copy at a higher cost."""
+    padded = np.concatenate((np.zeros(_TOEPLITZ_BLOCK - 1), col[:_TOEPLITZ_BLOCK]))
+    return np.ascontiguousarray(sliding_window_view(padded, _TOEPLITZ_BLOCK)[::-1])
+
+
+def _halves(size: int) -> list:
+    """The doublings h < size of a padded size."""
+    return [_TOEPLITZ_BLOCK << level for level in range((size // _TOEPLITZ_BLOCK).bit_length() - 1)]
+
+
+def _toeplitz_plan(col, n: int):
+    """What products with col read for up to n samples: the leaf of its head
+    and, per doubling h < _plan_size(n), the spectrum rfft(col[:2h]), col
+    zero-padded past its end.  Plans for two lengths share their levels."""
+    size = _plan_size(n)
+    cp = np.zeros(size)
+    cp[: min(size, len(col))] = col[:size]
+    return _leaf(cp), [np.fft.rfft(cp[: 2 * h]) for h in _halves(size)]
+
+
+def _toeplitz_apply(plan, x) -> np.ndarray:
+    """Causal product y[k] = sum_{j<=k} col[j] x[k-j] for k < len(x), on a
+    plan of col for at least len(x) samples.
 
     Blocked fast convolution (Hairer, Lubich & Schlichte 1985), unrolled
     bottom-up: the leaf blocks of _TOEPLITZ_BLOCK samples are one BLAS matrix
-    product with the upper-triangular Toeplitz block of the column's head,
-    then each doubling h adds the first half of every 2h-aligned segment
-    into its second half with one batched rfft/irfft product of size 2h.
-    A history of at most one block is one zero-padded leaf.  Output k reads
-    only x[:k+1] through operations fixed by len(x) (later samples of its
-    leaf meet exact zeros), so editing the input from any index on leaves
-    earlier outputs bit-identical.  O(n log^2 n).
+    product with the plan's leaf, then each doubling h adds the first half of
+    every 2h-aligned segment into its second half with one batched rfft/irfft
+    product of size 2h against the plan's spectrum.  Output k reads only
+    x[:k+1] through operations fixed by len(x) (later samples of its leaf meet
+    exact zeros), so editing the input from any index on leaves earlier
+    outputs bit-identical.  O(n log^2 n).
     """
-    x = np.asarray(x, dtype=float)
     n = len(x)
-    size = _TOEPLITZ_BLOCK << (-(-n // _TOEPLITZ_BLOCK) - 1).bit_length()
-    xp, cp = np.zeros(size), np.zeros(size)
-    xp[:n], cp[:n] = x, np.asarray(col, dtype=float)[:n]
-    # leaf[j, r] = col[r - j] for r >= j, 0 above; copied once from the
-    # strided view, which matmul would otherwise copy at a higher cost
-    padded = np.concatenate((np.zeros(_TOEPLITZ_BLOCK - 1), cp[:_TOEPLITZ_BLOCK]))
-    leaf = np.ascontiguousarray(sliding_window_view(padded, _TOEPLITZ_BLOCK)[::-1])
-    y = (xp.reshape(-1, _TOEPLITZ_BLOCK) @ leaf).reshape(-1)
-    h = _TOEPLITZ_BLOCK
-    while h < size:
+    size = _plan_size(n)
+    xp = np.zeros(size)
+    xp[:n] = x
+    y = (xp.reshape(-1, _TOEPLITZ_BLOCK) @ plan[0]).reshape(-1)
+    for h, spectrum in zip(_halves(size), plan[1]):
         # Linear products reach index 3h - 2; the wrap lands below h.
         first = np.fft.rfft(xp.reshape(-1, 2 * h)[:, :h], 2 * h)
-        cross = np.fft.irfft(first * np.fft.rfft(cp[: 2 * h]), 2 * h)
-        y.reshape(-1, 2 * h)[:, h:] += cross[:, h:]
-        h *= 2
+        y.reshape(-1, 2 * h)[:, h:] += np.fft.irfft(first * spectrum, 2 * h)[:, h:]
     return y[:n]
+
+
+def _toeplitz_solve(plan, head, rhs) -> np.ndarray:
+    """Causal solution s of sum_{j<=k} col[j] s[k-j] = rhs[k], k < len(rhs),
+    from a plan of col (col[0] may differ) and head = 1/col to _TOEPLITZ_BLOCK
+    coefficients: _toeplitz_apply's splitting run as a solve.  Leaf blocks are
+    solved in order through the leaf of head; one that ends the left half
+    [mid - h, mid) of a 2h-aligned segment is pushed into the right half of
+    rhs by one FFT product, whose kept outputs read col[1:2h] only.
+    """
+    n = len(rhs)
+    r = np.zeros(_plan_size(n))
+    r[:n] = rhs
+    s, leaf = np.empty_like(r), _leaf(head)
+    blocks = -(-n // _TOEPLITZ_BLOCK)
+    for done in range(1, blocks + 1):
+        mid = done * _TOEPLITZ_BLOCK
+        s[mid - _TOEPLITZ_BLOCK : mid] = r[mid - _TOEPLITZ_BLOCK : mid] @ leaf
+        if done < blocks:
+            level = (done & -done).bit_length() - 1  # the half that just ended
+            h = _TOEPLITZ_BLOCK << level
+            cross = np.fft.irfft(np.fft.rfft(s[mid - h : mid], 2 * h) * plan[1][level], 2 * h)
+            r[mid : mid + h] -= cross[h:]
+    return s[:n]
 
 
 def _reciprocal(col, n: int) -> np.ndarray:
     """First n coefficients of the reciprocal power series b = 1/a of col.
 
     The inverse of the lower-triangular Toeplitz matrix of col is Toeplitz
-    with column b, so _toeplitz_apply(b, rhs) solves that system, as causal
-    in rhs as any product.  Newton doubling b <- b (2 - a b) mod z^{2k}:
-    with a b = 1 + z^k e mod z^{2k}, the update appends -(b e) mod z^k.
-    Doublings up to _TOEPLITZ_BLOCK coefficients take direct products, as
-    does a last one that appends only r <= _TOEPLITZ_BLOCK of its k; the rest
-    take FFT products whose cyclic wrap misses the kept coefficients.
+    with column b.  Newton doubling b <- b (2 - a b) mod z^{2k}: with
+    a b = 1 + z^k e mod z^{2k}, the update appends -(b e) mod z^k.
+    Doublings up to _TOEPLITZ_BLOCK coefficients take direct products, the
+    rest FFT products whose cyclic wrap misses the kept coefficients.  Each
+    doubling reads only the coefficients of a and b below its end, so at a
+    power-of-two n, b is bit for bit a prefix of the reciprocal of the same
+    series at any longer length.
     """
     a = np.zeros(1 << (n - 1).bit_length())
     a[:n] = np.asarray(col, dtype=float)[:n]
     b = np.array([1.0 / a[0]])
     while len(b) < n:
-        k, r = len(b), n - len(b)
+        k = len(b)
         if 2 * k <= _TOEPLITZ_BLOCK:
             e = np.convolve(a[: 2 * k], b)[k : 2 * k]
             b = np.concatenate((b, -np.convolve(b, e)[:k]))
-        elif r < k and r <= _TOEPLITZ_BLOCK:  # a short last doubling
-            e = np.convolve(a[1 : k + r], b, "valid")  # (a b)[k : k + r]
-            b = np.concatenate((b, -np.convolve(b[:r], e)[:r]))
         else:
             b_hat = np.fft.rfft(b, 2 * k)
             e = np.fft.irfft(np.fft.rfft(a[: 2 * k]) * b_hat, 2 * k)[k:]
@@ -203,19 +248,22 @@ def _l1_weights(n: int) -> np.ndarray:
     return 1.0 / (np.sqrt(j + 1.0) + np.sqrt(j))  # sqrt(j + 1) - sqrt(j), without cancelling
 
 
-@functools.lru_cache(maxsize=None)
-def _l1_inverse(size: int) -> np.ndarray:
-    """Read-only first `size` coefficients of 1/W(z), W the L1 weight series.
+_L1_PLAN = None  # the plan of U for the longest history stepped so far
 
-    The series depends on nothing but its length, so stress stepping slices
-    it from the power-of-two size at or above its own and never repeats the
-    Newton reciprocal.  The sizes held are powers of two up to twice the
-    longest history, together under 4 m floats: 32 bytes per sample of the
-    longest m stepped.
-    """
-    inverse = _reciprocal(_l1_weights(size), size)
-    inverse.flags.writeable = False
-    return inverse
+
+def _l1_plan(m: int):
+    """The plan of U = cumsum(1/W) for m samples.  A longer U starts with the
+    same bits (the Newton doublings and the running sum read only what
+    precedes them), so no result depends on the order lengths are met in.
+    U[:_TOEPLITZ_BLOCK] is the leaf's row 0."""
+    global _L1_PLAN
+    size = _plan_size(m)
+    if _L1_PLAN is None or size > _TOEPLITZ_BLOCK << len(_L1_PLAN[1]):
+        plan = _toeplitz_plan(np.cumsum(_reciprocal(_l1_weights(size), size)), size)
+        for array in (plan[0], *plan[1]):  # shared by every later call
+            array.flags.writeable = False
+        _L1_PLAN = plan
+    return _L1_PLAN
 
 
 def caputo_half(samples, dt: float) -> np.ndarray:
@@ -233,7 +281,8 @@ def caputo_half(samples, dt: float) -> np.ndarray:
     n = len(f)
     out = np.zeros(n)
     # (D f)_k = kappa * sum_{j=0}^{k-1} w_j d_{k-1-j}: a discrete convolution.
-    out[1:] = _toeplitz_apply(_l1_weights(n), np.diff(f)) / (math.sqrt(dt) * _GAMMA_3_2)
+    plan = _toeplitz_plan(_l1_weights(n - 1), n - 1)
+    out[1:] = _toeplitz_apply(plan, np.diff(f)) / (math.sqrt(dt) * _GAMMA_3_2)
     return out
 
 
@@ -243,21 +292,20 @@ def step_response(params: ModelParams, load: LoadHistory) -> ResponseHistory:
 
     With response increments d_k = out[k] - out[k-1], load increments df,
     W the L1 Toeplitz matrix of column w and kappa = 1/(sqrt(dt) Gamma(3/2)),
-    each direction is a lower-triangular Toeplitz system, evaluated with one
-    product:
+    each direction is a lower-triangular Toeplitz system:
 
     * stress input, b kappa W d = sigma + a kappa W df, so
-      d = g df + W^{-1} sigma / (b kappa) (discrete half-order integration).
-      The column of W^{-1} depends only on m: it is sliced from a read-only
-      memo of the next power-of-two length, so repeated stepping pays for
-      the Newton reciprocal once per process;
+      d = g df + W^{-1} sigma / (b kappa) (discrete half-order integration),
+      and summed from the glass start, out_k = g f_k + (U sigma)_k / (b kappa)
+      with U = cumsum(W^{-1}) = 1/((1 - z) W): one product through the
+      per-process plan of U, which depends only on the length;
     * strain input, with c = a kappa and S, F the series of response and
       load samples 1..m: the glass start sigma_0 = f_0/g has c sigma_0 =
       b kappa f_0, so the f_0 terms cancel and (1 + c (1 - z) W) S =
-      b kappa (1 - z) W F, that is S = b kappa F / (c + U) with
-      U = cumsum(W^{-1}) = 1/((1 - z) W) from the same memo.  The
-      coefficients of c + U are all positive and no load increment is
-      formed, so nothing cancels at large dt, where c is small.
+      b kappa (1 - z) W F, that is (c + U) S = b kappa F, solved by blocks
+      on the same plan.  The coefficients of c + U are all positive and no
+      load increment is formed, so nothing cancels at large dt, where c is
+      small.
 
     The response starts from the instantaneous step through the glass
     constants: g f_0 for stress input, f_0 / g for strain input.  The
@@ -268,24 +316,19 @@ def step_response(params: ModelParams, load: LoadHistory) -> ResponseHistory:
         raise DomainError(f"stepping needs a fractional Maxwell law; family "
                           f"{params.family!r} has none (use convolution)")
     lam, g = law(params)
-    a = 1.0 / lam
-    b = a / g
-    dt = load.dt
-    f = load.samples
-    m = len(f) - 1
-    root_kappa = math.sqrt(dt) * _GAMMA_3_2  # 1 / kappa
-    b_kappa = b / root_kappa
-    inverse = _l1_inverse(1 << (m - 1).bit_length())[:m]
+    a, f = 1.0 / lam, load.samples
+    root_kappa = math.sqrt(load.dt) * _GAMMA_3_2  # 1 / kappa
+    b_kappa = a / g / root_kappa
+    plan = _l1_plan(len(f) - 1)
     if load.kind == "strain":
-        col = np.cumsum(inverse)  # U, then c + U
-        col[0] += a / root_kappa
-        response = _toeplitz_apply(_reciprocal(col, m), b_kappa * f[1:])
+        head = plan[0][0].copy()  # c + U
+        head[0] += a / root_kappa
+        response = _toeplitz_solve(plan, _reciprocal(head, _TOEPLITZ_BLOCK), b_kappa * f[1:])
         out = np.concatenate(([f[0] / g], response))
     else:
-        start = g * f[0]
-        d = g * np.diff(f) + _toeplitz_apply(inverse, f[1:] / b_kappa)
-        out = np.concatenate(([start], start + np.cumsum(d)))
-    return ResponseHistory(kind=_conjugate(load.kind), dt=dt, samples=out)
+        out = g * f
+        out[1:] += _toeplitz_apply(plan, f[1:] / b_kappa)
+    return ResponseHistory(kind=_conjugate(load.kind), dt=load.dt, samples=out)
 
 
 def simulate_asymptotic(nu: float, load: LoadHistory) -> ResponseHistory:
@@ -334,7 +377,8 @@ def convolve_response(
     # f_{k-j} (dK_j - M_j/dt) + f_{k-j-1} M_j/dt; summed over j, the far
     # terms shift onto the near column except the one reading f_0.
     dp = np.diff(primitive(params, grid, policy)) / dt  # dP_j / dt
-    response = _toeplitz_apply(np.diff(dp, prepend=glass), f[1:])
+    col = np.diff(dp, prepend=glass)
+    response = _toeplitz_apply(_toeplitz_plan(col, len(col)), f[1:])
     if f[0] != 0.0:
         response += f[0] * (kernel(params, grid[1:], policy) - dp)
     out = glass * f

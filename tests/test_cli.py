@@ -489,6 +489,21 @@ def test_verify_parameter_flag_without_family_is_refused(check, flags, capsys):
     assert captured.err == f"error: --check {check} needs --family with {named}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--check", "cm", "--n", "5"],
+    ["--check", "reciprocity", "--n", "7"],
+    ["--check", "interconversion", "--family", "fmax", "--a1", "1", "--b1", "1", "--n", "7"],
+    ["--check", "asymptotics", "--nu", "0", "--n", "50"],
+])
+def test_verify_n_outside_the_zeros_check_is_refused(argv, capsys):
+    # --n sizes zeros tables only; elsewhere it would be silently ignored
+    capsys.readouterr()
+    assert run(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --check {argv[1]} takes no --n (zeros per table, zeros check only)\n"
+
+
 def test_verify_asymptotics_grid_outside_the_floor_is_refused(capsys):
     # the check's grid starts at 0.01: below --t-floor it is a refusal (exit 3)
     capsys.readouterr()
