@@ -27,7 +27,8 @@ import numpy as np
 from .errors import (DomainError, GridError, InversionError, RootFindError, SeriesRefusalError,
                      TableExhaustedError)
 from .csvout import write_csv
-from .models import ModelParams, TruncationPolicy, eval_G_curve, eval_J_curve
+from .models import (DEFAULT_POLICY, FAMILIES, ModelParams, TruncationPolicy, eval_G_curve,
+                     eval_J_curve)
 from .models.checks import CHECKS, run_check
 from .specfun import bessel_j_zeros, cache_path, save_zero_table
 from .specfun.zeros import configure_cache
@@ -114,16 +115,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_family_flags(p):
-    p.add_argument("--family", choices=("bessel", "fmax", "asymptotic"))
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--nu", type=float, help="order parameter (bessel/asymptotic)")
     p.add_argument("--a1", type=float, help="fractional Maxwell coefficient a1")
     p.add_argument("--b1", type=float, help="fractional Maxwell coefficient b1")
 
 
 def _add_policy_flags(p):
-    p.add_argument("--tol", type=float, default=1e-10, help="series tail tolerance")
-    p.add_argument("--n-max", type=int, default=200, help="max Dirichlet-series terms")
-    p.add_argument("--t-floor", type=float, default=1e-3, help="series refusal floor")
+    p.add_argument("--tol", type=float, default=DEFAULT_POLICY.tol, help="series tail tolerance")
+    p.add_argument("--n-max", type=int, default=DEFAULT_POLICY.n_max, help="max Dirichlet-series terms")
+    p.add_argument("--t-floor", type=float, default=DEFAULT_POLICY.t_floor, help="series refusal floor")
     p.add_argument("--cache-dir", help="zero-cache directory override")
 
 

@@ -58,17 +58,16 @@ Histories: LoadHistory and ResponseHistory hold their samples as a read-only
 1-D float64 array, copied once when the history is built; the simulators read
 a load's array without converting it.  ``write_history`` writes through
 ``csvout.write_csv``, the one CSV writer (every cell the repr of a Python
-float), which every CSV the CLI emits also uses; it stays importable from
-here as ``fracsim.write_csv``.
+float), which every CSV the CLI emits also uses.
 
 Interconversion: since (s Jt)(s Gt) = 1, the material functions satisfy
 int_0^t J(tau) G(t - tau) dtau = t.  ``interconversion_check`` computes it by
-convolution both ways, int_0^tau G as a stress load and int_0^tau J as a strain
-load, each of which must respond with t, on panels no narrower than t_floor.
+one convolution each way on one grid, int_0^tau G as a stress load and
+int_0^tau J as a strain load, each of which must respond with t at every
+sample; a requested time is read at its nearest sample.
 """
 
 import bisect
-import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -266,26 +265,6 @@ def _l1_plan(m: int):
     return _L1_PLAN
 
 
-def caputo_half(samples, dt: float) -> np.ndarray:
-    """L1 discretization of the Caputo derivative of order 1/2.
-
-    Entry k approximates (D^{1/2} f)(k dt) from the increments of f; the
-    value at k = 0 is 0 (empty sum).  Exact for constants; O(dt^{1.5}) for
-    smooth f, degrading near start-up singularities.
-    """
-    f = np.asarray(samples, dtype=float)
-    if f.ndim != 1 or len(f) < 2:
-        raise DomainError("caputo_half needs a 1-d history of >= 2 samples")
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
-    n = len(f)
-    out = np.zeros(n)
-    # (D f)_k = kappa * sum_{j=0}^{k-1} w_j d_{k-1-j}: a discrete convolution.
-    plan = _toeplitz_plan(_l1_weights(n - 1), n - 1)
-    out[1:] = _toeplitz_apply(plan, np.diff(f)) / (math.sqrt(dt) * _GAMMA_3_2)
-    return out
-
-
 def step_response(params: ModelParams, load: LoadHistory) -> ResponseHistory:
     """Step the law sigma + a D^{1/2} sigma = b D^{1/2} eps of a fractional
     Maxwell family, a = 1/lam and b = a/g from its (lam, g).
@@ -405,10 +384,12 @@ def interconversion_check(
 ) -> InterconversionReport:
     """max_t | int_0^t J(tau) G(t-tau) dtau - t | over the grid, by convolution.
 
-    Per t, int G as a stress load and int J as a strain load on m panels must
-    each respond with m dt; n_quad caps m: m = min(n_quad, t // t_floor), less
-    one while rounding leaves t / m below t_floor.  Both loads start at rest
-    (every primitive is 0 at T = 0), so only the primitives are read.
+    int G as a stress load and int J as a strain load, each on the n_quad
+    panels of dt = max(t_grid) / n_quad, must respond with k dt at every
+    sample k.  Each t is read at sample round(t / dt) and reported at that
+    sample's time; the smallest must land on sample 16 or later.  Both loads
+    start at rest (every primitive is 0 at T = 0), so only the primitives are
+    read, and panels may be narrower than t_floor.
     """
     policy = policy or DEFAULT_POLICY
     t_min_allowed = max(policy.t_floor, 0.05)
@@ -417,27 +398,23 @@ def interconversion_check(
         raise DomainError(
             f"interconversion grid must start at or above {t_min_allowed!r}"
         )
-    if n_quad < 16:
-        raise DomainError(f"n_quad too small: {n_quad!r}")
+    dt = times[-1] / max(n_quad, 1)
+    k = np.rint(np.array(times) / dt).astype(int)
+    if k[0] < 16:
+        raise DomainError(f"n_quad = {n_quad!r} puts t = {times[0]!r} on sample {k[0]}, below 16; "
+                          f"this grid needs n_quad >= {math.ceil(16.0 * times[-1] / times[0])}")
+    grid = dt * np.arange(n_quad + 1)
     family = family_of(params)
-    errors = []
-    for t in times:
-        m = min(n_quad, math.floor(t / policy.t_floor))
-        while t / m < policy.t_floor:
-            m -= 1
-        dt = t / m
-        grid = dt * np.arange(m + 1)
-        error = 0.0
-        for kind, primitive in (("stress", family.relax), ("strain", family.creep)):
-            load = LoadHistory(kind=kind, dt=dt, samples=primitive(params, grid, policy))
-            response = convolve_response(params, load, policy)
-            error = max(error, abs(float(response.samples[-1] - grid[-1])))
-        errors.append(error)
+    errors = np.zeros(len(k))
+    for kind, primitive in (("stress", family.relax), ("strain", family.creep)):
+        load = LoadHistory(kind=kind, dt=dt, samples=primitive(params, grid, policy))
+        response = convolve_response(params, load, policy)
+        errors = np.maximum(errors, np.abs(response.samples[k] - grid[k]))
     return InterconversionReport(
         params=params,
-        times=tuple(times),
-        errors=tuple(errors),
-        max_error=max(errors),
+        times=tuple(grid[k].tolist()),
+        errors=tuple(errors.tolist()),
+        max_error=float(errors.max()),
         n_quad=n_quad,
     )
 

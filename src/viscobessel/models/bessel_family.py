@@ -67,7 +67,7 @@ from ..errors import DomainError, SeriesRefusalError, TableExhaustedError
 from ..specfun.bessel import bessel_i_ratio
 from ..specfun.erf import erfcx
 from ..specfun.zeros import ZeroTable, zero_table
-from .params import DEFAULT_POLICY, N_MIN, Family, TruncationPolicy, check_nu
+from .params import DEFAULT_POLICY, N_MIN, Family, TruncationPolicy, check_nu, scalar_or_array
 
 _CHUNK = 4096  # times per chunk; each chunk truncates on its own
 _RUN = 2**17  # most terms (1 MB) in a block merged from blocks of equal term count
@@ -266,7 +266,7 @@ def _series(order, times, policy, c, power, what) -> np.ndarray:
     # a tail bound falls with t, so later chunks need N_MIN to n_use terms
     return _dirichlet_sum(tab.square_array, ts, power, lambda lo: (
         n_use if n_use == N_MIN or lo.size == 1 and lo.item() <= t_min  # one chunk at t_min
-        else _chunk_counts(tail, n_use, lo, policy, tab.square_array)), ext)
+        else _chunk_counts(tail, n_use, lo, policy, tab.square_array)), ext).reshape(ts.shape)
 
 
 def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
@@ -280,7 +280,7 @@ def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
     out = 4.0 * (nu + 1.0) * (nu + 2.0) * times[0]
     out += 2.0 * (nu + 2.0) / (nu + 3.0)
     out -= series
-    return out
+    return scalar_or_array(out)
 
 
 def bessel_G_curve(nu, ts, policy=None) -> np.ndarray:
@@ -290,7 +290,7 @@ def bessel_G_curve(nu, ts, policy=None) -> np.ndarray:
     times = _check_times(ts, policy)
     # 4(nu+1) * Rayleigh tail 1/(4(nu+1)) = 1
     series = _series(nu, times, policy, 1.0, 1, "G series")
-    return np.multiply(series, 4.0 * (nu + 1.0), out=series)
+    return scalar_or_array(np.multiply(series, 4.0 * (nu + 1.0), out=series))
 
 
 def bessel_J_time(nu: float, t: float, policy=None) -> float:
@@ -310,7 +310,7 @@ def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
     times = _check_times(ts, policy)
     amp = 4.0 * (nu + 1.0)
     series = _series(nu, times, policy, amp, 0, "Phi series")
-    return np.multiply(series, amp, out=series)
+    return scalar_or_array(np.multiply(series, amp, out=series))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +336,7 @@ def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
     55 ln 2 it is below 2^-55 R(0), far below the table's first term, and is
     dropped (T > 9.6e-5 for 200 zeros).
     """
-    T = np.asarray(T, dtype=float).ravel()
+    shape, T = np.shape(T), np.asarray(T, dtype=float).ravel()
     sq = tab.square_array
     out = _dirichlet_sum(sq, T, 2)
     sigma2 = _rayleigh_sigma2(tab.order)
@@ -349,7 +349,7 @@ def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
         rho = np.exp(-xx) * (1.0 - 2.0 * xx + 2.0 * math.sqrt(math.pi) * xx * x * erfcx(x))
         out[near] += r0 * rho
         out[near[x == 0.0]] = sigma2
-    return out
+    return out.reshape(shape)
 
 
 def _check_integral_bounds(T) -> np.ndarray:
@@ -373,7 +373,7 @@ def bessel_creep_integral_curve(nu, T, policy=None) -> np.ndarray:
     T = _check_integral_bounds(T)
     tab = zero_table(nu + 2.0, policy.n_max)
     amp = 4.0 * (nu + 1.0)
-    return (
+    return scalar_or_array(
         2.0 * (nu + 2.0) / (nu + 3.0) * T
         + 2.0 * (nu + 1.0) * (nu + 2.0) * T * T
         - amp * (_rayleigh_sigma2(nu + 2.0) - _exp_quartic_sum(tab, T))
@@ -387,7 +387,7 @@ def bessel_relax_integral_curve(nu, T, policy=None) -> np.ndarray:
     T = _check_integral_bounds(T)
     tab = zero_table(nu, policy.n_max)
     amp = 4.0 * (nu + 1.0)
-    return amp * (_rayleigh_sigma2(nu) - _exp_quartic_sum(tab, T))
+    return scalar_or_array(amp * (_rayleigh_sigma2(nu) - _exp_quartic_sum(tab, T)))
 
 
 BESSEL = Family(

@@ -151,11 +151,10 @@ def _cm(params, policy):
     h = 0.02
     stencils = np.add.outer((0.1, 0.5, 1.0, 2.0), np.arange(-2.0, 3.0) * h)  # a row per time
     if params.family == "bessel":
-        rows = [[float(memory_phi_curve(params.nu, [t], policy)[0]) for t in row]
-                for row in stencils]
-        return {"cm-phi": max(_cm_signs(row, h) for row in rows)}
-    rows = relaxation_memory(*family_of(params).law(params), stencils)  # one erfcx call
-    return {"cm-asym-memory": max(_cm_signs(row, h) for row in rows)}
+        name, rows = "cm-phi", memory_phi_curve(params.nu, stencils, policy)  # one series
+    else:  # one erfcx call
+        name, rows = "cm-asym-memory", relaxation_memory(*family_of(params).law(params), stencils)
+    return {name: max(_cm_signs(row, h) for row in rows)}
 
 
 def _zeros(params, policy):

@@ -44,7 +44,7 @@ import numpy as np
 from ..errors import DomainError
 from ..specfun.erf import erfcx
 from ..specfun.mittag import mittag_leffler_half
-from .params import Family, ModelParams
+from .params import Family, ModelParams, scalar_or_array
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -56,10 +56,6 @@ def _check_time(t, ok=lambda t: t >= 0.0, need="time must be finite and >= 0"):
     if bad.size:
         raise DomainError(f"{need}, got {float(bad[0])!r}")
     return t
-
-
-def _result(values):  # a float for a scalar time
-    return float(values) if np.ndim(values) == 0 else values
 
 
 def _root(s):
@@ -84,18 +80,18 @@ def G_laplace(lam: float, g: float, s):
 
 def J_time(lam: float, g: float, t):
     t = _check_time(t)
-    return _result(g * (1.0 + 2.0 * lam * np.sqrt(t) / _SQRT_PI))
+    return scalar_or_array(g * (1.0 + 2.0 * lam * np.sqrt(t) / _SQRT_PI))
 
 
 def G_time(lam: float, g: float, t):
     t = _check_time(t)
-    return _result(mittag_leffler_half(-lam * np.sqrt(t)) / g)
+    return scalar_or_array(mittag_leffler_half(-lam * np.sqrt(t)) / g)
 
 
 def creep_integral(lam: float, g: float, T):
     """int_0^T J dt = g (T + 4 lam T^{3/2} / (3 sqrt(pi)))."""
     T = _check_time(T)
-    return _result(g * (T + 4.0 * lam * (T * np.sqrt(T)) / (3.0 * _SQRT_PI)))
+    return scalar_or_array(g * (T + 4.0 * lam * (T * np.sqrt(T)) / (3.0 * _SQRT_PI)))
 
 
 def relax_integral(lam: float, g: float, T):
@@ -105,7 +101,7 @@ def relax_integral(lam: float, g: float, T):
     a = 1.0 / lam
     b = a / g
     root = np.sqrt(T)
-    return _result(a * b * (erfcx(root / a) - 1.0) + 2.0 * b * root / _SQRT_PI)
+    return scalar_or_array(a * b * (erfcx(root / a) - 1.0) + 2.0 * b * root / _SQRT_PI)
 
 
 def relaxation_memory(lam: float, g: float, t):
@@ -116,7 +112,7 @@ def relaxation_memory(lam: float, g: float, t):
     """
     t = _check_time(t, lambda t: t > 0.0, "memory function needs t > 0")
     root = np.sqrt(t)
-    return _result((lam / (_SQRT_PI * root) - lam * lam * erfcx(lam * root)) / g)
+    return scalar_or_array((lam / (_SQRT_PI * root) - lam * lam * erfcx(lam * root)) / g)
 
 
 # -- family records --------------------------------------------------------

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from ..errors import DomainError
 from ..specfun.zeros import ORDER_MAX
 
@@ -25,7 +27,8 @@ class Family(NamedTuple):
     Bessel J and G refuse times below policy.t_floor, the primitives hold at
     any T >= 0 (Bessel: 0 at T = 0, within ~1e-14 absolute elsewhere);
     convolution reads only the primitive, and J or G at multiples of dt only
-    for a load whose first sample is nonzero."""
+    for a load whose first sample is nonzero.  J, G and the primitives map a
+    scalar time to a float and an array to an ndarray of its shape."""
 
     sJ: Callable  # (params, s): s Jtilde(s), generic arithmetic in s
     sG: Callable  # (params, s): s Gtilde(s)
@@ -36,6 +39,11 @@ class Family(NamedTuple):
     glass: Callable  # (params): the glass compliance J(0+); G(0+) is its inverse
     law: Callable | None  # (params): (lam, g) of sigma + a D^{1/2} sigma = b D^{1/2} eps,
     # lam = 1/a and g = a/b (see maxwell); None for a family with no such law
+
+
+def scalar_or_array(values):
+    """A float for a 0-d result, else the array: the shape rule of Family."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def check_nu(nu, bessel=False) -> float:

@@ -92,8 +92,9 @@ def _j(nu: float, x: float) -> float:
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind J_nu(x), nu > -1, x >= 0.
 
-    Absolute error is kept below 1e-10 out to x ~ 650 (beyond the 200th
-    positive zero for every order used by the models).
+    Absolute error is below 1e-10 out to x ~ 650 (beyond the 200th positive
+    zero) for order <= 7.6, the range verified against scipy; past it the
+    result can be wrong just above x = 14 (module doc).
     """
     nu = float(nu)
     if not math.isfinite(nu) or nu <= -1.0:

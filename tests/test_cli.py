@@ -26,6 +26,21 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+@pytest.mark.parametrize("argv", [["eval"], ["verify", "--check", "cm"],
+                                  ["simulate", "--input", "in.csv", "--kind", "stress"]],
+                         ids=lambda argv: argv[0])
+def test_defaults_come_from_the_library(argv):
+    from viscobessel.cli import _build_parser, _policy
+    from viscobessel.models import DEFAULT_POLICY, FAMILIES
+
+    parser = _build_parser()
+    assert _policy(parser.parse_args(argv)) == DEFAULT_POLICY
+    for family in FAMILIES:
+        assert parser.parse_args([*argv, "--family", family]).family == family
+    with pytest.raises(SystemExit):
+        parser.parse_args([*argv, "--family", "maxwell"])
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -471,6 +486,26 @@ def test_verify_cm_evaluates_each_asymptotic_order_in_one_call(monkeypatch):
         return out
 
     monkeypatch.setattr(checks, "relaxation_memory", spy)
+    assert run(["verify", "--check", "cm"]) == 0
+    assert shapes == [(4, 5), (4, 5)]
+
+
+def test_verify_cm_evaluates_each_bessel_order_in_one_call(monkeypatch):
+    # the four five-point stencils of an order are one Phi series; each value
+    # is within 4e-16 relative of its own one-time call, with no sign violation
+    from viscobessel.models import checks
+
+    real = checks.memory_phi_curve
+    shapes = []
+
+    def spy(nu, ts, policy=None):
+        shapes.append(np.shape(ts))
+        out = real(nu, ts, policy)
+        alone = np.array([[real(nu, t, policy) for t in row] for row in ts])
+        assert np.max(np.abs(out - alone) / alone) <= 4e-16
+        return out
+
+    monkeypatch.setattr(checks, "memory_phi_curve", spy)
     assert run(["verify", "--check", "cm"]) == 0
     assert shapes == [(4, 5), (4, 5)]
 

@@ -21,6 +21,7 @@ from viscobessel.models import (
     laplace_sG,
     laplace_sJ,
     maxwell,
+    memory_phi_curve,
 )
 from viscobessel.models.bessel_family import (
     bessel_creep_integral_curve,
@@ -100,3 +101,28 @@ def test_dispatch_calls_the_family_functions(family, entry):
     else:
         law = family_of(params).law
         assert (law if law is None else law(params)) == own["law"]
+
+
+SHAPES = {"scalar": 0.3, "1-D": [0.1, 0.2, 0.3, 0.4], "(3, 1)": [[0.1], [0.2], [0.3]],
+          "(2, 2)": [[0.1, 0.2], [0.3, 0.4]]}
+
+
+@pytest.mark.parametrize("times", SHAPES.values(), ids=SHAPES)
+@pytest.mark.parametrize("entry", ["J", "G", "creep", "relax", "Phi"])
+@pytest.mark.parametrize("family", sorted(OWN))
+def test_time_functions_keep_the_input_shape(family, entry, times):
+    # a float for a scalar, else the input's shape, each value bit for bit
+    # the one the flattened times give; Phi = -dG/dt is the cm check's
+    params, law = OWN[family][0], OWN[family][-1]
+    if entry != "Phi":
+        fn = lambda ts: getattr(family_of(params), entry)(params, ts, None)  # noqa: E731
+    elif law is None:
+        fn = lambda ts: memory_phi_curve(params.nu, ts)  # noqa: E731
+    else:
+        fn = lambda ts: maxwell.relaxation_memory(*law, ts)  # noqa: E731
+    out, flat = fn(times), fn(np.ravel(times))
+    if np.ndim(times) == 0:
+        assert type(out) is float and out == flat[0]
+    else:
+        assert isinstance(out, np.ndarray) and out.shape == np.shape(times)
+        assert np.array_equal(out.ravel(), flat)

@@ -14,18 +14,17 @@ from oracles import (
     stepping_reference,
 )
 from viscobessel import fracsim
+from viscobessel.csvout import write_csv
 from viscobessel.errors import DomainError, GridError, SeriesRefusalError
 from viscobessel.fracsim import (
     InterconversionReport,
     LoadHistory,
     ResponseHistory,
-    caputo_half,
     convolve_response,
     interconversion_check,
     read_load_history,
     simulate_asymptotic,
     step_response,
-    write_csv,
     write_history,
 )
 from viscobessel.models import (
@@ -42,38 +41,6 @@ from viscobessel.models.evaluate import FAMILY_TABLE
 def _step(kind, dt, t_end, value=1.0):
     n = round(t_end / dt) + 1
     return LoadHistory(kind, dt, tuple([value] * n))
-
-
-# ---------------------------------------------------------------------------
-# Caputo derivative
-# ---------------------------------------------------------------------------
-
-
-def test_caputo_of_constant_is_zero():
-    out = caputo_half([3.7] * 100, 0.01)
-    assert np.max(np.abs(out)) == 0.0
-
-
-def test_caputo_of_sqrt_t():
-    # D^{1/2} sqrt(t) = Gamma(3/2); the L1 scheme struggles at the t^{1/2}
-    # start-up singularity, hence the loose tolerance.
-    dt = 1e-3
-    ts = dt * np.arange(1001)
-    out = caputo_half(np.sqrt(ts), dt)
-    assert out[-1] == pytest.approx(math.gamma(1.5), abs=2e-2)
-
-
-def test_caputo_of_linear_t():
-    dt = 1e-3
-    ts = dt * np.arange(1001)
-    out = caputo_half(ts, dt)
-    # D^{1/2} t = t^{1/2} / Gamma(3/2) = 1.1283791... at t = 1
-    assert out[-1] == pytest.approx(1.0 / math.gamma(1.5), abs=5e-3)
-
-
-def test_caputo_needs_two_samples():
-    with pytest.raises(DomainError):
-        caputo_half([1.0], 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +328,6 @@ def test_causality_is_bit_exact_at_large_n(k):
     p = ModelParams("asymptotic", nu=0.3)
 
     def runs(samples):
-        yield caputo_half(samples, dt)
         for kind in ("stress", "strain"):
             load = LoadHistory(kind, dt, tuple(samples))
             yield simulate_asymptotic(0.3, load).samples
@@ -527,12 +493,39 @@ def test_interconversion_identity(params, tol):
     assert report.max_error <= tol
 
 
-def test_interconversion_panels_stay_at_or_above_the_floor():
-    # 0.051 / 3e-3 floors to 17 panels, but 0.051 / 17 rounds below 3e-3
-    policy = TruncationPolicy(t_floor=3e-3)
-    assert 0.051 / math.floor(0.051 / 3e-3) < 3e-3
-    report = interconversion_check(ModelParams("bessel", nu=0.0), [0.051], 2000, policy)
-    assert report.max_error <= 1e-4
+def test_interconversion_runs_one_convolution_per_direction(monkeypatch):
+    # J*G = t holds at every sample, so each direction is one run on the
+    # n_quad panels of dt = max(t) / n_quad, read at round(t / dt)
+    real, runs = fracsim.convolve_response, []
+
+    def spy(params, load, policy=None):
+        runs.append((load.kind, load.dt, len(load.samples)))
+        return real(params, load, policy)
+
+    monkeypatch.setattr(fracsim, "convolve_response", spy)
+    report = interconversion_check(ModelParams("bessel", nu=0.0), [2.0, 0.1, 0.5, 1.0], 2000)
+    assert runs == [("stress", 1e-3, 2001), ("strain", 1e-3, 2001)]
+    assert report.times == (0.1, 0.5, 1.0, 2.0)
+    runs.clear()
+    report = interconversion_check(ModelParams("fmax", a1=1.0, b1=1.0), [0.3, 0.07], 100)
+    assert runs == [("stress", 3e-3, 101), ("strain", 3e-3, 101)]
+    assert report.times == (0.069, 0.3)  # 0.07 read at sample 23, 0.069
+
+
+def test_interconversion_panels_may_be_narrower_than_the_floor():
+    # both loads start at rest, so Bessel panels of 1e-3 run under a 1e-2 floor
+    policy = TruncationPolicy(t_floor=1e-2)
+    report = interconversion_check(ModelParams("bessel", nu=0.0), [0.1, 2.0], 2000, policy)
+    assert report.max_error <= 1e-6
+
+
+@pytest.mark.parametrize("grid,n_quad,need", [([0.1, 2.0], 300, 320), ([0.5], 15, 16),
+                                              ([0.06, 0.5], 0, 134)])
+def test_interconversion_refuses_a_smallest_time_below_sample_16(grid, n_quad, need):
+    # a time on sample 0 would read a perfect 0
+    with pytest.raises(DomainError, match=f"needs n_quad >= {need}$"):
+        interconversion_check(ModelParams("fmax", a1=1.0, b1=1.0), grid, n_quad)
+    interconversion_check(ModelParams("fmax", a1=1.0, b1=1.0), grid, need)
 
 
 @pytest.mark.parametrize(
