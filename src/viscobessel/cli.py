@@ -73,11 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a material-function curve to CSV")
     _add_family_flags(p_eval)
-    p_eval.add_argument("--fn", choices=("J", "G"), default="J", help="which material function")
-    p_eval.add_argument("--t-start", type=float, default=0.0)
-    p_eval.add_argument("--t-end", type=float, default=2.0)
-    p_eval.add_argument("--points", type=int, default=100)
-    p_eval.add_argument("--spacing", choices=("linear", "log"), default="linear")
+    # None until given, so that --figure can refuse them; _CURVE_DEFAULTS holds their defaults
+    p_eval.add_argument("--fn", choices=("J", "G"), help="which material function")
+    p_eval.add_argument("--t-start", type=float)
+    p_eval.add_argument("--t-end", type=float)
+    p_eval.add_argument("--points", type=int)
+    p_eval.add_argument("--spacing", choices=("linear", "log"))
     p_eval.add_argument("--figure", type=int, choices=(1, 2, 3, 4), help="emit a figure-reproduction CSV preset")
     p_eval.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
     p_eval.add_argument("--gnuplot", action="store_true", help="also write a <out>.gp plot script")
@@ -187,19 +188,30 @@ def _grid(t_start, t_end, points, spacing):
     return np.linspace(t_start, t_end, points)
 
 
+# eval's curve flags past the family's, with their defaults; a figure fixes them all
+_CURVE_DEFAULTS = {"fn": "J", "t_start": 0.0, "t_end": 2.0, "points": 100, "spacing": "linear"}
+
+
 def _cmd_eval(args) -> int:
     policy = _policy(args)
+    if args.gnuplot and args.out == "-":
+        raise DomainError("--gnuplot writes <out>.gp next to --out, so it needs --out with a file")
     if args.figure is not None:
+        given = [f"--{k.replace('_', '-')}" for k in ["family", *_FLAG_FAMILIES, *_CURVE_DEFAULTS]
+                 if getattr(args, k) is not None]
+        if given:
+            raise DomainError(f"--figure {args.figure} takes no {', '.join(given)}")
         fn, ts, columns = _figure(args.figure, policy)
     else:
-        fn = args.fn
+        fn, *grid = (v if getattr(args, k) is None else getattr(args, k)
+                     for k, v in _CURVE_DEFAULTS.items())
         params = _params(args)
-        ts = _grid(args.t_start, args.t_end, args.points, args.spacing)
+        ts = _grid(*grid)
         evaluate = eval_J_curve if fn == "J" else eval_G_curve
         columns = [(fn, evaluate(params, ts, policy))]
     header = "t," + ",".join(name for name, _ in columns)
     _write_csv(args.out, header, ts, *(values for _, values in columns))
-    if args.gnuplot and args.out != "-":
+    if args.gnuplot:
         _write_gnuplot(args.out, len(columns), fn)
     return EXIT_OK
 

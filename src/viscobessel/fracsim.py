@@ -389,15 +389,12 @@ def interconversion_check(
     sample k.  Each t is read at sample round(t / dt) and reported at that
     sample's time; the smallest must land on sample 16 or later.  Both loads
     start at rest (every primitive is 0 at T = 0), so only the primitives are
-    read, and panels may be narrower than t_floor.
+    read, and neither the grid nor its panels depend on t_floor.
     """
     policy = policy or DEFAULT_POLICY
-    t_min_allowed = max(policy.t_floor, 0.05)
     times = sorted(float(t) for t in t_grid)
-    if not times or times[0] < t_min_allowed:
-        raise DomainError(
-            f"interconversion grid must start at or above {t_min_allowed!r}"
-        )
+    if not times or times[0] < 0.05:
+        raise DomainError("interconversion grid must start at or above 0.05")
     dt = times[-1] / max(n_quad, 1)
     k = np.rint(np.array(times) / dt).astype(int)
     if k[0] < 16:

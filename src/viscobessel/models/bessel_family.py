@@ -49,14 +49,13 @@ and together hold at most 2^17 (1 MB); its columns still add their terms in
 table order, so no bit moves.  A one-term block skips the buffer.
 
 A series reads only its first n_use zeros (one more for Phi), so it asks the
-zero memo for just the prefix its smallest time t_min needs, estimated from
-j_{mu,n} >= (n + mu/2 - 3/4) pi and rounded up to a multiple of 16: at the
-default tol, at most 64 zeros from t_min = 1e-3 and 16 from 0.1.  A prefix
-holds the first zeros of the full table bit for bit, so every sum is the one
-over the n_max table.  Phi's estimate carries its bound's factor 1 / (1 - rho).
-Where an estimate runs short, the series is evaluated again on the n_max
-table, which also gives every refusal.  The exact primitives read the whole
-table.
+zero memo for just the prefix its smallest time t_min needs: it takes tables
+of N_MIN + 1, 16, 32, 48, ... zeros (at most n_max) and stops at the first
+whose tail bound falls below tol at t_min, each table resuming the search
+where the one before stopped.  At the default tol that is at most 64 zeros
+from t_min = 1e-3 and 16 from 0.1.  A prefix holds the first zeros of the
+full table bit for bit, so every sum, count and refusal is the one over the
+n_max table.  The exact primitives read the whole table.
 """
 
 import math
@@ -126,9 +125,10 @@ def _check_times(ts, policy: TruncationPolicy):
     return ts, t_min, ext
 
 
-def _truncation_index(tail, n_terms: int, t: float, policy: TruncationPolicy):
-    """Smallest 1-based N in [N_MIN, n_terms] with tail(N - 1, t) <= tol, else None."""
-    hits = (i + 1 for i in range(N_MIN - 1, n_terms) if tail(i, t) <= policy.tol)
+def _truncation_index(tail, n_terms: int, t: float, policy: TruncationPolicy, start=N_MIN - 1):
+    """Smallest 1-based N in [start + 1, n_terms] with tail(N - 1, t) <= tol,
+    else None; start >= N_MIN - 1 resumes a search that ended there."""
+    hits = (i + 1 for i in range(start, n_terms) if tail(i, t) <= policy.tol)
     return next(hits, None)
 
 
@@ -207,18 +207,6 @@ def _dirichlet_sum(squares, ts, power: int, n_for=None, extremes=None) -> np.nda
     return out
 
 
-def _prefix_length(order: float, t: float, c: float, policy: TruncationPolicy) -> int:
-    """Zeros a series with tail c exp(-j_n^2 t) past its count n reads at t:
-    the first n at which j_{order,n} >= (n + order/2 - 3/4) pi (the bound of
-    ZeroTable.rayleigh_tail_bound) puts the tail below tol, rounded up to a
-    multiple of 16 so that a process holds few prefixes of an order, within
-    [N_MIN + 1, n_max]."""
-    x = (math.log(c) - math.log(policy.tol)) / t  # the j_n^2 t must pass; t > 0
-    n = math.sqrt(x) / math.pi - 0.5 * order + 0.75 if x > 0.0 else 0.0
-    n = -(-math.ceil(min(n, policy.n_max)) // 16) * 16
-    return min(max(n, N_MIN + 1), policy.n_max)
-
-
 def _rayleigh_tail(c: float, squares):
     """Tail bound of the J and G series: past N, below c exp(-j_N^2 t)."""
     def tail(i, t, exp=math.exp, sq=squares):
@@ -242,19 +230,16 @@ def _series(order, times, policy, c, power, what) -> np.ndarray:
     for J and G (c times the tail is below _rayleigh_tail's bound), 0 for Phi
     (below _memory_tail's).  Truncated at the smallest of times =
     _check_times(...) (or refused there), then per chunk within that; the
-    tails take arrays, as _chunk_counts.  The zeros are the prefix
-    _prefix_length asks for, or the n_max table where the tail does not fall
-    below tol within that prefix (module doc)."""
+    tails take arrays, as _chunk_counts.  The zeros are the first table of
+    N_MIN + 1, 16, 32, ... (at most n_max) whose tail falls below tol at
+    t_min, each searched only past the table before it (module doc)."""
     ts, t_min, ext = times
-    # Phi's bound has a factor 1 / (1 - rho): zeros ~pi apart past the j =
-    # sqrt(lc / t_min) its tail needs (lc = ln(c / tol)) give rho ~ exp(-2 pi j t_min)
-    lc = math.log(c / policy.tol)
-    n = _prefix_length(order, t_min, c if power or lc <= 0.0 else
-                       c / -math.expm1(-2.0 * math.pi * math.sqrt(lc * t_min)), policy)
+    n, start = min(N_MIN + 1, policy.n_max), N_MIN - 1
     while True:
         tab = zero_table(order, n)
         tail = (_rayleigh_tail if power else _memory_tail)(c, tab.squares)
-        n_use = _truncation_index(tail, n - (power == 0), t_min, policy)
+        end = len(tab) - (power == 0)  # Phi's bound past N reads zero N + 1
+        n_use = _truncation_index(tail, end, t_min, policy, start)
         if n_use is not None:
             break
         if n == policy.n_max:
@@ -262,7 +247,7 @@ def _series(order, times, policy, c, power, what) -> np.ndarray:
                       else f"table of {n} zeros cannot bound the memory-series tail")
             raise TableExhaustedError(
                 f"{what}: {detail} below tol = {policy.tol!r} at t = {t_min!r}")
-        n = policy.n_max
+        n, start = min(n // 16 * 16 + 16, policy.n_max), end
     # a tail bound falls with t, so later chunks need N_MIN to n_use terms
     return _dirichlet_sum(tab.square_array, ts, power, lambda lo: (
         n_use if n_use == N_MIN or lo.size == 1 and lo.item() <= t_min  # one chunk at t_min

@@ -190,6 +190,40 @@ def test_gnuplot_script_emitted(tmp_path):
     assert "plot" in script.read_text()
 
 
+_FIGURE_CURVE_FLAGS = [
+    (["--fn", "J", "--family", "fmax", "--a1", "1", "--b1", "1", "--points", "7"],
+     "--family, --a1, --b1, --fn, --points"),
+    *((flags, flags[0]) for flags in (["--family", "bessel"], ["--nu", "0"], ["--a1", "1"],
+                                      ["--b1", "1"], ["--fn", "G"], ["--t-start", "0.1"],
+                                      ["--t-end", "1"], ["--points", "7"], ["--spacing", "log"])),
+]
+
+
+@pytest.mark.parametrize("flags,named", _FIGURE_CURVE_FLAGS,
+                         ids=[named for _, named in _FIGURE_CURVE_FLAGS])
+def test_eval_figure_refuses_the_curve_flags_it_would_ignore(tmp_path, capsys, flags, named):
+    # a figure preset fixes its family, function and grid; a curve flag next
+    # to it is a usage error, not a figure written as if it were absent
+    out = tmp_path / "fig.csv"
+    capsys.readouterr()
+    assert run(["eval", "--figure", "2", *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: --figure 2 takes no {named}\n"
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "-"]], ids=["default", "dash"])
+def test_eval_gnuplot_to_stdout_is_refused(tmp_path, monkeypatch, capsys, out):
+    # the plot script is written next to the CSV file, which stdout has not
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run(["eval", "--figure", "3", "--gnuplot", *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.err == ("error: --gnuplot writes <out>.gp next to --out, "
+                            "so it needs --out with a file\n")
+
+
 # ---------------------------------------------------------------------------
 # zeros
 # ---------------------------------------------------------------------------
@@ -552,6 +586,18 @@ def test_verify_interconversion_pass(tmp_path):
     assert run(["verify", "--check", "interconversion"]) == 0
 
 
+def test_verify_interconversion_does_not_read_the_t_floor(tmp_path, capsys):
+    # both loads start at rest and read only the primitives, so a raised
+    # --t-floor changes neither the grid nor a digit of the report
+    reports = []
+    for extra in ([], ["--t-floor", "0.2"]):
+        path = tmp_path / f"ic{len(reports)}.json"
+        capsys.readouterr()
+        assert run(["verify", "--check", "interconversion", *extra, "--json", str(path)]) == 0
+        reports.append((capsys.readouterr().out, path.read_bytes()))
+    assert reports[0] == reports[1]
+
+
 def test_verify_laplace_oracle_cli():
     rc = run(["verify", "--check", "laplace-oracle", "--family", "bessel", "--nu", "-0.5"])
     assert rc == 0
@@ -695,7 +741,7 @@ _WORK_PROBE = (
 )
 def test_eval_and_zeros_build_only_what_they_read(tmp_path, argv):
     # the Bessel figures start at t = 1e-3, where a series reads at most 49
-    # zeros of an order (64 once rounded up), not the 200 of a full table;
+    # zeros of an order (its prefix search stops at 64), not the 200 of a full table;
     # writing a CSV loads neither the simulators nor the Talbot oracle
     rc, (held, *loaded) = _fresh_process(argv, tmp_path, _WORK_PROBE)
     assert rc == 0

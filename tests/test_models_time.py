@@ -184,58 +184,92 @@ def test_table_exhausted_quotes_the_global_minimum():
 
 
 def _on_the_full_table(monkeypatch, fn, nu, ts, policy=DEFAULT_POLICY):
-    """fn summed as when every series read the whole n_max table."""
+    """fn summed with every zero table it asks for replaced by the n_max one."""
     with monkeypatch.context() as m:
-        m.setattr(bessel_family, "_prefix_length", lambda order, t, c, policy: policy.n_max)
+        m.setattr(bessel_family, "zero_table", lambda order, n: zero_table(order, policy.n_max))
         return SERIES_CURVES[fn](nu, ts, policy)
 
 
 def _tables_read(monkeypatch, fn, nu, ts, policy=DEFAULT_POLICY):
-    """(fn on ts, the (order, n) of every zero table it asked for)."""
+    """(fn on ts, or the TableExhaustedError it raises, and the (order, n) of
+    every zero table it asked for)."""
     calls = []
     with monkeypatch.context() as m:
         m.setattr(bessel_family, "zero_table",
                   lambda order, n: calls.append((order, n)) or zero_table(order, n))
-        return SERIES_CURVES[fn](nu, ts, policy), calls
+        try:
+            return SERIES_CURVES[fn](nu, ts, policy), calls
+        except TableExhaustedError as exc:
+            return exc, calls
 
 
 @pytest.mark.parametrize("fn", ["J", "G", "Phi"])
-def test_series_on_a_prefix_equal_the_full_table(monkeypatch, fn):
-    # a series reads only its first n_use zeros (one more for Phi), so the
-    # prefix its smallest time asks for gives the bits of the whole table
+def test_series_on_a_prefix_equal_the_sum_on_the_full_table(monkeypatch, fn):
+    # a series reads only its first n_use zeros (one more for Phi), and a
+    # prefix holds the first zeros of the full table bit for bit, so the
+    # prefix its smallest time stops at gives the bits of the n_max table
     grids = [np.geomspace(1e-3, 50.0, 5000), np.linspace(1e-3, 50.0, 5000),
              np.geomspace(*FIGURE_GRID_LOG), [1e-3], [0.02], [0.5], [7.0]]
+    low = TruncationPolicy(tol=1e-10, t_floor=1e-4)
     for nu in (-0.9, -0.5, 0.0, 0.37, 1.0, 3.0):
-        for ts in grids:
-            got, calls = _tables_read(monkeypatch, fn, nu, ts)
-            assert np.array_equal(got, _on_the_full_table(monkeypatch, fn, nu, ts))
-            # t >= 1e-3 reads at most 49 zeros, 64 when rounded up
-            assert len(calls) == 1 and calls[0][1] <= 64, calls
+        for ts, policy in [(grid, DEFAULT_POLICY) for grid in grids] + [
+                (np.geomspace(2e-4, 2.0, 300), low), ([2e-4], low)]:
+            got, calls = _tables_read(monkeypatch, fn, nu, ts, policy)
+            assert np.array_equal(got, _on_the_full_table(monkeypatch, fn, nu, ts, policy))
+            # t >= 1e-3 reads at most 49 zeros: the search stops by 64
+            assert policy is low or calls[-1][1] <= 64, calls
 
 
-def test_short_prefix_estimate_evaluates_again_on_the_full_table(monkeypatch):
-    # a prefix estimate forced short (16 zeros from t_min = 2e-4, where the
-    # series needs about 100): the series runs off it and is evaluated again
-    # on the 200-zero table, with the same bits
-    policy = TruncationPolicy(tol=1e-10, t_floor=1e-4)
-    monkeypatch.setattr(bessel_family, "_prefix_length", lambda order, t, c, policy: 16)
-    for fn in ("J", "G", "Phi"):
-        order = 2.0 if fn == "J" else 0.0
-        for ts in (np.geomspace(2e-4, 2.0, 300), [2e-4]):
-            got, calls = _tables_read(monkeypatch, fn, 0.0, ts, policy)
-            assert calls == [(order, 16), (order, 200)]
-            assert np.array_equal(got, _on_the_full_table(monkeypatch, fn, 0.0, ts, policy))
+# the factor c of each series' tail bound c exp(-j_N^2 t) (Phi: times 1 / (1 - rho))
+_TAIL_FACTOR = {"J": lambda nu: (nu + 1.0) / (nu + 3.0), "G": lambda nu: 1.0,
+                "Phi": lambda nu: 4.0 * (nu + 1.0)}
 
 
-def test_phi_prefix_estimate_holds_its_tail_factor(monkeypatch):
-    # Phi's tail bound has a factor 1 / (1 - rho) past the J and G bound;
-    # the estimate includes it, so below t = 1e-3 Phi builds one table
-    policy = TruncationPolicy(tol=1e-10, n_max=400, t_floor=1e-5)
+@pytest.mark.parametrize("tol", [1e-10, 1e-14])
+@pytest.mark.parametrize("fn", ["J", "G", "Phi"])
+def test_prefix_search_stops_at_the_smallest_table_that_suffices(monkeypatch, fn, tol):
+    # a series asks for tables of 9, 16, 32, 48, ... zeros up to n_max and
+    # stops at the first whose tail meets tol at t_min: the table before it
+    # fails the tail test, and where none passes it is refused on n_max zeros
+    policy = TruncationPolicy(tol=tol, n_max=400, t_floor=1e-5)
+    sizes = [N_MIN + 1] + list(range(16, 400, 16)) + [400]
     for nu in (-0.9, 0.0, 1.0, 3.0, 6.0):
-        for t in np.geomspace(2e-5, 1e-3, 12):
-            got, calls = _tables_read(monkeypatch, "Phi", nu, [t], policy)
-            assert len(calls) == 1, (nu, t, calls)
-            assert np.array_equal(got, _on_the_full_table(monkeypatch, "Phi", nu, [t], policy))
+        order = nu + 2.0 if fn == "J" else nu
+        tab = zero_table(order, 400)
+        make_tail = bessel_family._memory_tail if fn == "Phi" else bessel_family._rayleigh_tail
+        tail = make_tail(_TAIL_FACTOR[fn](nu), tab.squares)
+        reads = (fn == "Phi")  # zeros read past the count: Phi's bound reads zero N + 1
+        for t in np.geomspace(2e-5, 10.0, 25):
+            got, calls = _tables_read(monkeypatch, fn, nu, [t], policy)
+            need = bessel_family._truncation_index(tail, 400 - reads, float(t), policy)
+            assert [n for _, n in calls] == sizes[: len(calls)] and {o for o, _ in calls} == {order}
+            *before, last = [n - reads for _, n in calls]  # the count each table can reach
+            if need is None:
+                assert isinstance(got, TableExhaustedError) and last == 400 - reads
+            else:
+                assert not isinstance(got, Exception) and need <= last, (nu, t, calls)
+                assert not before or need > before[-1], (nu, t, calls)
+
+
+@pytest.mark.parametrize("ts,policy", [
+    (np.geomspace(1e-3, 2.0, 1_000_000), DEFAULT_POLICY),
+    (np.geomspace(2e-5, 2.0, 10_000), TruncationPolicy(n_max=400, t_floor=1e-5)),
+], ids=["wide", "short-t-min"])
+@pytest.mark.parametrize("fn", ["J", "G", "Phi"])
+def test_scalar_tail_search_visits_each_index_once_at_t_min(fn, ts, policy):
+    # every chunk's count comes from one array of tails, so the scalar search
+    # runs only for the smallest time, and each larger table resumes it
+    # where the one before stopped: no index is visited twice
+    visits, search = [], bessel_family._truncation_index
+
+    def counted(tail, n_terms, t, policy, start):
+        return search(lambda i, t: visits.append((i, t)) or tail(i, t), n_terms, t, policy, start)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bessel_family, "_truncation_index", counted)
+        SERIES_CURVES[fn](0.3, ts, policy)
+    assert {t for _, t in visits} == {float(ts.min())}
+    assert [i for i, _ in visits] == list(range(N_MIN - 1, len(visits) + N_MIN - 1))
 
 
 @pytest.mark.parametrize("fn,reverse", [("G", False), ("J", True)])
@@ -444,17 +478,6 @@ def test_block_plan_from_arrays_matches_the_chunk_by_chunk_plan(grid, nu):
                     planned_dirichlet_sum(sq, t, p, series_plan_reference(name, nu, t, cut))))
                 reference = SERIES_KERNELS[fn](nu, ts)
             assert np.array_equal(got[:upto], reference[:upto]), (fn, cut)
-
-
-def test_wide_curve_searches_the_tail_once():
-    # every chunk's count comes from one array of tails: the scalar search
-    # runs once, for the smallest time, not once per chunk
-    calls, search = [], bessel_family._truncation_index
-    ts = np.geomspace(1e-3, 2.0, 1_000_000)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(bessel_family, "_truncation_index", lambda *a: calls.append(a[2]) or search(*a))
-        bessel_G_curve(0.3, ts)
-    assert calls == [1e-3]
 
 
 @pytest.mark.parametrize("skew", [-1e-14, 1e-14])
