@@ -109,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_zeros = sub.add_parser("zeros", help="compute and cache Bessel-function zeros")
     p_zeros.add_argument("--nu", type=float, required=True)
     p_zeros.add_argument("--n", type=int, required=True)
-    p_zeros.add_argument("--cache-dir", help="cache directory (default: $VISCOBESSEL_CACHE_DIR or ~/.cache/viscobessel)")
+    p_zeros.add_argument("--cache-dir", help="cache directory, whose file of order --nu gets "
+                         "exactly --n zeros (default: $VISCOBESSEL_CACHE_DIR or ~/.cache/viscobessel)")
     p_zeros.set_defaults(func=_cmd_zeros)
 
     return parser
@@ -126,7 +127,8 @@ def _add_policy_flags(p):
     p.add_argument("--tol", type=float, default=DEFAULT_POLICY.tol, help="series tail tolerance")
     p.add_argument("--n-max", type=int, default=DEFAULT_POLICY.n_max, help="max Dirichlet-series terms")
     p.add_argument("--t-floor", type=float, default=DEFAULT_POLICY.t_floor, help="series refusal floor")
-    p.add_argument("--cache-dir", help="zero-cache directory override")
+    p.add_argument("--cache-dir", help="zero-cache directory: one file per order, holding the "
+                   "longest prefix of zeros built so far")
 
 
 def _policy(args) -> TruncationPolicy:
@@ -318,9 +320,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    # zero_table would read this file under --cache-dir, or write it a second time
+    # zero_table would start from a longer file and write no shorter one; this writes exactly n
     table = bessel_j_zeros(args.nu, args.n)
-    path = save_zero_table(table, cache_path(args.nu, args.n, args.cache_dir or None))
+    path = save_zero_table(table, cache_path(args.nu, args.cache_dir))
     for n, z in enumerate(table.zeros, start=1):
         print(f"{n} {z!r}")
     print(f"cached: {path}", file=sys.stderr)

@@ -445,10 +445,10 @@ def read_load_history(path, kind: str) -> LoadHistory:
     if len(ts) < 2:
         raise DomainError(f"{path}: need at least two samples")
     dt = ts[1] - ts[0]
-    if abs(ts[0]) > 1e-12 or dt <= 0.0:
+    if not (abs(ts[0]) <= 1e-12 and dt > 0.0):  # NaN fails too
         raise GridError(f"{path}: grid must start at t = 0 with positive spacing")
     for k, t in enumerate(ts):
-        if abs(t - k * dt) > 1e-9 * max(1.0, abs(t)):
+        if not abs(t - k * dt) <= 1e-9 * max(1.0, abs(t)):  # NaN fails too
             lineno = k + 2 + bisect.bisect_right(blanks, k)  # blank lines count
             raise GridError(
                 f"{path}: non-uniform grid at row {lineno} (t = {t!r}, "

@@ -14,7 +14,6 @@ from .zeros import (
     ZeroTable,
     bessel_j_zeros,
     cache_path,
-    default_cache_dir,
     load_zero_table,
     save_zero_table,
     zero_table,
@@ -29,7 +28,6 @@ __all__ = [
     "bessel_j",
     "bessel_j_zeros",
     "cache_path",
-    "default_cache_dir",
     "erfcx",
     "gamma_fn",
     "load_zero_table",

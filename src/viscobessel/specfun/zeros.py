@@ -15,13 +15,13 @@ end-to-end validation target.
 
 Zero k depends only on (nu, k) and zero k - 1 (its bracket starts 0.05 past
 it), so the first n zeros of any longer table are bit-identical to a table of
-n.  The in-process memo keeps, per order, the zeros found so far and grows
+n.  The store ``_found`` keeps, per order, the zeros found so far and grows
 that prefix on request: ``zero_table(nu, n)`` computes only the zeros past
 the longest table of that order built before.
 
-Cache files are plain text (one zero per line in shortest round-trip decimal
-form) under a user-configurable directory; see ``save_zero_table``.  A file
-holds one table of exactly n zeros, keyed by (nu, n).
+Under a cache directory (``configure_cache``) each order has one file holding
+the longest prefix built so far (see ``save_zero_table``); a file that cannot
+be read or written is a DomainError naming its path.
 """
 
 import math
@@ -191,85 +191,73 @@ def bessel_j_zeros(nu: float, n_max: int) -> ZeroTable:
     return ZeroTable(order=nu, zeros=tuple(_extend(nu, [], n_max)))
 
 
-# order -> the zeros of J_order found so far in this process, in order
+# order -> the zeros of J_order found so far in this store, in order
 _found: dict = {}
 
-
-@lru_cache(maxsize=None)
-def _zero_table_mem(nu: float, n_max: int) -> ZeroTable:
-    """The first n_max zeros, grown from (and into) the order's prefix in _found."""
-    nu = _check_request(nu, n_max)
-    zeros = _extend(nu, _found.setdefault(nu, []), n_max)
-    return ZeroTable(order=nu, zeros=tuple(zeros[:n_max]))
-
-
-# Process-wide cache directory; None keeps tables purely in memory.
-# The CLI points this at its --cache-dir so every curve evaluation in the
-# process reuses (and refreshes) the same files.
+# the store's cache directory (the CLI's --cache-dir); None keeps it in memory
 _active_cache_dir = None
 
 
 def configure_cache(cache_dir) -> None:
-    """Set (or clear, with None) the process-wide zero-cache directory."""
+    """Set (or clear, with None) the cache directory; a new one starts a new store."""
     global _active_cache_dir
-    _active_cache_dir = None if cache_dir is None else Path(cache_dir)
-
-
-def zero_table(nu: float, n_max: int) -> ZeroTable:
-    """Zero table via the in-process memo, backed by the file cache in the
-    directory set with ``configure_cache`` (if any)."""
-    nu = float(nu)
-    if _active_cache_dir is None:
-        return _zero_table_mem(nu, n_max)
-    return _zero_table_file(nu, n_max, _active_cache_dir)
+    cache_dir = None if cache_dir is None else Path(cache_dir)
+    if cache_dir != _active_cache_dir:
+        _active_cache_dir = cache_dir
+        _found.clear()
+        zero_table.cache_clear()
 
 
 @lru_cache(maxsize=None)
-def _zero_table_file(nu: float, n_max: int, cache_dir: Path) -> ZeroTable:
-    """The table of the file cache_path(nu, n_max, cache_dir), read or
-    written once per process."""
+def zero_table(nu: float, n_max: int) -> ZeroTable:
+    """The first n_max zeros, grown from (and into) the order's prefix in _found;
+    a cache directory's file of the order seeds that prefix and is rewritten as it grows."""
     nu = _check_request(nu, n_max)
-    path = cache_path(nu, n_max, cache_dir)
-    if path.exists():
-        table = load_zero_table(path)
-        if table.order == nu and len(table) == n_max:
-            return table
-    table = _zero_table_mem(nu, n_max)
-    save_zero_table(table, path)
-    return table
+    path = None if _active_cache_dir is None else cache_path(nu, _active_cache_dir)
+    if nu not in _found:
+        table = load_zero_table(path) if path and path.exists() else None
+        _found[nu] = list(table.zeros) if table is not None and table.order == nu else []
+    zeros = _found[nu]
+    held = len(zeros)
+    _extend(nu, zeros, n_max)
+    if path and len(zeros) > held:
+        save_zero_table(ZeroTable(order=nu, zeros=tuple(zeros)), path)
+    return ZeroTable(order=nu, zeros=tuple(zeros[:n_max]))
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "viscobessel"
-
-
-def cache_path(nu: float, n_max: int, cache_dir=None) -> Path:
-    base = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    return base / f"jzeros_nu{float(nu)!r}_n{n_max}_{ZERO_ACCURACY_TAG}.txt"
+def cache_path(nu: float, cache_dir=None) -> Path:
+    base = cache_dir or os.environ.get(CACHE_ENV_VAR) or Path.home() / ".cache" / "viscobessel"
+    return Path(base) / f"jzeros_nu{float(nu)!r}_{ZERO_ACCURACY_TAG}.txt"
 
 
 def save_zero_table(table: ZeroTable, path) -> Path:
     """Write a table in the versioned text format (bit-exact round trip).
 
     The write goes through a temporary file plus rename so concurrent CLI
-    runs never observe a torn cache file.
+    runs never observe a torn cache file; an unwritable path is a DomainError.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [CACHE_FORMAT_HEADER, f"nu={table.order!r} n={len(table)}"]
     lines.extend(repr(z) for z in table.zeros)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text("\n".join(lines) + "\n", encoding="ascii")
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text("\n".join(lines) + "\n", encoding="ascii")
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        raise DomainError(f"cannot write zero cache {path}: {exc.strerror}") from exc
     return path
 
 
 def load_zero_table(path) -> ZeroTable:
+    """Read a save_zero_table file; a byte outside ASCII makes it malformed."""
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
+    try:
+        lines = path.read_text(encoding="ascii", errors="backslashreplace").splitlines()
+    except OSError as exc:
+        raise DomainError(f"cannot read zero cache {path}: {exc.strerror}") from exc
     if not lines or lines[0] != CACHE_FORMAT_HEADER:
         raise DomainError(f"{path}: not a '{CACHE_FORMAT_HEADER}' file")
     try:

@@ -263,13 +263,15 @@ def test_zeros_writes_its_cache_file_exactly_once(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(cli, "save_zero_table", counting_save)
     monkeypatch.setattr(zeros, "save_zero_table", counting_save)
     monkeypatch.setenv("VISCOBESSEL_CACHE_DIR", str(tmp_path / "env"))
-    for cache_dir in ("dir", "dir", "env", "env"):  # a cold run, then a warm one
+    # a cold run, a warm one, then a shorter one: the file holds exactly --n zeros
+    for cache_dir, n in (("dir", 5), ("dir", 5), ("dir", 3), ("env", 5), ("env", 5), ("env", 3)):
         writes.clear()
         extra = ["--cache-dir", str(tmp_path / "dir")] if cache_dir == "dir" else []
-        assert run(["zeros", "--nu", "0", "--n", "5", *extra]) == 0
-        path = tmp_path / cache_dir / "jzeros_nu0.0_n5_acc1e-10.txt"
+        assert run(["zeros", "--nu", "0", "--n", str(n), *extra]) == 0
+        path = tmp_path / cache_dir / "jzeros_nu0.0_acc1e-10.txt"
         assert capsys.readouterr().err == f"cached: {path}\n"
         assert writes == [path]
+        assert len(zeros.load_zero_table(path)) == n
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +342,18 @@ def test_simulate_malformed_csv_exit_2(tmp_path, capsys):
 
 def test_simulate_nonuniform_grid_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("t,value\n0.0,0.0\n\n0.001,1.0\n0.003,2.0\n")
-    rc = run(
-        ["simulate", "--family", "asymptotic", "--nu", "0", "--kind", "stress",
-         "--input", str(bad), "--out", str(tmp_path / "o.csv")]
-    )
-    assert rc == 3
-    # the off-grid row is on file line 5; the blank line 3 counts
-    assert capsys.readouterr().err == (
-        f"refused: {bad}: non-uniform grid at row 5 (t = 0.003, expected 0.002)\n")
+    # the off-grid row is on file line 5, as the blank line 3 counts; a NaN
+    # time is off the grid too
+    for text, row, t in [("t,value\n0.0,0.0\n\n0.001,1.0\n0.003,2.0\n", 5, "0.003"),
+                         ("t,value\n0.0,0.0\n0.001,1.0\nnan,1.0\n", 4, "nan")]:
+        bad.write_text(text)
+        rc = run(
+            ["simulate", "--family", "asymptotic", "--nu", "0", "--kind", "stress",
+             "--input", str(bad), "--out", str(tmp_path / "o.csv")]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"refused: {bad}: non-uniform grid at row {row} (t = {t}, expected 0.002)\n")
 
 
 def test_unreadable_input_and_unwritable_out_exit_2_with_one_error_line(tmp_path, capsys):
@@ -373,6 +378,37 @@ def test_unreadable_input_and_unwritable_out_exit_2_with_one_error_line(tmp_path
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(start) and err.count("\n") == 1
+
+
+_EVAL_G0 = ["eval", "--family", "bessel", "--nu", "0", "--fn", "G", "--t-start", "0.1"]
+_ZEROS_0 = ["zeros", "--nu", "0", "--n", "3"]
+
+
+@pytest.mark.parametrize("argv,fault,start", [
+    (_EVAL_G0, "under-a-file", "cannot write zero cache {entry}: "),
+    (_ZEROS_0, "under-a-file", "cannot write zero cache {entry}: "),
+    (_EVAL_G0, "a-directory", "cannot read zero cache {entry}: "),
+    (_ZEROS_0, "a-directory", "cannot write zero cache {entry}: "),
+    (_EVAL_G0, "non-ascii", "{entry}: malformed zero-cache file ("),
+], ids=["eval-under-a-file", "zeros-under-a-file", "eval-a-directory", "zeros-a-directory",
+        "eval-non-ascii"])
+def test_unusable_zero_cache_exits_2_with_one_error_line(tmp_path, capsys, argv, fault, start):
+    # the cache directory under a file, the order's file a directory, or a
+    # file with a byte outside ASCII
+    cache = tmp_path / "afile" / "sub" if fault == "under-a-file" else tmp_path / "cache"
+    entry = cache / "jzeros_nu0.0_acc1e-10.txt"
+    if fault == "under-a-file":
+        (tmp_path / "afile").write_text("")
+    elif fault == "a-directory":
+        entry.mkdir(parents=True)
+    else:
+        cache.mkdir()
+        entry.write_bytes(b"viscobessel-zeros v1\nnu=0.0 n=1\n2.40\xc3\xa9\n")
+    assert run([*argv, "--cache-dir", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + start.format(entry=entry)) and err.count("\n") == 1
+    if cache.is_dir():  # nothing is left behind, a temporary file included
+        assert list(cache.iterdir()) == [entry]
 
 
 @pytest.mark.parametrize("method,family", [

@@ -685,14 +685,16 @@ def test_malformed_csv_reports_line_number(tmp_path):
 
 def test_nonuniform_grid_rejected(tmp_path):
     path = tmp_path / "grid.csv"
-    # rows are numbered by file line, so a blank line moves the number
-    for text, row in [("t,value\n0.0,0.0\n0.1,1.0\n0.3,2.0\n", 4),
-                      ("t,value\n0.0,0.0\n\n0.1,1.0\n0.3,2.0\n", 5)]:
+    # rows are numbered by file line, so a blank line moves the number; a
+    # NaN time is off the grid too
+    for text, row, t in [("t,value\n0.0,0.0\n0.1,1.0\n0.3,2.0\n", 4, "0.3"),
+                         ("t,value\n0.0,0.0\n\n0.1,1.0\n0.3,2.0\n", 5, "0.3"),
+                         ("t,value\n0.0,0.0\n0.1,1.0\nnan,1.0\n", 4, "nan")]:
         path.write_text(text)
         with pytest.raises(GridError) as err:
             read_load_history(path, "stress")
         assert str(err.value) == (
-            f"{path}: non-uniform grid at row {row} (t = 0.3, expected 0.2)")
+            f"{path}: non-uniform grid at row {row} (t = {t}, expected 0.2)")
 
 
 def test_grid_must_start_at_zero(tmp_path):

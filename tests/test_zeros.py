@@ -1,5 +1,4 @@
 import math
-from functools import lru_cache
 
 import mpmath
 import pytest
@@ -87,11 +86,11 @@ def test_zero_tables_bit_identical_to_reference_finder(monkeypatch):
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    """An empty in-process zero memo for the test; the shared one is restored after."""
+    """An empty zero store for the test; the shared one is restored after."""
     monkeypatch.setattr(zeros_module, "_found", {})
-    fresh = lru_cache(maxsize=None)(zeros_module._zero_table_mem.__wrapped__)
-    monkeypatch.setattr(zeros_module, "_zero_table_mem", fresh)
-    return zeros_module._found
+    zero_table.cache_clear()
+    yield zeros_module._found
+    zero_table.cache_clear()
 
 
 @pytest.mark.parametrize("full_first", [False, True], ids=["prefix-first", "full-first"])
@@ -150,17 +149,19 @@ def test_cache_idempotent_bytes(tmp_path):
 
 
 def test_zero_table_uses_cache_dir(tmp_path):
+    # one file per order, holding the longest prefix asked for so far
     configure_cache(tmp_path)
-    t1 = zero_table(0.0, 12)
-    path = cache_path(0.0, 12, tmp_path)
-    assert path.exists()
-    t2 = zero_table(0.0, 12)
-    assert t2.zeros == t1.zeros
+    path = cache_path(0.0, tmp_path)
+    for n, held in ((12, 12), (5, 12), (30, 30)):
+        table = zero_table(0.0, n)
+        assert table.zeros == bessel_j_zeros(0.0, n).zeros
+        assert list(tmp_path.iterdir()) == [path]
+        assert load_zero_table(path).zeros == bessel_j_zeros(0.0, held).zeros
 
 
 def test_cache_env_var_override(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    assert str(cache_path(0.0, 5)).startswith(str(tmp_path))
+    assert cache_path(0.0) == tmp_path / "jzeros_nu0.0_acc1e-10.txt"
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -208,7 +209,7 @@ def test_tables_above_order_8_are_refused(tmp_path, order):
 
 def test_cache_dir_reads_each_file_once_per_process(tmp_path, monkeypatch):
     # verify --check cm asks for its tables 38 times; under --cache-dir each
-    # file is read (or written) once, and later asks reuse that table
+    # order's file is read once, and later asks reuse that prefix
     from viscobessel.cli import main
 
     argv = ["verify", "--check", "cm", "--cache-dir", str(tmp_path)]
@@ -218,6 +219,46 @@ def test_cache_dir_reads_each_file_once_per_process(tmp_path, monkeypatch):
     loads = []
     real = zeros_module.load_zero_table
     monkeypatch.setattr(zeros_module, "load_zero_table", lambda p: loads.append(p) or real(p))
-    zeros_module._zero_table_file.cache_clear()  # as in a new process
+    configure_cache(None)  # a new store, as in a new process
     assert main(argv) == 0
     assert sorted(loads) == files
+
+
+def test_figure_2_keeps_one_file_per_order_and_a_warm_store_builds_no_zero(
+    tmp_path, monkeypatch, capsys
+):
+    from viscobessel.cli import FIGURE_BESSEL_NUS, main
+
+    argv = ["eval", "--figure", "2", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    files = sorted(cache_path(nu, tmp_path) for nu in FIGURE_BESSEL_NUS)
+    assert sorted(tmp_path.iterdir()) == files
+    for nu in FIGURE_BESSEL_NUS:  # each file holds the longest prefix built
+        assert load_zero_table(cache_path(nu, tmp_path)).zeros == tuple(zeros_module._found[nu])
+    loads, refined = [], []
+    load, refine = zeros_module.load_zero_table, zeros_module._refine
+    monkeypatch.setattr(zeros_module, "load_zero_table", lambda p: loads.append(p) or load(p))
+    monkeypatch.setattr(zeros_module, "_refine", lambda *a: refined.append(a[:2]) or refine(*a))
+    configure_cache(None)  # a new store, as in a new process
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert sorted(loads) == files
+    assert refined == []
+
+
+@pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 1.0, 3.0])
+def test_a_cache_file_of_k_zeros_seeds_a_longer_table(tmp_path, monkeypatch, nu):
+    # the file's k zeros round-trip bit for bit, so the table grown from them
+    # equals a fresh one; only zeros k + 1 to n are built
+    k, n = 20, 70
+    full = bessel_j_zeros(nu, n).zeros
+    path = save_zero_table(bessel_j_zeros(nu, k), cache_path(nu, tmp_path))
+    configure_cache(tmp_path)
+    refined, refine = [], zeros_module._refine
+    monkeypatch.setattr(zeros_module, "_refine", lambda *a: refined.append(a[1]) or refine(*a))
+    assert zero_table(nu, 5).zeros == full[:5]  # read, and neither built nor written
+    assert refined == [] and len(load_zero_table(path)) == k
+    assert zero_table(nu, n).zeros == full
+    assert refined == list(range(k + 1, n + 1))
+    assert load_zero_table(path).zeros == full
