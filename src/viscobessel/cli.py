@@ -4,7 +4,7 @@ Subcommands:
   eval      material-function curves as CSV (incl. figure presets 1-4)
   verify    consistency checks with a pass/fail table and JSON summary
   simulate  response of a load history (Caputo stepping or convolution)
-  zeros     build/refresh a Bessel-zero cache file
+  zeros     print the first zeros of a Bessel function J_nu
 
 The checks are the table models.checks.CHECKS.  The simulators (fracsim),
 the Talbot oracle (laplace) and json are imported by the subcommands and
@@ -30,8 +30,7 @@ from .csvout import write_csv
 from .models import (DEFAULT_POLICY, FAMILIES, ModelParams, TruncationPolicy, eval_G_curve,
                      eval_J_curve)
 from .models.checks import CHECKS, run_check
-from .specfun import bessel_j_zeros, cache_path, save_zero_table
-from .specfun.zeros import configure_cache
+from .specfun import zero_table
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -48,8 +47,9 @@ FIGURE_ASYM_NUS = (-0.8, 0.0, 0.5)
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cache_dir", None):
-        configure_cache(args.cache_dir)
+    if args.cache_dir is not None:
+        print("warning: --cache-dir is ignored: zero tables are no longer cached on disk",
+              file=sys.stderr)
     try:
         return args.func(args)
     except (SeriesRefusalError, TableExhaustedError, GridError) as exc:
@@ -106,12 +106,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_policy_flags(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_zeros = sub.add_parser("zeros", help="compute and cache Bessel-function zeros")
+    p_zeros = sub.add_parser("zeros", help="print the first --n zeros of J_nu")
     p_zeros.add_argument("--nu", type=float, required=True)
     p_zeros.add_argument("--n", type=int, required=True)
-    p_zeros.add_argument("--cache-dir", help="cache directory, whose file of order --nu gets "
-                         "exactly --n zeros (default: $VISCOBESSEL_CACHE_DIR or ~/.cache/viscobessel)")
     p_zeros.set_defaults(func=_cmd_zeros)
+
+    for p in sub.choices.values():  # deprecated; still parsed so that old command lines run
+        p.add_argument("--cache-dir", help="ignored: zero tables are no longer cached on disk")
 
     return parser
 
@@ -127,8 +128,6 @@ def _add_policy_flags(p):
     p.add_argument("--tol", type=float, default=DEFAULT_POLICY.tol, help="series tail tolerance")
     p.add_argument("--n-max", type=int, default=DEFAULT_POLICY.n_max, help="max Dirichlet-series terms")
     p.add_argument("--t-floor", type=float, default=DEFAULT_POLICY.t_floor, help="series refusal floor")
-    p.add_argument("--cache-dir", help="zero-cache directory: one file per order, holding the "
-                   "longest prefix of zeros built so far")
 
 
 def _policy(args) -> TruncationPolicy:
@@ -320,12 +319,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    # zero_table would start from a longer file and write no shorter one; this writes exactly n
-    table = bessel_j_zeros(args.nu, args.n)
-    path = save_zero_table(table, cache_path(args.nu, args.cache_dir))
-    for n, z in enumerate(table.zeros, start=1):
+    for n, z in enumerate(zero_table(args.nu, args.n).zeros, start=1):
         print(f"{n} {z!r}")
-    print(f"cached: {path}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -261,11 +261,14 @@ def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
     times = _check_times(ts, policy)
     coeff = (nu + 1.0) / (nu + 3.0)  # 4(nu+1) * Rayleigh tail 1/(4(nu+3))
     series = _series(nu + 2.0, times, policy, coeff, 1, "J series")
-    series *= 4.0 * (nu + 1.0)
-    out = 4.0 * (nu + 1.0) * (nu + 2.0) * times[0]
-    out += 2.0 * (nu + 2.0) / (nu + 3.0)
-    out -= series
-    return scalar_or_array(out)
+    amp, slope = 4.0 * (nu + 1.0), 4.0 * (nu + 1.0) * (nu + 2.0)
+    offset = 2.0 * (nu + 2.0) / (nu + 3.0)
+    flat, ts = series.reshape(-1), times[0].reshape(-1)
+    for k in range(0, len(flat), _CHUNK):  # (slope t + offset) - amp S, in place per chunk
+        s = flat[k : k + _CHUNK]
+        s *= amp
+        np.subtract(slope * ts[k : k + _CHUNK] + offset, s, out=s)
+    return scalar_or_array(series)
 
 
 def bessel_G_curve(nu, ts, policy=None) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Positive zeros j_{nu,n} of the Bessel function J_nu, with a file cache.
+"""Positive zeros j_{nu,n} of the Bessel function J_nu, kept in memory.
 
 Zeros are located from the McMahon asymptotic guess
 
@@ -17,30 +17,18 @@ Zero k depends only on (nu, k) and zero k - 1 (its bracket starts 0.05 past
 it), so the first n zeros of any longer table are bit-identical to a table of
 n.  The store ``_found`` keeps, per order, the zeros found so far and grows
 that prefix on request: ``zero_table(nu, n)`` computes only the zeros past
-the longest table of that order built before.
-
-Under a cache directory (``configure_cache``) each order has one file holding
-the longest prefix built so far (see ``save_zero_table``); a file that cannot
-be read or written is a DomainError naming its path.
+the longest table of that order built before.  The store lives for the
+process; nothing is written to disk.
 """
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from ..errors import DomainError, RootFindError
 from .bessel import _j
-
-CACHE_ENV_VAR = "VISCOBESSEL_CACHE_DIR"
-CACHE_FORMAT_HEADER = "viscobessel-zeros v1"
-
-# Accuracy the finder targets; part of the cache key so a future retuning
-# cannot silently reuse stale tables.
-ZERO_ACCURACY_TAG = "acc1e-10"
 
 # Highest order tabulated: 200-zero tables are within 1.2e-11 of scipy's up
 # to order 8.2 (in steps of 0.05), and off by 0.11 at 8.25.
@@ -187,86 +175,16 @@ def _extend(nu: float, zeros: list, n_max: int) -> list:
 
 def bessel_j_zeros(nu: float, n_max: int) -> ZeroTable:
     """First n_max positive zeros of J_nu, each accurate to better than 1e-10."""
-    nu = _check_request(nu, n_max)
-    return ZeroTable(order=nu, zeros=tuple(_extend(nu, [], n_max)))
+    return zero_table(nu, n_max)
 
 
 # order -> the zeros of J_order found so far in this store, in order
 _found: dict = {}
 
-# the store's cache directory (the CLI's --cache-dir); None keeps it in memory
-_active_cache_dir = None
-
-
-def configure_cache(cache_dir) -> None:
-    """Set (or clear, with None) the cache directory; a new one starts a new store."""
-    global _active_cache_dir
-    cache_dir = None if cache_dir is None else Path(cache_dir)
-    if cache_dir != _active_cache_dir:
-        _active_cache_dir = cache_dir
-        _found.clear()
-        zero_table.cache_clear()
-
 
 @lru_cache(maxsize=None)
 def zero_table(nu: float, n_max: int) -> ZeroTable:
-    """The first n_max zeros, grown from (and into) the order's prefix in _found;
-    a cache directory's file of the order seeds that prefix and is rewritten as it grows."""
+    """The first n_max zeros, grown from (and into) the order's prefix in _found."""
     nu = _check_request(nu, n_max)
-    path = None if _active_cache_dir is None else cache_path(nu, _active_cache_dir)
-    if nu not in _found:
-        table = load_zero_table(path) if path and path.exists() else None
-        _found[nu] = list(table.zeros) if table is not None and table.order == nu else []
-    zeros = _found[nu]
-    held = len(zeros)
-    _extend(nu, zeros, n_max)
-    if path and len(zeros) > held:
-        save_zero_table(ZeroTable(order=nu, zeros=tuple(zeros)), path)
+    zeros = _extend(nu, _found.setdefault(nu, []), n_max)
     return ZeroTable(order=nu, zeros=tuple(zeros[:n_max]))
-
-
-def cache_path(nu: float, cache_dir=None) -> Path:
-    base = cache_dir or os.environ.get(CACHE_ENV_VAR) or Path.home() / ".cache" / "viscobessel"
-    return Path(base) / f"jzeros_nu{float(nu)!r}_{ZERO_ACCURACY_TAG}.txt"
-
-
-def save_zero_table(table: ZeroTable, path) -> Path:
-    """Write a table in the versioned text format (bit-exact round trip).
-
-    The write goes through a temporary file plus rename so concurrent CLI
-    runs never observe a torn cache file; an unwritable path is a DomainError.
-    """
-    path = Path(path)
-    lines = [CACHE_FORMAT_HEADER, f"nu={table.order!r} n={len(table)}"]
-    lines.extend(repr(z) for z in table.zeros)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text("\n".join(lines) + "\n", encoding="ascii")
-        os.replace(tmp, path)
-    except OSError as exc:
-        if tmp.is_file():
-            tmp.unlink()
-        raise DomainError(f"cannot write zero cache {path}: {exc.strerror}") from exc
-    return path
-
-
-def load_zero_table(path) -> ZeroTable:
-    """Read a save_zero_table file; a byte outside ASCII makes it malformed."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="ascii", errors="backslashreplace").splitlines()
-    except OSError as exc:
-        raise DomainError(f"cannot read zero cache {path}: {exc.strerror}") from exc
-    if not lines or lines[0] != CACHE_FORMAT_HEADER:
-        raise DomainError(f"{path}: not a '{CACHE_FORMAT_HEADER}' file")
-    try:
-        fields = dict(item.split("=", 1) for item in lines[1].split())
-        nu = float(fields["nu"])
-        count = int(fields["n"])
-        zeros = tuple(float(line) for line in lines[2 : 2 + count])
-    except (KeyError, ValueError, IndexError) as exc:
-        raise DomainError(f"{path}: malformed zero-cache file ({exc})") from exc
-    if len(zeros) != count:
-        raise DomainError(f"{path}: expected {count} zeros, found {len(zeros)}")
-    return ZeroTable(order=nu, zeros=zeros)

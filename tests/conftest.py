@@ -1,19 +1,10 @@
 import sys
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-
-@pytest.fixture(autouse=True)
-def _reset_zero_cache_dir():
-    # the CLI sets a process-wide cache directory; keep tests isolated
-    from viscobessel.specfun.zeros import configure_cache
-
-    yield
-    configure_cache(None)
 
 settings.register_profile(
     "numeric",

@@ -229,49 +229,66 @@ def test_eval_gnuplot_to_stdout_is_refused(tmp_path, monkeypatch, capsys, out):
 # ---------------------------------------------------------------------------
 
 
-def test_zeros_command_values_and_idempotence(tmp_path, capsys):
-    rc = run(["zeros", "--nu", "-0.5", "--n", "2", "--cache-dir", str(tmp_path)])
-    assert rc == 0
-    out_lines = capsys.readouterr().out.splitlines()
+def test_zeros_command_values_and_idempotence(capsys):
+    assert run(["zeros", "--nu", "-0.5", "--n", "2"]) == 0
+    out = capsys.readouterr().out
+    out_lines = out.splitlines()
     assert float(out_lines[0].split()[1]) == pytest.approx(math.pi / 2, abs=1e-10)
     assert float(out_lines[1].split()[1]) == pytest.approx(3 * math.pi / 2, abs=1e-10)
-    cache_files = list(tmp_path.iterdir())
-    assert len(cache_files) == 1
-    blob = cache_files[0].read_bytes()
-    run(["zeros", "--nu", "-0.5", "--n", "2", "--cache-dir", str(tmp_path)])
-    assert cache_files[0].read_bytes() == blob
+    assert run(["zeros", "--nu", "-0.5", "--n", "2"]) == 0
+    assert capsys.readouterr().out == out
 
 
-def test_zeros_respects_env_cache(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("VISCOBESSEL_CACHE_DIR", str(tmp_path))
-    assert run(["zeros", "--nu", "0", "--n", "1"]) == 0
-    out = capsys.readouterr().out
-    assert float(out.split()[1]) == pytest.approx(2.4048255577, abs=1e-9)
-    assert any(p.name.startswith("jzeros_nu0.0") for p in tmp_path.iterdir())
+_CACHE_DIR_IGNORED = "warning: --cache-dir is ignored: zero tables are no longer cached on disk\n"
 
 
-def test_zeros_writes_its_cache_file_exactly_once(tmp_path, monkeypatch, capsys):
-    import viscobessel.cli as cli
-    from viscobessel.specfun import zeros
+@pytest.mark.parametrize("argv", [
+    ["eval", "--figure", "2"],
+    ["verify", "--check", "zeros"],
+    ["simulate", "--family", "bessel", "--nu", "0", "--kind", "stress", "--input", "load.csv"],
+    ["zeros", "--nu", "0", "--n", "200"],
+], ids=lambda argv: argv[0])
+def test_cache_dir_is_ignored_with_one_warning_line(tmp_path, monkeypatch, capsys, argv):
+    # zero tables live in memory only; --cache-dir still parses so that old
+    # command lines run, and changes no stdout byte.  A directory under a
+    # file exited 2 while tables were cached on disk.
+    monkeypatch.chdir(tmp_path)
+    _write_step_load(tmp_path / "load.csv", dt=0.01, t_end=0.5)
+    (tmp_path / "afile").write_text("")
+    assert run(argv) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    for cache in (tmp_path / "cache", tmp_path / "afile" / "cache"):
+        assert run([*argv, "--cache-dir", str(cache)]) == 0
+        flagged = capsys.readouterr()
+        assert flagged.out == plain.out
+        assert flagged.err == _CACHE_DIR_IGNORED
+        assert not cache.exists()
 
-    writes, save = [], zeros.save_zero_table
 
-    def counting_save(table, path):
-        writes.append(Path(path))
-        return save(table, path)
+def test_no_file_is_opened_or_replaced_but_those_the_flags_name(tmp_path, monkeypatch):
+    # no zero table is read from or written to disk, with --cache-dir or without
+    import builtins
+    import io
 
-    monkeypatch.setattr(cli, "save_zero_table", counting_save)
-    monkeypatch.setattr(zeros, "save_zero_table", counting_save)
-    monkeypatch.setenv("VISCOBESSEL_CACHE_DIR", str(tmp_path / "env"))
-    # a cold run, a warm one, then a shorter one: the file holds exactly --n zeros
-    for cache_dir, n in (("dir", 5), ("dir", 5), ("dir", 3), ("env", 5), ("env", 5), ("env", 3)):
-        writes.clear()
-        extra = ["--cache-dir", str(tmp_path / "dir")] if cache_dir == "dir" else []
-        assert run(["zeros", "--nu", "0", "--n", str(n), *extra]) == 0
-        path = tmp_path / cache_dir / "jzeros_nu0.0_acc1e-10.txt"
-        assert capsys.readouterr().err == f"cached: {path}\n"
-        assert writes == [path]
-        assert len(zeros.load_zero_table(path)) == n
+    allowed = {str(tmp_path / name) for name in ("fig2.csv", "fig2.csv.gp", "cm.json")}
+
+    def guard(real):
+        def guarded(path, *args, **kwargs):
+            if str(path) not in allowed:
+                raise PermissionError(f"file I/O outside --out, --json and .gp: {path}")
+            return real(path, *args, **kwargs)
+        return guarded
+
+    for module, name in ((builtins, "open"), (io, "open"), (os, "replace")):
+        monkeypatch.setattr(module, name, guard(getattr(module, name)))
+    runs = [["eval", "--figure", "2", "--out", str(tmp_path / "fig2.csv"), "--gnuplot"],
+            ["zeros", "--nu", "0", "--n", "200"],
+            ["verify", "--check", "cm", "--json", str(tmp_path / "cm.json")]]
+    for argv in runs:
+        for extra in ([], ["--cache-dir", str(tmp_path / "cache")]):
+            assert run([*argv, *extra]) == 0, argv + extra
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cm.json", "fig2.csv", "fig2.csv.gp"]
 
 
 # ---------------------------------------------------------------------------
@@ -380,37 +397,6 @@ def test_unreadable_input_and_unwritable_out_exit_2_with_one_error_line(tmp_path
         assert err.startswith(start) and err.count("\n") == 1
 
 
-_EVAL_G0 = ["eval", "--family", "bessel", "--nu", "0", "--fn", "G", "--t-start", "0.1"]
-_ZEROS_0 = ["zeros", "--nu", "0", "--n", "3"]
-
-
-@pytest.mark.parametrize("argv,fault,start", [
-    (_EVAL_G0, "under-a-file", "cannot write zero cache {entry}: "),
-    (_ZEROS_0, "under-a-file", "cannot write zero cache {entry}: "),
-    (_EVAL_G0, "a-directory", "cannot read zero cache {entry}: "),
-    (_ZEROS_0, "a-directory", "cannot write zero cache {entry}: "),
-    (_EVAL_G0, "non-ascii", "{entry}: malformed zero-cache file ("),
-], ids=["eval-under-a-file", "zeros-under-a-file", "eval-a-directory", "zeros-a-directory",
-        "eval-non-ascii"])
-def test_unusable_zero_cache_exits_2_with_one_error_line(tmp_path, capsys, argv, fault, start):
-    # the cache directory under a file, the order's file a directory, or a
-    # file with a byte outside ASCII
-    cache = tmp_path / "afile" / "sub" if fault == "under-a-file" else tmp_path / "cache"
-    entry = cache / "jzeros_nu0.0_acc1e-10.txt"
-    if fault == "under-a-file":
-        (tmp_path / "afile").write_text("")
-    elif fault == "a-directory":
-        entry.mkdir(parents=True)
-    else:
-        cache.mkdir()
-        entry.write_bytes(b"viscobessel-zeros v1\nnu=0.0 n=1\n2.40\xc3\xa9\n")
-    assert run([*argv, "--cache-dir", str(cache)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: " + start.format(entry=entry)) and err.count("\n") == 1
-    if cache.is_dir():  # nothing is left behind, a temporary file included
-        assert list(cache.iterdir()) == [entry]
-
-
 @pytest.mark.parametrize("method,family", [
     ("stepping", ["--family", "asymptotic", "--nu", "0.35"]),
     ("convolution", ["--family", "fmax", "--a1", "0.6", "--b1", "1.7"]),
@@ -506,7 +492,7 @@ def test_verify_reciprocity_json_schema(tmp_path):
 def test_verify_zeros(tmp_path):
     rc = run(
         ["verify", "--check", "zeros", "--nu", "0", "--n", "200",
-         "--cache-dir", str(tmp_path), "--json", str(tmp_path / "z.json")]
+         "--json", str(tmp_path / "z.json")]
     )
     assert rc == 0
     records = json.loads((tmp_path / "z.json").read_text())
@@ -677,11 +663,9 @@ def test_verify_json_is_the_library_call_on_the_default_battery(tmp_path, check)
     (["zeros", "--nu", "8", "--n", "3"], 0),
     (["zeros", "--nu", "8.05", "--n", "3"], 2),
 ])
-def test_order_bounds_exit_2_with_one_error_line_naming_the_bound(tmp_path, capsys, argv, rc):
+def test_order_bounds_exit_2_with_one_error_line_naming_the_bound(capsys, argv, rc):
     # the Bessel family stops at nu = 6 (its J reads zeros of order nu + 2)
     # and zero tables at order 8; past either, one error line names the bound
-    if argv[0] == "zeros":
-        argv = [*argv, "--cache-dir", str(tmp_path)]
     capsys.readouterr()
     assert run(argv) == rc
     err = capsys.readouterr().err
@@ -727,7 +711,7 @@ def _fresh_process(argv, cwd, probe=_PROBE):
          "--input", "load.csv", "--out", "resp.csv"],
         ["simulate", "--family", "asymptotic", "--nu", "0", "--kind", "stress",
          "--method", "stepping", "--input", "load.csv", "--out", "resp.csv"],
-        ["zeros", "--nu", "1", "--n", "50", "--cache-dir", "cache"],
+        ["zeros", "--nu", "1", "--n", "50"],
         ["verify", "--check", "reciprocity"],
         ["verify", "--check", "interconversion", "--family", "bessel", "--nu", "0"],
         ["verify", "--check", "asymptotics"],
@@ -771,7 +755,7 @@ _WORK_PROBE = (
         ["eval", "--figure", "2", "--out", "fig2.csv"],
         ["eval", "--family", "bessel", "--nu", "0.5", "--t-start", "0.1", "--points", "20",
          "--out", "curve.csv"],
-        ["zeros", "--nu", "1", "--n", "50", "--cache-dir", "cache"],
+        ["zeros", "--nu", "1", "--n", "50"],
     ],
     ids=lambda argv: " ".join(argv[:3]),
 )

@@ -50,7 +50,6 @@ from viscobessel.models.evaluate import (
 from viscobessel.models.maxwell import relaxation_memory
 from viscobessel.models.params import N_MIN
 from viscobessel.specfun import mittag_leffler_half, zero_table
-from viscobessel.specfun.zeros import configure_cache
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +114,13 @@ def test_series_refusal_below_floor():
 @pytest.mark.parametrize("fn", ["J", "G", "Phi"])
 @pytest.mark.parametrize("ts,error", [([1e-4, 0.5], SeriesRefusalError),
                                       ([math.nan, 0.5], DomainError)])
-def test_refused_times_build_no_zero_table(tmp_path, fn, ts, error):
-    # the times are checked before the table is built, so a refused request
-    # writes nothing to the cache (0.37 is an order no other test reads)
-    configure_cache(tmp_path)
+def test_refused_times_build_no_zero_table(monkeypatch, fn, ts, error):
+    # the times are checked before any zero table is asked for
+    asked = []
+    monkeypatch.setattr(bessel_family, "zero_table", lambda *a: asked.append(a))
     with pytest.raises(error):
         SERIES_CURVES[fn](0.37, ts)
-    assert list(tmp_path.iterdir()) == []
+    assert asked == []
 
 
 def test_table_exhausted_error():
@@ -272,7 +271,7 @@ def test_scalar_tail_search_visits_each_index_once_at_t_min(fn, ts, policy):
     assert [i for i, _ in visits] == list(range(N_MIN - 1, len(visits) + N_MIN - 1))
 
 
-@pytest.mark.parametrize("fn,reverse", [("G", False), ("J", True)])
+@pytest.mark.parametrize("fn,reverse", [("G", False), ("J", False), ("J", True)])
 def test_series_memory_is_bounded(fn, reverse):
     ts = np.geomspace(1e-3, 2.0, 1_000_000)
     if reverse:
@@ -285,9 +284,28 @@ def test_series_memory_is_bounded(fn, reverse):
     finally:
         tracemalloc.stop()
     # a one-shot 49 x 1e6 outer product peaks near 780 MB; assembled in place,
-    # G peaks at its 8 MB result and one block (9.7 MB), J at the result and
-    # the 8 MB series it subtracts (16 MB)
-    assert peak < 20e6
+    # G and J peak at their 8 MB result and one block (9.7 MB); J built its
+    # result beside the 8 MB series it subtracts (16 MB) before it wrote into it
+    assert peak <= 10e6
+
+
+@pytest.mark.parametrize("nu", [-0.8, 0.0, 1.5, 6.0])
+def test_J_in_place_keeps_the_bits_of_the_whole_array_formula(nu):
+    # J = (A t + C) - 4(nu+1) S is written into the series buffer one chunk at
+    # a time, with the operations and their order of the whole-array formula
+    policy, rng = DEFAULT_POLICY, np.random.default_rng(7)
+    grids = [0.7, rng.uniform(1e-3, 5.0, 1), rng.uniform(1e-3, 5.0, 4095),
+             rng.uniform(1e-3, 5.0, 4097), rng.permutation(np.geomspace(1e-3, 50.0, 10_000)),
+             rng.uniform(1e-2, 2.0, (3, 5000))]
+    for ts in grids:
+        times = bessel_family._check_times(ts, policy)
+        series = bessel_family._series(nu + 2.0, times, policy, (nu + 1.0) / (nu + 3.0), 1, "J")
+        series *= 4.0 * (nu + 1.0)
+        out = 4.0 * (nu + 1.0) * (nu + 2.0) * times[0]
+        out += 2.0 * (nu + 2.0) / (nu + 3.0)
+        out -= series
+        got = bessel_family.bessel_J_curve(nu, ts)
+        assert np.shape(got) == np.shape(out) and np.array_equal(got, out)
 
 
 SERIES_KERNELS = dict(

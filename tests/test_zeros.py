@@ -2,22 +2,11 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from oracles import bessel_j_reference, bisect_bessel_zero, scipy_bessel_zeros
 from viscobessel.specfun import zeros as zeros_module
 from viscobessel.errors import DomainError
-from viscobessel.specfun import (
-    ZeroTable,
-    bessel_j,
-    bessel_j_zeros,
-    cache_path,
-    load_zero_table,
-    save_zero_table,
-    zero_table,
-)
-from viscobessel.specfun.zeros import CACHE_ENV_VAR, CACHE_FORMAT_HEADER, configure_cache
+from viscobessel.specfun import ZeroTable, bessel_j, bessel_j_zeros, zero_table
 
 
 def test_first_three_zeros_of_j0_vs_bisection_oracle():
@@ -77,13 +66,6 @@ BIT_IDENTITY_ORDERS = (
 )
 
 
-def test_zero_tables_bit_identical_to_reference_finder(monkeypatch):
-    tables = {nu: bessel_j_zeros(nu, 200).zeros for nu in BIT_IDENTITY_ORDERS}
-    monkeypatch.setattr(zeros_module, "_j", bessel_j_reference)
-    for nu in BIT_IDENTITY_ORDERS:
-        assert bessel_j_zeros(nu, 200).zeros == tables[nu], nu
-
-
 @pytest.fixture
 def fresh_memo(monkeypatch):
     """An empty zero store for the test; the shared one is restored after."""
@@ -93,6 +75,15 @@ def fresh_memo(monkeypatch):
     zero_table.cache_clear()
 
 
+def test_zero_tables_bit_identical_to_reference_finder(monkeypatch, fresh_memo):
+    tables = {nu: bessel_j_zeros(nu, 200).zeros for nu in BIT_IDENTITY_ORDERS}
+    monkeypatch.setattr(zeros_module, "_j", bessel_j_reference)
+    fresh_memo.clear()  # so that the reference J finds every zero again
+    zero_table.cache_clear()
+    for nu in BIT_IDENTITY_ORDERS:
+        assert bessel_j_zeros(nu, 200).zeros == tables[nu], nu
+
+
 @pytest.mark.parametrize("full_first", [False, True], ids=["prefix-first", "full-first"])
 @pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 0.37, 1.0, 3.0, 5.0])
 def test_zero_table_prefixes_are_bit_identical_to_the_full_table(
@@ -100,7 +91,7 @@ def test_zero_table_prefixes_are_bit_identical_to_the_full_table(
 ):
     # zero k depends only on (nu, k) and zero k - 1, so the memo grows one
     # prefix per order and finds each zero once, in either order of requests
-    full = bessel_j_zeros(nu, 200).zeros
+    full = tuple(zeros_module._extend(nu, [], 200))  # one pass, outside the memo
     refined, refine = [], zeros_module._refine
     monkeypatch.setattr(zeros_module, "_refine", lambda *a: refined.append(a[1]) or refine(*a))
     lengths = [1, 8, 16, 49, 64, 200]
@@ -122,72 +113,6 @@ def test_zero_table_validation():
         bessel_j_zeros(0.0, 0)
 
 
-def test_cache_round_trip_bit_exact(tmp_path):
-    table = bessel_j_zeros(0.5, 25)
-    path = tmp_path / "zeros.txt"
-    save_zero_table(table, path)
-    loaded = load_zero_table(path)
-    assert loaded.order == table.order
-    assert loaded.zeros == table.zeros  # bit-exact
-
-
-def test_cache_file_format(tmp_path):
-    table = bessel_j_zeros(-0.5, 2)
-    path = save_zero_table(table, tmp_path / "z.txt")
-    lines = path.read_text().splitlines()
-    assert lines[0] == CACHE_FORMAT_HEADER == "viscobessel-zeros v1"
-    assert lines[1] == "nu=-0.5 n=2"
-    assert len(lines) == 4
-    assert float(lines[2]) == table.zeros[0]
-
-
-def test_cache_idempotent_bytes(tmp_path):
-    p1 = save_zero_table(bessel_j_zeros(1.0, 10), tmp_path / "a.txt")
-    first = p1.read_bytes()
-    save_zero_table(bessel_j_zeros(1.0, 10), tmp_path / "a.txt")
-    assert p1.read_bytes() == first
-
-
-def test_zero_table_uses_cache_dir(tmp_path):
-    # one file per order, holding the longest prefix asked for so far
-    configure_cache(tmp_path)
-    path = cache_path(0.0, tmp_path)
-    for n, held in ((12, 12), (5, 12), (30, 30)):
-        table = zero_table(0.0, n)
-        assert table.zeros == bessel_j_zeros(0.0, n).zeros
-        assert list(tmp_path.iterdir()) == [path]
-        assert load_zero_table(path).zeros == bessel_j_zeros(0.0, held).zeros
-
-
-def test_cache_env_var_override(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    assert cache_path(0.0) == tmp_path / "jzeros_nu0.0_acc1e-10.txt"
-
-
-def test_load_rejects_foreign_file(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("not a zero table\n1.0\n")
-    with pytest.raises(DomainError):
-        load_zero_table(bad)
-
-
-@given(
-    st.lists(
-        st.floats(min_value=1e-3, max_value=7.0, allow_nan=False), min_size=1, max_size=30
-    )
-)
-def test_cache_round_trip_property(tmp_path_factory, increments):
-    total = 0.0
-    zeros = []
-    for inc in increments:
-        total += inc
-        zeros.append(total)
-    table = ZeroTable(order=0.25, zeros=tuple(zeros))
-    path = tmp_path_factory.mktemp("zc") / "t.txt"
-    save_zero_table(table, path)
-    assert load_zero_table(path).zeros == table.zeros
-
-
 @pytest.mark.parametrize("order", [6.0, 7.0, 7.5, 7.75, 8.0])
 def test_tables_up_to_the_order_bound_match_scipy(order):
     # 200-zero tables hold up to order 8.2 and are off by 0.11 at 8.25; the
@@ -197,68 +122,24 @@ def test_tables_up_to_the_order_bound_match_scipy(order):
 
 
 @pytest.mark.parametrize("order", [8.05, 8.25, 10.0])
-def test_tables_above_order_8_are_refused(tmp_path, order):
+def test_tables_above_order_8_are_refused(order):
     for build in (bessel_j_zeros, zero_table):
         with pytest.raises(DomainError, match="zero tables stop at order 8, got "):
             build(order, 20)
-    configure_cache(tmp_path)  # the file cache refuses before it reads
-    with pytest.raises(DomainError, match="order 8"):
-        zero_table(order, 20)
-    assert list(tmp_path.iterdir()) == []
+    assert order not in zeros_module._found  # refused before the memo holds the order
 
 
-def test_cache_dir_reads_each_file_once_per_process(tmp_path, monkeypatch):
-    # verify --check cm asks for its tables 38 times; under --cache-dir each
-    # order's file is read once, and later asks reuse that prefix
-    from viscobessel.cli import main
-
-    argv = ["verify", "--check", "cm", "--cache-dir", str(tmp_path)]
-    assert main(argv) == 0
-    files = sorted(tmp_path.iterdir())
-    assert files
-    loads = []
-    real = zeros_module.load_zero_table
-    monkeypatch.setattr(zeros_module, "load_zero_table", lambda p: loads.append(p) or real(p))
-    configure_cache(None)  # a new store, as in a new process
-    assert main(argv) == 0
-    assert sorted(loads) == files
-
-
-def test_figure_2_keeps_one_file_per_order_and_a_warm_store_builds_no_zero(
-    tmp_path, monkeypatch, capsys
-):
+def test_a_second_figure_2_in_one_process_builds_no_zero(monkeypatch, fresh_memo, capsys):
+    # the memo keeps each order's longest prefix, so the same figure again
+    # finds no zero and writes the same bytes
     from viscobessel.cli import FIGURE_BESSEL_NUS, main
 
-    argv = ["eval", "--figure", "2", "--cache-dir", str(tmp_path)]
+    argv = ["eval", "--figure", "2"]
     assert main(argv) == 0
     cold = capsys.readouterr().out
-    files = sorted(cache_path(nu, tmp_path) for nu in FIGURE_BESSEL_NUS)
-    assert sorted(tmp_path.iterdir()) == files
-    for nu in FIGURE_BESSEL_NUS:  # each file holds the longest prefix built
-        assert load_zero_table(cache_path(nu, tmp_path)).zeros == tuple(zeros_module._found[nu])
-    loads, refined = [], []
-    load, refine = zeros_module.load_zero_table, zeros_module._refine
-    monkeypatch.setattr(zeros_module, "load_zero_table", lambda p: loads.append(p) or load(p))
+    assert sorted(fresh_memo) == sorted(FIGURE_BESSEL_NUS)
+    refined, refine = [], zeros_module._refine
     monkeypatch.setattr(zeros_module, "_refine", lambda *a: refined.append(a[:2]) or refine(*a))
-    configure_cache(None)  # a new store, as in a new process
     assert main(argv) == 0
     assert capsys.readouterr().out == cold
-    assert sorted(loads) == files
     assert refined == []
-
-
-@pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 1.0, 3.0])
-def test_a_cache_file_of_k_zeros_seeds_a_longer_table(tmp_path, monkeypatch, nu):
-    # the file's k zeros round-trip bit for bit, so the table grown from them
-    # equals a fresh one; only zeros k + 1 to n are built
-    k, n = 20, 70
-    full = bessel_j_zeros(nu, n).zeros
-    path = save_zero_table(bessel_j_zeros(nu, k), cache_path(nu, tmp_path))
-    configure_cache(tmp_path)
-    refined, refine = [], zeros_module._refine
-    monkeypatch.setattr(zeros_module, "_refine", lambda *a: refined.append(a[1]) or refine(*a))
-    assert zero_table(nu, 5).zeros == full[:5]  # read, and neither built nor written
-    assert refined == [] and len(load_zero_table(path)) == k
-    assert zero_table(nu, n).zeros == full
-    assert refined == list(range(k + 1, n + 1))
-    assert load_zero_table(path).zeros == full
