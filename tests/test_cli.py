@@ -266,6 +266,70 @@ def test_cache_dir_is_ignored_with_one_warning_line(tmp_path, monkeypatch, capsy
         assert not cache.exists()
 
 
+_EVAL_G0 = ["eval", "--family", "bessel", "--nu", "0", "--fn", "G", "--t-start", "0.1"]
+_ZEROS_0 = ["zeros", "--nu", "0", "--n", "3"]
+# Files a former on-disk zero cache may have left for order 0: its entry made
+# a directory, a byte outside ASCII, and a well-formed table of wrong zeros.
+_STALE_ENTRIES = {
+    "a-directory": None,
+    "non-ascii": b"viscobessel-zeros v1\nnu=0.0 n=1\n2.40\xc3\xa9\n",
+    "wrong-zeros": b"viscobessel-zeros v1\nnu=0.0 n=3\n1.0\n2.0\n3.0\n",
+}
+
+
+def _stale_cache(cache, fault):
+    entry = cache / "jzeros_nu0.0_acc1e-10.txt"
+    if _STALE_ENTRIES[fault] is None:
+        entry.mkdir(parents=True)
+    else:
+        cache.mkdir()
+        entry.write_bytes(_STALE_ENTRIES[fault])
+    return entry
+
+
+@pytest.mark.parametrize("fault", sorted(_STALE_ENTRIES))
+@pytest.mark.parametrize("argv", [_EVAL_G0, _ZEROS_0], ids=lambda argv: argv[0])
+def test_a_former_zero_cache_is_neither_read_nor_touched(tmp_path, capsys, argv, fault):
+    # these entries exited 2 (or, for wrong zeros, changed the output) while
+    # tables were cached on disk; now the run ignores them
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    cache = tmp_path / "cache"
+    entry = _stale_cache(cache, fault)
+    assert run([*argv, "--cache-dir", str(cache)]) == 0
+    flagged = capsys.readouterr()
+    assert flagged.out == plain
+    assert flagged.err == _CACHE_DIR_IGNORED
+    assert list(cache.iterdir()) == [entry]
+    if _STALE_ENTRIES[fault] is None:
+        assert list(entry.iterdir()) == []
+    else:
+        assert entry.read_bytes() == _STALE_ENTRIES[fault]
+
+
+@pytest.mark.parametrize("argv", [
+    _EVAL_G0,
+    ["verify", "--check", "zeros"],
+    ["simulate", "--family", "bessel", "--nu", "0", "--kind", "stress", "--input", "load.csv"],
+    _ZEROS_0,
+], ids=lambda argv: argv[0])
+def test_the_former_cache_env_var_is_not_read(tmp_path, monkeypatch, capsys, argv):
+    # VISCOBESSEL_CACHE_DIR named the zero cache's directory; a stale table
+    # there changes nothing, and no directory it names is made
+    monkeypatch.chdir(tmp_path)
+    _write_step_load(tmp_path / "load.csv", dt=0.01, t_end=0.5)
+    assert run(argv) == 0
+    plain = capsys.readouterr()
+    entry = _stale_cache(tmp_path / "stale", "wrong-zeros")
+    for env in (tmp_path / "stale", tmp_path / "absent"):
+        monkeypatch.setenv("VISCOBESSEL_CACHE_DIR", str(env))
+        assert run(argv) == 0
+        assert capsys.readouterr() == plain
+    assert not (tmp_path / "absent").exists()
+    assert list((tmp_path / "stale").iterdir()) == [entry]
+    assert entry.read_bytes() == _STALE_ENTRIES["wrong-zeros"]
+
+
 def test_no_file_is_opened_or_replaced_but_those_the_flags_name(tmp_path, monkeypatch):
     # no zero table is read from or written to disk, with --cache-dir or without
     import builtins

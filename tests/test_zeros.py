@@ -102,6 +102,22 @@ def test_zero_table_prefixes_are_bit_identical_to_the_full_table(
     assert fresh_memo == {nu: list(full)}
 
 
+@pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 1.0, 3.0])
+def test_a_table_of_k_zeros_seeds_a_longer_one(monkeypatch, fresh_memo, nu):
+    # bessel_j_zeros and zero_table share one store per order: a k-zero table
+    # from either makes the longer table build only zeros k + 1 to n
+    k, n = 20, 70
+    full = tuple(zeros_module._extend(nu, [], n))  # one pass, outside the memo
+    assert bessel_j_zeros(nu, k).zeros == full[:k]
+    refined, refine = [], zeros_module._refine
+    monkeypatch.setattr(zeros_module, "_refine", lambda *a: refined.append(a[1]) or refine(*a))
+    assert zero_table(nu, 5).zeros == full[:5]
+    assert refined == []
+    assert zero_table(nu, n).zeros == full
+    assert bessel_j_zeros(nu, n).zeros == full
+    assert refined == list(range(k + 1, n + 1))
+
+
 def test_zero_table_validation():
     with pytest.raises(DomainError):
         ZeroTable(order=-1.5, zeros=(1.0,))
