@@ -62,11 +62,12 @@ import math
 
 import numpy as np
 
-from ..errors import DomainError, SeriesRefusalError, TableExhaustedError
+from ..errors import SeriesRefusalError, TableExhaustedError, check_array, check_order, check_times
 from ..specfun.bessel import bessel_i_ratio
 from ..specfun.erf import erfcx
 from ..specfun.zeros import ZeroTable, zero_table
-from .params import DEFAULT_POLICY, N_MIN, Family, TruncationPolicy, check_nu, scalar_or_array
+from .params import (DEFAULT_POLICY, N_MIN, Family, TruncationPolicy, check_nu, scalar_or_array,
+                     transform_root)
 
 _CHUNK = 4096  # times per chunk; each chunk truncates on its own
 _RUN = 2**17  # most terms (1 MB) in a block merged from blocks of equal term count
@@ -82,19 +83,15 @@ _SUB_ULP = 55.0 * math.log(2.0)  # exp(-_SUB_ULP) = 2^-55: under half an ulp (mo
 
 def bessel_J_laplace(nu: float, s):
     """s * Jtilde(s; nu); works for float, complex and mpmath scalars."""
-    nu = check_nu(nu)
-    if s == 0:
-        raise DomainError("s = 0 is outside the transform domain")
-    z = s**0.5
+    nu = check_order(nu)
+    z = transform_root(s)
     return 1.0 + (2.0 * (nu + 1.0) / z) * bessel_i_ratio(nu + 1.0, nu + 2.0, z)
 
 
 def bessel_G_laplace(nu: float, s):
     """s * Gtilde(s; nu); reciprocal of ``bessel_J_laplace`` by construction."""
-    nu = check_nu(nu)
-    if s == 0:
-        raise DomainError("s = 0 is outside the transform domain")
-    z = s**0.5
+    nu = check_order(nu)
+    z = transform_root(s)
     return 1.0 - (2.0 * (nu + 1.0) / z) * bessel_i_ratio(nu + 1.0, nu, z)
 
 
@@ -116,12 +113,10 @@ def _check_times(ts, policy: TruncationPolicy):
     t_min, t_max = ext[:, 0].tolist() if ext.shape[1] == 1 else (
         float(ext[0].min(initial=math.inf)), ext[1].max(initial=-math.inf))
     if ts.size and not (math.isfinite(t_min) and math.isfinite(t_max)):
-        raise DomainError("series evaluation requires finite times")
+        check_array(ts, "series evaluation requires finite times")  # raises, quoting one
     if t_min < policy.t_floor:
-        raise SeriesRefusalError(
-            f"series evaluation refused below t_floor = {policy.t_floor!r} "
-            f"(smallest requested t = {t_min!r})"
-        )
+        raise SeriesRefusalError(f"series evaluation refused below t_floor = {policy.t_floor!r} "
+                                 f"(smallest requested t = {t_min!r})")
     return ts, t_min, ext
 
 
@@ -256,7 +251,7 @@ def _series(order, times, policy, c, power, what) -> np.ndarray:
 
 def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
     """Creep compliance J(t; nu) on an array of times (each >= t_floor)."""
-    nu = check_nu(nu, bessel=True)
+    nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     times = _check_times(ts, policy)
     coeff = (nu + 1.0) / (nu + 3.0)  # 4(nu+1) * Rayleigh tail 1/(4(nu+3))
@@ -273,7 +268,7 @@ def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
 
 def bessel_G_curve(nu, ts, policy=None) -> np.ndarray:
     """Relaxation modulus G(t; nu) on an array of times (each >= t_floor)."""
-    nu = check_nu(nu, bessel=True)
+    nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     times = _check_times(ts, policy)
     # 4(nu+1) * Rayleigh tail 1/(4(nu+1)) = 1
@@ -293,7 +288,7 @@ def bessel_G_time(nu: float, t: float, policy=None) -> float:
 
 def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
     """Rate of relaxation Phi(t; nu) = -dG/dt on an array of times."""
-    nu = check_nu(nu, bessel=True)
+    nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
     times = _check_times(ts, policy)
     amp = 4.0 * (nu + 1.0)
@@ -340,13 +335,6 @@ def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _check_integral_bounds(T) -> np.ndarray:
-    T = np.asarray(T, dtype=float)
-    if not np.all(np.isfinite(T)) or np.any(T < 0.0):
-        raise DomainError("integral bounds must be finite and >= 0")
-    return T
-
-
 def bessel_creep_integral_curve(nu, T, policy=None) -> np.ndarray:
     """Exact primitive int_0^T J(t; nu) dt, valid for any T >= 0 (vectorized).
 
@@ -356,9 +344,9 @@ def bessel_creep_integral_curve(nu, T, policy=None) -> np.ndarray:
     table are added in closed form (``_exp_quartic_sum``), so the primitive is
     0 at T = 0 and within ~1e-14 absolute at every T >= 0.
     """
-    nu = check_nu(nu, bessel=True)
+    nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
-    T = _check_integral_bounds(T)
+    T = check_times(T)
     tab = zero_table(nu + 2.0, policy.n_max)
     amp = 4.0 * (nu + 1.0)
     return scalar_or_array(
@@ -370,9 +358,9 @@ def bessel_creep_integral_curve(nu, T, policy=None) -> np.ndarray:
 
 def bessel_relax_integral_curve(nu, T, policy=None) -> np.ndarray:
     """Exact primitive int_0^T G(t; nu) dt, valid for any T >= 0 (vectorized)."""
-    nu = check_nu(nu, bessel=True)
+    nu = check_nu(nu)
     policy = policy or DEFAULT_POLICY
-    T = _check_integral_bounds(T)
+    T = check_times(T)
     tab = zero_table(nu, policy.n_max)
     amp = 4.0 * (nu + 1.0)
     return scalar_or_array(amp * (_rayleigh_sigma2(nu) - _exp_quartic_sum(tab, T)))

@@ -10,7 +10,8 @@ compliance g = a/b:
     J(t)    = g (1 + 2 lam sqrt(t) / sqrt(pi))
     G(t)    = E_{1/2}(-lam sqrt(t)) / g
 
-A family is a law p -> (lam, g) and nothing else:
+A family is a law p -> (lam, g) (params.LAWS; ModelParams refuses a law
+whose lam or g is not finite and > 0) and nothing else:
 
 * fractional Maxwell (coefficients a1, b1 > 0): lam = 1/a1, g = a1/b1;
 * asymptotic Maxwell-like (parameter nu > -1): lam = 2(nu+1), g = 1, that is
@@ -41,27 +42,12 @@ import math
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import check_array, check_times
 from ..specfun.erf import erfcx
 from ..specfun.mittag import mittag_leffler_half
-from .params import Family, ModelParams, scalar_or_array
+from .params import LAWS, Family, ModelParams, scalar_or_array, transform_root
 
 _SQRT_PI = math.sqrt(math.pi)
-
-
-def _check_time(t, ok=lambda t: t >= 0.0, need="time must be finite and >= 0"):
-    """t as an array, or DomainError quoting the first element failing ok."""
-    t = np.asarray(t, dtype=float)
-    bad = t[~(np.isfinite(t) & ok(t))]
-    if bad.size:
-        raise DomainError(f"{need}, got {float(bad[0])!r}")
-    return t
-
-
-def _root(s):
-    if s == 0:
-        raise DomainError("s = 0 is outside the transform domain")
-    return s**0.5
 
 
 # -- the kernels, in the law's coefficients (lam, g) -----------------------
@@ -69,35 +55,35 @@ def _root(s):
 
 def J_laplace(lam: float, g: float, s):
     """s Jtilde(s); generic arithmetic in s."""
-    return g * (1.0 + lam / _root(s))
+    return g * (1.0 + lam / transform_root(s))
 
 
 def G_laplace(lam: float, g: float, s):
     """s Gtilde(s); generic arithmetic in s."""
-    z = _root(s)
+    z = transform_root(s)
     return z / (lam + z) / g
 
 
 def J_time(lam: float, g: float, t):
-    t = _check_time(t)
+    t = check_times(t)
     return scalar_or_array(g * (1.0 + 2.0 * lam * np.sqrt(t) / _SQRT_PI))
 
 
 def G_time(lam: float, g: float, t):
-    t = _check_time(t)
+    t = check_times(t)
     return scalar_or_array(mittag_leffler_half(-lam * np.sqrt(t)) / g)
 
 
 def creep_integral(lam: float, g: float, T):
     """int_0^T J dt = g (T + 4 lam T^{3/2} / (3 sqrt(pi)))."""
-    T = _check_time(T)
+    T = check_times(T)
     return scalar_or_array(g * (T + 4.0 * lam * (T * np.sqrt(T)) / (3.0 * _SQRT_PI)))
 
 
 def relax_integral(lam: float, g: float, T):
     """int_0^T G dt = a b (erfcx(sqrt(T)/a) - 1) + 2 b sqrt(T)/sqrt(pi), with
     the law's a = 1/lam and b = a/g."""
-    T = _check_time(T)
+    T = check_times(T)
     a = 1.0 / lam
     b = a / g
     root = np.sqrt(T)
@@ -110,7 +96,7 @@ def relaxation_memory(lam: float, g: float, t):
     Completely monotonic on t > 0; diverges like t^{-1/2} at the origin, so
     t must be strictly positive.
     """
-    t = _check_time(t, lambda t: t > 0.0, "memory function needs t > 0")
+    t = check_array(t, "memory function needs t > 0", lambda t: t > 0.0)
     root = np.sqrt(t)
     return scalar_or_array((lam / (_SQRT_PI * root) - lam * lam * erfcx(lam * root)) / g)
 
@@ -132,8 +118,8 @@ def _family(law) -> Family:
     )
 
 
-ASYMPTOTIC = _family(lambda p: (2.0 * (p.nu + 1.0), 1.0))  # a1 = b1 = 1/(2(nu+1))
-FMAX = _family(lambda p: (1.0 / p.a1, p.a1 / p.b1))
+ASYMPTOTIC = _family(LAWS["asymptotic"])
+FMAX = _family(LAWS["fmax"])
 
 
 def asym_J_time(nu: float, t):

@@ -7,13 +7,14 @@ fractional Maxwell family keeps its two physical coefficients a1, b1 > 0
 with the asymptotic family of parameter nu.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, check_order
 from ..specfun.zeros import ORDER_MAX
 
 FAMILIES = ("bessel", "fmax", "asymptotic")
@@ -41,26 +42,30 @@ class Family(NamedTuple):
     # lam = 1/a and g = a/b (see maxwell); None for a family with no such law
 
 
+LAWS = {  # the law p -> (lam, g) of each family that has one (see Family.law)
+    "asymptotic": lambda p: (2.0 * (p.nu + 1.0), 1.0),  # a1 = b1 = 1/(2(nu+1))
+    "fmax": lambda p: (1.0 / p.a1, p.a1 / p.b1),
+}
+
+
 def scalar_or_array(values):
     """A float for a 0-d result, else the array: the shape rule of Family."""
     return float(values) if np.ndim(values) == 0 else values
 
 
-def check_nu(nu, bessel=False) -> float:
-    """nu as a float, or DomainError unless it is finite and > -1, and for the
-    Bessel family at most BESSEL_NU_MAX."""
-    nu = float(nu)
-    if not math.isfinite(nu) or nu <= -1.0:
-        raise DomainError(f"nu must be > -1, got {nu!r}")
-    if bessel and nu > BESSEL_NU_MAX:
+def transform_root(s):
+    """sqrt(s) (generic arithmetic), or DomainError unless s is finite and nonzero."""
+    if s == 0 or not cmath.isfinite(complex(s)):
+        raise DomainError(f"s = {s!r} is outside the transform domain (finite, nonzero)")
+    return s**0.5
+
+
+def check_nu(nu) -> float:
+    """The Bessel family's nu: check_order(nu), and at most BESSEL_NU_MAX."""
+    nu = check_order(nu)
+    if nu > BESSEL_NU_MAX:
         raise DomainError(f"the Bessel family takes nu <= {BESSEL_NU_MAX:g}, got {nu!r}")
     return nu
-
-
-def check_fmax(a1, b1):
-    """DomainError unless both fractional Maxwell coefficients are finite and > 0."""
-    if not (a1 > 0.0 and math.isfinite(a1) and b1 > 0.0 and math.isfinite(b1)):
-        raise DomainError(f"a1, b1 must be finite and > 0, got {a1!r}, {b1!r}")
 
 
 @dataclass(frozen=True)
@@ -78,11 +83,16 @@ class ModelParams:
         if self.family in ("bessel", "asymptotic"):
             if self.nu is None or self.a1 is not None or self.b1 is not None:
                 raise DomainError(f"family {self.family!r} takes exactly nu")
-            object.__setattr__(self, "nu", check_nu(self.nu, self.family == "bessel"))
+            check = check_nu if self.family == "bessel" else check_order
+            object.__setattr__(self, "nu", check(self.nu))
         else:
             if self.a1 is None or self.b1 is None or self.nu is not None:
                 raise DomainError("family 'fmax' takes exactly a1 and b1")
-            check_fmax(self.a1, self.b1)
+            if not (0.0 < self.a1 < math.inf and 0.0 < self.b1 < math.inf):
+                raise DomainError(f"a1, b1 must be finite and > 0, got {self.a1!r}, {self.b1!r}")
+        lam, g = LAWS[self.family](self) if self.family in LAWS else (1.0, 1.0)  # Bessel: no law
+        if not (0.0 < lam < math.inf and 0.0 < g < math.inf):
+            raise DomainError(f"{self.label()}: law lam = {lam!r}, g = {g!r} must be finite and > 0")
 
     def label(self) -> str:
         if self.family == "fmax":

@@ -29,9 +29,10 @@ Evaluation regions
     never load it; a caller holding an mpmath scalar has loaded it already.
 """
 
+import cmath
 import math
 
-from ..errors import DomainError
+from ..errors import DomainError, check_order
 from .gamma import gamma_fn
 
 J_SERIES_MAX = 14.0
@@ -96,9 +97,7 @@ def bessel_j(nu: float, x: float) -> float:
     zero) for order <= 7.6, the range verified against scipy; past it the
     result can be wrong just above x = 14 (module doc).
     """
-    nu = float(nu)
-    if not math.isfinite(nu) or nu <= -1.0:
-        raise DomainError(f"order must satisfy nu > -1, got {nu!r}")
+    nu = check_order(nu)
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"bessel_j requires finite x >= 0, got {x!r}")
@@ -159,30 +158,25 @@ def _asym_sum(nu, x):
 def bessel_i_ratio(nu_num: float, nu_den: float, z):
     """Ratio I_{nu_num}(z) / I_{nu_den}(z) for contiguous orders.
 
-    Requires |nu_num - nu_den| = 1 and min(nu_num, nu_den) > -1.  Accepts
-    real positive z, complex z off the negative real axis, and mpmath
-    scalars (evaluated by mpmath at its working precision); the float and
-    complex routes never go through an overflowing intermediate.
+    Requires |nu_num - nu_den| = 1 and both orders finite and > -1.  Accepts
+    finite real positive z, finite nonzero complex z off the negative real
+    axis, and mpmath scalars (evaluated by mpmath at its working precision);
+    the float and complex routes never go through an overflowing intermediate.
     """
-    nu_num = float(nu_num)
-    nu_den = float(nu_den)
+    nu_num, nu_den = check_order(nu_num), check_order(nu_den)
     if abs(abs(nu_num - nu_den) - 1.0) > 1e-12:
-        raise DomainError(
-            f"ratio orders must differ by exactly 1, got {nu_num!r}, {nu_den!r}"
-        )
-    if min(nu_num, nu_den) <= -1.0:
-        raise DomainError(f"orders must exceed -1, got {nu_num!r}, {nu_den!r}")
+        raise DomainError(f"ratio orders must differ by exactly 1, got {nu_num!r}, {nu_den!r}")
     mu = min(nu_num, nu_den)
     if isinstance(z, (int, float)):
         z = float(z)
         if not math.isfinite(z) or z <= 0.0:
-            raise DomainError(f"real ratio argument must be > 0, got {z!r}")
+            raise DomainError(f"real ratio argument must be finite and > 0, got {z!r}")
         if z >= RATIO_ASYM_MIN:
             up = _asym_sum(mu + 1.0, z) / _asym_sum(mu, z)
         else:
             up = _ratio_up_cf(mu, z)
-    elif z == 0:
-        raise DomainError("ratio argument must be nonzero")
+    elif z == 0 or not cmath.isfinite(complex(z)):
+        raise DomainError(f"ratio argument must be finite and nonzero, got {z!r}")
     elif type(z).__module__.startswith("mpmath"):
         from mpmath import mp
 

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ..errors import DomainError, RootFindError
+from ..errors import DomainError, RootFindError, check_order
 from .bessel import _j
 
 # Highest order tabulated: 200-zero tables are within 1.2e-11 of scipy's up
@@ -45,15 +45,9 @@ class ZeroTable:
     square_array: np.ndarray = field(init=False, repr=False, compare=False)  # read-only
 
     def __post_init__(self):
-        if not math.isfinite(self.order) or self.order <= -1.0:
-            raise DomainError(f"zero table order must exceed -1, got {self.order!r}")
-        if len(self.zeros) < 1:
-            raise DomainError("zero table must hold at least one zero")
-        prev = 0.0
-        for z in self.zeros:
-            if not (z > prev):
-                raise DomainError("zeros must be positive and strictly increasing")
-            prev = z
+        check_order(self.order)
+        if not self.zeros or not all(b > a for a, b in zip((0.0, *self.zeros), self.zeros)):
+            raise DomainError("a zero table holds positive, strictly increasing zeros")
         object.__setattr__(self, "squares", tuple(z * z for z in self.zeros))
         object.__setattr__(self, "square_array", np.array(self.squares))
         self.square_array.flags.writeable = False
@@ -75,12 +69,15 @@ class ZeroTable:
         return 1.0 / (4.0 * (self.order + 1.0))
 
     def rayleigh_tail_bound(self) -> float:
-        """Analytic bound on the neglected tail of the Rayleigh sum.
-
-        Uses j_{nu,n} >= (n + nu/2 - 3/4) pi (valid for the orders handled
-        here) and the integral bound sum_{n>N} (n+c)^-2 <= 1/(N+c).
-        """
+        """Bound 1/(pi^2 (N + c)), c = nu/2 - 3/4, on the Rayleigh tail past N =
+        len(self): sum_{n>N} (n+c)^-2 <= 1/(N+c), as if j_{nu,n} >= (n + c) pi.
+        That fails for the first zeros of high orders (nu = 6: n = 1; nu = 8:
+        n <= 3), yet against scipy's zeros to ORDER_MAX the tail is at most 0.94
+        of the bound for N <= 10 and 0.9952 for N <= 200.  For N + c <= 0
+        (N = 1, nu <= -1/2) the bound is the whole sum."""
         c = 0.5 * self.order - 0.75
+        if len(self) + c <= 0.0:
+            return self.rayleigh_limit()
         return 1.0 / (math.pi**2 * (len(self) + c))
 
 
@@ -150,17 +147,6 @@ def _refine(nu: float, n: int, a: float, b: float, fa: float, fb: float) -> floa
     raise RootFindError(f"zero {n} of J_{nu} did not converge (bracket [{a}, {b}])")
 
 
-def _check_request(nu, n_max: int) -> float:
-    nu = float(nu)
-    if not math.isfinite(nu) or nu <= -1.0:
-        raise DomainError(f"order must satisfy nu > -1, got {nu!r}")
-    if nu > ORDER_MAX:
-        raise DomainError(f"zero tables stop at order {ORDER_MAX:g}, got {nu!r}")
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max!r}")
-    return nu
-
-
 def _extend(nu: float, zeros: list, n_max: int) -> list:
     """Append zeros len(zeros) + 1 to n_max of J_nu to zeros, its first ones."""
     lo_bound = zeros[-1] + 0.05 if zeros else 1e-9
@@ -185,6 +171,10 @@ _found: dict = {}
 @lru_cache(maxsize=None)
 def zero_table(nu: float, n_max: int) -> ZeroTable:
     """The first n_max zeros, grown from (and into) the order's prefix in _found."""
-    nu = _check_request(nu, n_max)
+    nu = check_order(nu)
+    if nu > ORDER_MAX:
+        raise DomainError(f"zero tables stop at order {ORDER_MAX:g}, got {nu!r}")
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max!r}")
     zeros = _extend(nu, _found.setdefault(nu, []), n_max)
     return ZeroTable(order=nu, zeros=tuple(zeros[:n_max]))

@@ -103,6 +103,25 @@ def test_ratio_domain_errors():
         bessel_i_ratio(1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_orders_are_refused(bad):
+    # one order rule (errors.check_order): min(nu_num, nu_den) <= -1 let a NaN
+    # through, and bessel_i_ratio(0.0, nan, 200.0) returned 1.0025
+    for args in [(bad, 1.0), (0.0, bad, 200.0), (bad, 0.0, 2.0), (bad, 0.0, 1j)]:
+        fn = bessel_j if len(args) == 2 else bessel_i_ratio
+        with pytest.raises(DomainError, match=f"order nu must be finite and > -1, got {bad!r}"):
+            fn(*args)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(1.0, math.inf),
+                               complex(-math.inf, 1.0), math.nan, math.inf, 0j])
+def test_ratio_refuses_a_non_finite_or_zero_argument(z):
+    # a complex NaN ended in a bare ValueError inside the continued fraction
+    for orders in [(1.0, 0.0), (0.0, 1.0), (2.5, 3.5)]:
+        with pytest.raises(DomainError, match="ratio argument must be finite"):
+            bessel_i_ratio(*orders, z)
+
+
 def _same_bits(a: float, b: float) -> bool:
     return a.hex() == b.hex()
 

@@ -738,6 +738,44 @@ def test_order_bounds_exit_2_with_one_error_line_naming_the_bound(capsys, argv, 
         assert err.startswith("error: ") and bound in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["--family", "fmax", "--a1", "1e-300", "--b1", "1e300", "--fn", "J"], "g = 0.0"),
+    (["--family", "fmax", "--a1", "1e-300", "--b1", "1e300", "--fn", "G"], "g = 0.0"),
+    (["--family", "asymptotic", "--nu", "1e308", "--fn", "J"], "lam = inf"),
+    (["--family", "asymptotic", "--nu", "9e307", "--fn", "G"], "lam = inf"),
+])
+def test_a_law_that_is_not_finite_and_positive_exits_2(capsys, argv, named):
+    # these printed J = 0.0, G = inf, or NaN with a RuntimeWarning, with exit
+    # 0; the last one blamed a mittag_leffler_half argument nobody passed
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["eval", *argv, "--points", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert ": law lam = " in captured.err and named in captured.err
+    assert "mittag" not in captured.err
+
+
+def test_extreme_finite_law_evaluates_g_from_the_erfcx_asymptote(capsys):
+    # lam = 1e300: G(1) = erfcx(1e300)/g = 1/sqrt(pi), where the continued
+    # fraction gave 1.128
+    capsys.readouterr()
+    assert run(["eval", "--family", "fmax", "--a1", "1e-300", "--b1", "1", "--fn", "G",
+                "--points", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "t,G" and rows[2].startswith("1.0,")
+    assert float(rows[2].split(",")[1]) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
+
+
+@pytest.mark.parametrize("nu", ["-0.5", "-0.8"])
+def test_zeros_check_of_one_zero_passes_at_low_orders(capsys, nu):
+    # the tail bound past N = 1 divided by zero at nu = -1/2 (a traceback) and
+    # was negative below it (a spurious FAIL); the whole sum bounds it there
+    assert run(["verify", "--check", "zeros", "--nu", nu, "--n", "1"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # import hygiene: only the Talbot oracle loads mpmath
 # ---------------------------------------------------------------------------

@@ -23,6 +23,16 @@ def test_erfcx_large_x_asymptote():
     assert erfcx(50.0) == pytest.approx(1.0 / (50.0 * math.sqrt(math.pi)), rel=1e-3)
 
 
+def test_erfcx_above_1e8_against_scipy():
+    # past ERFCX_ASYM_MIN erfcx is (1/sqrt(pi))/x; the continued fraction it
+    # replaces there was off by 1e-10 at 1e290 and by 1.7e8 at 1.7e308
+    from scipy.special import erfcx as scipy_erfcx
+
+    xs = np.geomspace(1e8, 1.7e308, 4001)
+    np.testing.assert_allclose(erfcx(xs), scipy_erfcx(xs), rtol=2.3e-16, atol=5e-324)
+    assert erfcx(1e8) == erfcx_reference(1e8)  # the continued fraction up to 1e8
+
+
 def test_erfcx_scaling_identity_on_0_5():
     for i in range(51):
         x = 0.1 * i

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from viscobessel.errors import DomainError
 from viscobessel.models import (
+    FAMILIES,
     ModelParams,
     bessel_G_laplace,
     bessel_J_laplace,
+    eval_G_curve,
     glass_limits,
     laplace_sG,
     laplace_sJ,
@@ -163,3 +165,42 @@ def test_params_reject_nonfinite_fmax_coefficients(a1, b1):
     with pytest.raises(DomainError) as err:
         ModelParams("fmax", a1=a1, b1=b1)
     assert str(err.value) == f"a1, b1 must be finite and > 0, got {a1!r}, {b1!r}"
+
+
+ONE_PER_FAMILY = {"bessel": ModelParams("bessel", nu=0.5),
+                  "asymptotic": ModelParams("asymptotic", nu=0.5),
+                  "fmax": ModelParams("fmax", a1=0.3, b1=2.0)}
+
+
+@pytest.mark.parametrize("s", [0.0, 0j, math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
+                               complex(1.0, math.inf), complex(-math.inf, 0.0)], ids=repr)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_refuses_s_outside_the_transform_domain(family, s):
+    # one rule (params.transform_root): the closed forms returned NaN at
+    # s = NaN, and the Bessel form raised a bare ValueError at a complex NaN
+    for fn in (laplace_sJ, laplace_sG):
+        with pytest.raises(DomainError, match="outside the transform domain"):
+            fn(ONE_PER_FAMILY[family], s)
+
+
+@pytest.mark.parametrize("kwargs,law", [
+    ({"family": "fmax", "a1": 1e-300, "b1": 1e300}, "g = 0.0"),  # g = a1/b1 underflows
+    ({"family": "fmax", "a1": 5e-324, "b1": 1.0}, "lam = inf"),  # 1/a1 overflows
+    ({"family": "fmax", "a1": 1e300, "b1": 1e-300}, "g = inf"),
+    ({"family": "asymptotic", "nu": 1e308}, "lam = inf"),  # 2(nu+1) overflows
+    ({"family": "asymptotic", "nu": 9e307}, "lam = inf"),
+])
+def test_params_refuse_a_law_that_is_not_finite_and_positive(kwargs, law):
+    with pytest.raises(DomainError, match=r"\]: law lam = .* must be finite and > 0$") as err:
+        ModelParams(**kwargs)
+    assert law in str(err.value)
+
+
+def test_params_keep_extreme_laws_that_are_finite():
+    # lam = 1e300 and g = 1e-300 are both finite; G(1) = erfcx(1e300)/g is
+    # (1/sqrt(pi))/(lam g) to 1/(2 lam^2), and read 1.128 while erfcx's
+    # continued fraction ran up there
+    params = ModelParams("fmax", a1=1e-300, b1=1.0)
+    assert laplace_sJ(params, 1.0) == pytest.approx(1.0, rel=1e-15)
+    assert eval_G_curve(params, 1.0) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
+    assert ModelParams("asymptotic", nu=8e307).nu == 8e307

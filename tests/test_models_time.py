@@ -26,6 +26,7 @@ from viscobessel.errors import SeriesRefusalError, TableExhaustedError
 from viscobessel.laplace import invert_talbot
 from viscobessel.models import (
     DEFAULT_POLICY,
+    FAMILIES,
     ModelParams,
     TruncationPolicy,
     asym_G_time,
@@ -631,6 +632,23 @@ def test_closed_forms_quote_first_bad_time(k, bad):
     with pytest.raises(DomainError) as err:
         CLOSED_FORM_TIME_FNS[k](np.array([0.0, 0.5, bad, -2.0, math.nan]))
     assert str(err.value) == f"time must be finite and >= 0, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_primitives_of_every_family_quote_the_first_bad_bound(family, bad):
+    # one time rule (errors.check_times); the Bessel primitives quoted no value
+    params = _fmax(1.0, 2.0) if family == "fmax" else ModelParams(family, nu=0.5)
+    for fn in (creep_integral_curve, relax_integral_curve):
+        with pytest.raises(DomainError) as err:
+            fn(params, np.array([0.0, 0.5, bad, -2.0, math.nan]))
+        assert str(err.value) == f"time must be finite and >= 0, got {bad!r}"
+
+
+@pytest.mark.parametrize("fn", [eval_J_curve, eval_G_curve])
+def test_bessel_series_quote_a_non_finite_time(fn):
+    with pytest.raises(DomainError, match=r"^series evaluation requires finite times, got inf$"):
+        fn(ModelParams("bessel", nu=0.0), np.array([0.5, -1.0, math.inf, math.nan]))
 
 
 def _asym_memory(nu, t):

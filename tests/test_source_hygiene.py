@@ -71,3 +71,12 @@ def test_every_top_level_definition_is_referenced():
         and not any(node.name in names for _, other, names in reads if other is not node)
     ]
     assert unreferenced == []
+
+
+def test_each_argument_rule_is_written_once():
+    # the order and transform-variable rules live in errors.check_order and
+    # params.transform_root, and every layer calls them
+    text = {path.relative_to(SRC).as_posix(): path.read_text() for path in SRC.rglob("*.py")}
+    for rule, home in [("nu <= -1.0", "errors.py"), ("s**0.5", "models/params.py"),
+                       ("outside the transform domain", "models/params.py")]:
+        assert [name for name, src in text.items() if rule in src] == [home], rule

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import bessel_j_reference, bisect_bessel_zero, scipy_bessel_zeros
 from viscobessel.specfun import zeros as zeros_module
+from viscobessel.specfun.zeros import ORDER_MAX
 from viscobessel.errors import DomainError
 from viscobessel.specfun import ZeroTable, bessel_j, bessel_j_zeros, zero_table
 
@@ -127,6 +128,29 @@ def test_zero_table_validation():
         ZeroTable(order=0.0, zeros=())
     with pytest.raises(DomainError):
         bessel_j_zeros(0.0, 0)
+
+
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf, -1.0])
+def test_tables_refuse_a_non_finite_order(order):
+    for build in (bessel_j_zeros, zero_table):
+        with pytest.raises(DomainError, match="order nu must be finite and > -1"):
+            build(order, 5)
+    with pytest.raises(DomainError, match="order nu must be finite and > -1"):
+        ZeroTable(order=order, zeros=(1.0,))
+
+
+@pytest.mark.parametrize("order", [-0.95, -0.5, 0.0, 1.0, 2.5, 4.0, 6.0, 7.0, ORDER_MAX])
+def test_rayleigh_tail_stays_below_its_bound_on_scipy_zeros(order):
+    # the bound's premise j_n >= (n + nu/2 - 3/4) pi fails for the first zeros
+    # of high orders, but the bound holds against scipy's zeros at every N up
+    # to 200, at most 0.94 of it for N <= 10 (ZeroTable.rayleigh_tail_bound);
+    # at N = 1, nu <= -1/2 it was 1/0 or negative, and is the whole sum now
+    zeros = scipy_bessel_zeros(order, 200)
+    limit = 1.0 / (4.0 * (order + 1.0))
+    for n in range(1, 201):
+        tail = limit - math.fsum(z**-2 for z in zeros[:n])
+        bound = ZeroTable(order=order, zeros=zeros[:n]).rayleigh_tail_bound()
+        assert 0.0 < tail <= (0.94 if n <= 10 else 0.9952) * bound, n
 
 
 @pytest.mark.parametrize("order", [6.0, 7.0, 7.5, 7.75, 8.0])
