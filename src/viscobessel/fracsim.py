@@ -11,11 +11,9 @@ Caputo-1/2 stepping (the fractional Maxwell class: fmax and asymptotic)
                            sum_{j=0}^{k-1} w_j (f_{k-j} - f_{k-j-1}),
         w_j = sqrt(j+1) - sqrt(j),
 
-    solved implicitly for the unknown variable (for stress input the
-    D^{1/2} eps term is isolated and the same triangular L1 system is solved
-    for eps, i.e. discrete fractional integration).  Step-load
-    responses converge to the closed-form material functions with empirical
-    order ~1 (the t^{1/2} start-up singularity limits the nominal 1.5).
+    solved implicitly for the unknown variable (see step_response).
+    Step-load responses converge to the closed-form material functions with
+    empirical order ~1 (the t^{1/2} start-up singularity limits the nominal 1.5).
 
 Hereditary convolution (all families)
     eps = J_g sigma + (dJ * sigma), sigma = G_g eps + (dG * eps).  The creep
@@ -32,23 +30,21 @@ Hereditary convolution (all families)
     error (~1e-14) enters the first panels divided by dt: 1.6e-8 of a step
     from rest at dt = 1e-8.
 
-Evaluation: both routes are lower-triangular Toeplitz systems, evaluated
-by blocks (Hairer, Lubich & Schlichte 1985) in O(n log^2 n) from a plan of
-the column: 256-sample leaf blocks through one BLAS product, then one FFT
-spectrum per doubling.  Stepping reads one plan per process, of
-U = cumsum(1/W), W the L1 weight series; a longer U starts with the same
-bits, so the plan is rebuilt only for a longer history (16 bytes per sample
-of the longest padded length, plus a 512 KiB leaf).  Stress stepping is one
-product through it; strain stepping solves (c + U) S = b kappa F by blocks,
-each leaf through the 256-coefficient reciprocal of c + U[:256], the only
-work that depends on c.  A convolution folds its near and far panel columns
-into one and plans it per call.  Each output depends only on inputs up to
-its own time, bit for bit.  Summation order differs from a per-step loop
-and from earlier versions of this module, so last digits can differ:
-stepping is within 7.7e-15 (relative to the largest sample) of an 80-bit
-forward substitution of the same L1 system at n = 2001, dt 1e-3 to 10;
-convolution errors grow along the history: at n = 20,000 and dt = 1e-2,
-stress loads reach 3.3e-11 (Bessel) and 5.3e-12 (fmax), strain loads 5e-14.
+Evaluation: every route is one causal Toeplitz product, evaluated by blocks
+(Hairer, Lubich & Schlichte 1985) in O(n log^2 n) from a plan of its column:
+256-sample leaf blocks through one BLAS product, then one FFT spectrum per
+doubling.  Stress stepping applies the per-process plan of U = cumsum(1/W),
+W the L1 weights (16 bytes per sample of the longest padded length, plus a
+512 KiB leaf); strain stepping plans 1/(c + U), held by a memo of the last 8
+laws at the longest padded length each met (8 bytes per sample per law); a
+convolution plans its folded panel column per call.  A longer U or
+1/(c + U) starts with the same bits, so no result depends on the order of
+calls, and no output on a later input, bit for bit.  Last digits differ from
+a per-step loop: stepping is within 8.6e-15 (relative to the largest sample)
+of an 80-bit forward substitution of the same L1 system at n = 2001, dt 1e-3
+to 10; convolution errors grow along the history: at n = 20,000 and
+dt = 1e-2, stress loads reach 3.3e-11 (Bessel) and 5.3e-12 (fmax), strain
+loads 5e-14.
 
 Initial condition convention: a nonzero load sample at k = 0 is treated as an
 instantaneous step mapped through the glass constants, response(0) = J_g *
@@ -70,6 +66,7 @@ sample; a requested time is read at its nearest sample.
 import bisect
 import math
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,35 +184,12 @@ def _toeplitz_apply(plan, x) -> np.ndarray:
     for h, spectrum in zip(_halves(size), plan[1]):
         # Linear products reach index 3h - 2; the wrap lands below h.
         first = np.fft.rfft(xp.reshape(-1, 2 * h)[:, :h], 2 * h)
-        y.reshape(-1, 2 * h)[:, h:] += np.fft.irfft(first * spectrum, 2 * h)[:, h:]
+        first *= spectrum
+        y.reshape(-1, 2 * h)[:, h:] += np.fft.irfft(first, 2 * h)[:, h:]
     return y[:n]
 
 
-def _toeplitz_solve(plan, head, rhs) -> np.ndarray:
-    """Causal solution s of sum_{j<=k} col[j] s[k-j] = rhs[k], k < len(rhs),
-    from a plan of col (col[0] may differ) and head = 1/col to _TOEPLITZ_BLOCK
-    coefficients: _toeplitz_apply's splitting run as a solve.  Leaf blocks are
-    solved in order through the leaf of head; one that ends the left half
-    [mid - h, mid) of a 2h-aligned segment is pushed into the right half of
-    rhs by one FFT product, whose kept outputs read col[1:2h] only.
-    """
-    n = len(rhs)
-    r = np.zeros(_plan_size(n))
-    r[:n] = rhs
-    s, leaf = np.empty_like(r), _leaf(head)
-    blocks = -(-n // _TOEPLITZ_BLOCK)
-    for done in range(1, blocks + 1):
-        mid = done * _TOEPLITZ_BLOCK
-        s[mid - _TOEPLITZ_BLOCK : mid] = r[mid - _TOEPLITZ_BLOCK : mid] @ leaf
-        if done < blocks:
-            level = (done & -done).bit_length() - 1  # the half that just ended
-            h = _TOEPLITZ_BLOCK << level
-            cross = np.fft.irfft(np.fft.rfft(s[mid - h : mid], 2 * h) * plan[1][level], 2 * h)
-            r[mid : mid + h] -= cross[h:]
-    return s[:n]
-
-
-def _reciprocal(col, n: int) -> np.ndarray:
+def _reciprocal(col, n: int, spectra=None) -> np.ndarray:
     """First n coefficients of the reciprocal power series b = 1/a of col.
 
     The inverse of the lower-triangular Toeplitz matrix of col is Toeplitz
@@ -225,10 +199,11 @@ def _reciprocal(col, n: int) -> np.ndarray:
     rest FFT products whose cyclic wrap misses the kept coefficients.  Each
     doubling reads only the coefficients of a and b below its end, so at a
     power-of-two n, b is bit for bit a prefix of the reciprocal of the same
-    series at any longer length.
+    series at any longer length.  spectra, if given, yields rfft(a[:2k]) for
+    each FFT doubling in turn, and col is read to _TOEPLITZ_BLOCK only.
     """
     a = np.zeros(1 << (n - 1).bit_length())
-    a[:n] = np.asarray(col, dtype=float)[:n]
+    a[: min(n, len(col))] = col[:n]
     b = np.array([1.0 / a[0]])
     while len(b) < n:
         k = len(b)
@@ -236,8 +211,9 @@ def _reciprocal(col, n: int) -> np.ndarray:
             e = np.convolve(a[: 2 * k], b)[k : 2 * k]
             b = np.concatenate((b, -np.convolve(b, e)[:k]))
         else:
+            a_hat = np.fft.rfft(a[: 2 * k]) if spectra is None else next(spectra)
             b_hat = np.fft.rfft(b, 2 * k)
-            e = np.fft.irfft(np.fft.rfft(a[: 2 * k]) * b_hat, 2 * k)[k:]
+            e = np.fft.irfft(a_hat * b_hat, 2 * k)[k:]
             b = np.concatenate((b, -np.fft.irfft(b_hat * np.fft.rfft(e, 2 * k), 2 * k)[:k]))
     return b[:n]
 
@@ -248,13 +224,14 @@ def _l1_weights(n: int) -> np.ndarray:
 
 
 _L1_PLAN = None  # the plan of U for the longest history stepped so far
+_STRAIN_LAWS = 8  # columns 1/(c + U) kept by _STRAIN_COLUMNS, keyed on c, in use order
+_STRAIN_COLUMNS = OrderedDict()
 
 
 def _l1_plan(m: int):
-    """The plan of U = cumsum(1/W) for m samples.  A longer U starts with the
-    same bits (the Newton doublings and the running sum read only what
-    precedes them), so no result depends on the order lengths are met in.
-    U[:_TOEPLITZ_BLOCK] is the leaf's row 0."""
+    """The plan of U = cumsum(1/W) for m samples, U[:_TOEPLITZ_BLOCK] its leaf's
+    row 0.  A longer U starts with the same bits (the Newton doublings and the
+    running sum read only what precedes them)."""
     global _L1_PLAN
     size = _plan_size(m)
     if _L1_PLAN is None or size > _TOEPLITZ_BLOCK << len(_L1_PLAN[1]):
@@ -263,6 +240,21 @@ def _l1_plan(m: int):
             array.flags.writeable = False
         _L1_PLAN = plan
     return _L1_PLAN
+
+
+def _strain_column(c: float, m: int) -> np.ndarray:
+    """1/(c + U) for m samples, memoized at the longest padded length met
+    with c (a prefix of any longer one), the least recently used c evicted."""
+    col = _STRAIN_COLUMNS.pop(c, None)
+    if col is None or len(col) < _plan_size(m):
+        leaf, spectra = _l1_plan(m)
+        head = np.concatenate(([leaf[0][0] + c], leaf[0][1:]))
+        col = _reciprocal(head, _plan_size(m), (spectrum + c for spectrum in spectra))
+        col.flags.writeable = False
+    _STRAIN_COLUMNS[c] = col
+    if len(_STRAIN_COLUMNS) > _STRAIN_LAWS:
+        _STRAIN_COLUMNS.popitem(last=False)
+    return col
 
 
 def step_response(params: ModelParams, load: LoadHistory) -> ResponseHistory:
@@ -281,10 +273,9 @@ def step_response(params: ModelParams, load: LoadHistory) -> ResponseHistory:
     * strain input, with c = a kappa and S, F the series of response and
       load samples 1..m: the glass start sigma_0 = f_0/g has c sigma_0 =
       b kappa f_0, so the f_0 terms cancel and (1 + c (1 - z) W) S =
-      b kappa (1 - z) W F, that is (c + U) S = b kappa F, solved by blocks
-      on the same plan.  The coefficients of c + U are all positive and no
-      load increment is formed, so nothing cancels at large dt, where c is
-      small.
+      b kappa (1 - z) W F, that is S = b kappa F / (c + U): one product
+      with the law's column 1/(c + U) from the memo.  No load increment is
+      formed: slow loads at dt up to 1e5 stay within 6e-14 of an 80-bit solve.
 
     The response starts from the instantaneous step through the glass
     constants: g f_0 for stress input, f_0 / g for strain input.  The
@@ -298,15 +289,13 @@ def step_response(params: ModelParams, load: LoadHistory) -> ResponseHistory:
     a, f = 1.0 / lam, load.samples
     root_kappa = math.sqrt(load.dt) * _GAMMA_3_2  # 1 / kappa
     b_kappa = a / g / root_kappa
-    plan = _l1_plan(len(f) - 1)
+    m = len(f) - 1
     if load.kind == "strain":
-        head = plan[0][0].copy()  # c + U
-        head[0] += a / root_kappa
-        response = _toeplitz_solve(plan, _reciprocal(head, _TOEPLITZ_BLOCK), b_kappa * f[1:])
-        out = np.concatenate(([f[0] / g], response))
+        col = _strain_column(a / root_kappa, m)
+        out = np.concatenate(([f[0] / g], _toeplitz_apply(_toeplitz_plan(col, m), b_kappa * f[1:])))
     else:
         out = g * f
-        out[1:] += _toeplitz_apply(plan, f[1:] / b_kappa)
+        out[1:] += _toeplitz_apply(_l1_plan(m), f[1:] / b_kappa)
     return ResponseHistory(kind=_conjugate(load.kind), dt=load.dt, samples=out)
 
 

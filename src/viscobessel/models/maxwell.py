@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from ..errors import check_array, check_times
+from ..errors import DomainError, check_array, check_times
 from ..specfun.erf import erfcx
 from ..specfun.mittag import mittag_leffler_half
 from .params import LAWS, Family, ModelParams, scalar_or_array, transform_root
@@ -104,15 +104,27 @@ def relaxation_memory(lam: float, g: float, t):
 # -- family records --------------------------------------------------------
 
 
+def _finite(kernel, law, p, t):
+    """kernel(*law(p), t); a step that overflows raises DomainError naming p and max(t)."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            values = kernel(*law(p), t)
+        if np.isfinite(values).all():
+            return values
+    except FloatingPointError:
+        pass
+    raise DomainError(f"{p.label()}: {kernel.__name__} overflows at t = {float(np.max(t))!r}")
+
+
 def _family(law) -> Family:
     """The record of the family whose law is p -> (lam, g)."""
     return Family(
         sJ=lambda p, s: J_laplace(*law(p), s),
         sG=lambda p, s: G_laplace(*law(p), s),
-        J=lambda p, ts, policy: J_time(*law(p), ts),
-        G=lambda p, ts, policy: G_time(*law(p), ts),
-        creep=lambda p, T, policy: creep_integral(*law(p), T),
-        relax=lambda p, T, policy: relax_integral(*law(p), T),
+        J=lambda p, ts, policy: _finite(J_time, law, p, ts),
+        G=lambda p, ts, policy: _finite(G_time, law, p, ts),
+        creep=lambda p, T, policy: _finite(creep_integral, law, p, T),
+        relax=lambda p, T, policy: _finite(relax_integral, law, p, T),
         glass=lambda p: law(p)[1],
         law=law,
     )

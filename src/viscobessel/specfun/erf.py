@@ -45,42 +45,41 @@ def libm_map(fn, x, *args) -> np.ndarray:
 
 
 def _iterate(step, *state) -> np.ndarray:
-    """Run (done, *state) = step(k, *state) for k = 1, 2, ... on each element and
-    give its state[0] from the step at which its done flag first rises.  Finished
-    elements ride along (their later states are unused) until they make up a
-    quarter of the carried arrays, which are then compacted."""
-    out = np.empty(len(state[0]))
-    idx = np.arange(len(out))
-    finished = np.zeros(len(out), dtype=bool)
+    """Run done = step(k, *state), which updates state in place, for k = 1, 2, ...
+    and give each element's state[0] from the step at which its done flag first
+    rises.  Finished elements ride along (their later states are unused) until
+    they make up a quarter of the carried arrays, which are then compacted."""
+    out, held = np.empty(len(state[0])), np.empty(len(state[0]))
+    idx, finished = np.arange(len(out)), np.zeros(len(out), dtype=bool)
     for k in count(1):
         if not len(idx):
             return out
-        done, *state = step(k, *state)
-        new = done & ~finished
-        if new.any():
-            out[idx[new]] = state[0][new]
-            finished |= new
-            if 4 * np.count_nonzero(finished) >= len(idx):
-                keep = ~finished
-                idx, finished, *state = (s[keep] for s in (idx, finished, *state))
+        new = np.greater(step(k, *state), finished)  # done & ~finished
+        np.copyto(held, state[0], where=new)
+        finished |= new
+        if 4 * np.count_nonzero(finished) >= len(idx):
+            out[idx[finished]] = held[finished]
+            keep = np.flatnonzero(~finished)
+            idx, *state = (s[keep] for s in (idx, *state))
+            held, finished = held[: len(idx)], np.zeros(len(idx), dtype=bool)
 
 
 def _series_step(n, total, term, two_x2):
     """One series term; after a zero term every later one is zero, so stop there."""
-    term = term * (two_x2 / (2 * n + 1))
-    total = total + term
-    return (term < 1e-17 * total) | (term == 0.0) | (n > 200), total, term, two_x2
+    term *= two_x2 / (2 * n + 1)
+    total += term
+    return (term < 1e-17 * total) | (term == 0.0) | (n > 200)
 
 
 def _cf_step(j, f, c, d, x):
-    """One modified-Lentz step; c, d >= x > ERFCX_CF_MIN, so no zero guard fires."""
+    """One modified-Lentz step in place; c, d >= x > ERFCX_CF_MIN, so no zero guard fires."""
     a = 1.0 if j == 1 else 0.5 * (j - 1)
-    d = 1.0 / (x + a * d)
-    c = x + a / c
+    np.divide(1.0, np.add(x, np.multiply(a, d, out=d), out=d), out=d)  # d = 1/(x + a d)
+    np.add(x, np.divide(a, c, out=c), out=c)  # c = x + a/c
     delta = c * d
-    f = f * delta
+    f *= delta
     # |delta - 1| < 1e-16 iff delta == 1: the doubles next to 1 are 1.1e-16, 2.2e-16 away
-    return (delta == 1.0) | (j >= 400), f, c, d, x
+    return (delta == 1.0) | (j >= 400)
 
 
 def erfcx(x):
@@ -92,12 +91,12 @@ def erfcx(x):
     cf = ~(series | big)
     out[big] = (1.0 / _SQRT_PI) / ax[big]
     tiny = np.full(np.count_nonzero(cf), 1e-300)  # Lentz's f_0 = c_0
-    out[cf] = _iterate(_cf_step, tiny, tiny, 0.0 * tiny, ax[cf]) / _SQRT_PI
+    out[cf] = _iterate(_cf_step, tiny, tiny.copy(), 0.0 * tiny, ax[cf]) / _SQRT_PI
     # exp(x^2) overflows near |x| = 26.6; let OverflowError propagate.
     need_exp = series | neg
     exp_x2 = libm_map(math.exp, flat[need_exp] * flat[need_exp])
     x = ax[series]
     out[series] = exp_x2[series[need_exp]] - _TWO_OVER_SQRT_PI * _iterate(
-        _series_step, x, x, 2.0 * x * x)
+        _series_step, x, x.copy(), 2.0 * x * x)
     out[neg] = 2.0 * exp_x2[neg[need_exp]] - out[neg]
     return out.reshape(arr.shape) if arr.ndim else float(out[0])

@@ -769,6 +769,37 @@ def test_extreme_finite_law_evaluates_g_from_the_erfcx_asymptote(capsys):
     assert float(rows[2].split(",")[1]) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["--family", "fmax", "--a1", "1e-300", "--b1", "1", "--fn", "G", "--t-end", "1e17"],
+     "fmax[a1=1e-300;b1=1]: G_time overflows at t = 1e+17"),
+    (["--family", "asymptotic", "--nu", "8e307", "--fn", "J", "--t-end", "1"],
+     "asymptotic[nu=8e+307]: J_time overflows at t = 1.0"),
+])
+def test_a_finite_law_whose_kernel_overflows_exits_2_naming_law_and_time(capsys, argv, named):
+    # -lam sqrt(t) and 2 lam overflowed: the first blamed mittag_leffler_half
+    # after a RuntimeWarning, the second printed J = nan at t = 0 and inf
+    # elsewhere with exit 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["eval", *argv, "--t-start", "0", "--points", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+
+
+def test_a_finite_law_near_the_overflow_prints_the_true_g(capsys):
+    # lam = 1.6e308: G(t) = 1/(sqrt(pi) lam sqrt(t)) < 5e-309, a subnormal
+    capsys.readouterr()
+    assert run(["eval", "--family", "asymptotic", "--nu", "8e307", "--fn", "G",
+                "--t-start", "0", "--t-end", "1", "--points", "3"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    lam = 2.0 * (8e307 + 1.0)
+    assert [float(g) for _, g in rows] == pytest.approx(
+        [1.0] + [1.0 / math.sqrt(math.pi) / (lam * math.sqrt(float(t))) for t, _ in rows[1:]],
+        rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("nu", ["-0.5", "-0.8"])
 def test_zeros_check_of_one_zero_passes_at_low_orders(capsys, nu):
     # the tail bound past N = 1 divided by zero at nu = -1/2 (a traceback) and

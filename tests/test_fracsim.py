@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -338,26 +339,41 @@ def test_causality_is_bit_exact_at_large_n(k):
         assert not np.array_equal(np.array(before)[k:], np.array(after)[k:])
 
 
+def _empty_memos(monkeypatch):
+    monkeypatch.setattr(fracsim, "_L1_PLAN", None)
+    monkeypatch.setattr(fracsim, "_STRAIN_COLUMNS", OrderedDict())
+
+
 def test_l1_inverse_memo_leaves_no_trace(monkeypatch):
     # both load kinds read the plan of U = cumsum(1/W) from one per-process
-    # memo; neither its order of filling nor a longer run may move a bit
-    p = ModelParams("fmax", a1=0.5, b1=2.0)
+    # memo, strain loads also a column 1/(c + U) per law from a bounded one;
+    # neither the order in which laws and lengths fill them, a longer run
+    # nor an eviction may move a bit
+    laws = [ModelParams("fmax", a1=0.5, b1=2.0), ModelParams("asymptotic", nu=0.3)]
     dt = 2e-3
 
-    def runs():
+    def runs(order):
         for kind in ("strain", "stress"):
-            for n in (1000, 4097):
-                load = LoadHistory(kind, dt, np.sin(5.0 * dt * np.arange(n)))
-                yield step_response(p, load).samples
+            for p in laws[::order]:
+                for n in (1000, 4097)[::order]:
+                    load = LoadHistory(kind, dt, np.sin(5.0 * dt * np.arange(n)))
+                    yield (kind, p, n), step_response(p, load).samples
 
-    monkeypatch.setattr(fracsim, "_L1_PLAN", None)
-    first = list(runs())  # a strain run fills the memo
-    step_response(p, LoadHistory("strain", dt, np.ones(16000)))
-    after_longer = list(runs())
-    monkeypatch.setattr(fracsim, "_L1_PLAN", None)
-    step_response(p, LoadHistory("stress", dt, np.ones(16000)))  # longest first
-    for before, *after in zip(first, after_longer, runs()):
-        assert all(np.array_equal(before, again) for again in after)
+    _empty_memos(monkeypatch)
+    first = dict(runs(1))  # a strain run fills both memos
+    met = set(fracsim._STRAIN_COLUMNS)
+    step_response(laws[0], LoadHistory("strain", dt, np.ones(16000)))
+    after_longer = dict(runs(-1))
+    for nu in np.linspace(1.0, 2.0, fracsim._STRAIN_LAWS):
+        step_response(ModelParams("asymptotic", nu=nu), LoadHistory("strain", dt, np.ones(100)))
+    assert met.isdisjoint(fracsim._STRAIN_COLUMNS)  # both laws evicted
+    after_eviction = dict(runs(1))
+    _empty_memos(monkeypatch)
+    step_response(laws[1], LoadHistory("stress", dt, np.ones(16000)))  # longest first
+    step_response(laws[1], LoadHistory("strain", dt, np.ones(16000)))
+    for key, last in runs(-1):
+        for again in (after_longer[key], after_eviction[key], last):
+            assert np.array_equal(first[key], again), key
     leaf, spectra = fracsim._l1_plan(999)
     assert len(spectra) == 6  # the 16,384-sample plan: 2^6 leaf blocks
     assert not any(a.flags.writeable for a in (leaf, *spectra))
@@ -371,65 +387,71 @@ def test_l1_inverse_memo_leaves_no_trace(monkeypatch):
         assert all(map(np.array_equal, short_spectra, spectra))
 
 
-def test_stepping_with_a_warm_memo_solves_by_blocks(monkeypatch):
-    # a strain call inverts only the head of c + U and solves once; a stress
-    # call transforms only its input, one batched rfft per doubling
+def test_strain_column_memo_holds_its_bound(monkeypatch):
+    # one column per law, the least recently used evicted first
+    _empty_memos(monkeypatch)
+    load = LoadHistory("strain", 1e-3, np.ones(1000))
+    nus = np.linspace(0.0, 3.0, fracsim._STRAIN_LAWS + 1)
+    for nu in nus:
+        step_response(ModelParams("asymptotic", nu=nu), load)
+        if nu == nus[0]:
+            oldest = next(iter(fracsim._STRAIN_COLUMNS))
+    assert len(fracsim._STRAIN_COLUMNS) == fracsim._STRAIN_LAWS
+    assert oldest not in fracsim._STRAIN_COLUMNS
+    assert all(len(col) == 1024 and not col.flags.writeable for col in fracsim._STRAIN_COLUMNS.values())
+
+
+def test_stepping_with_a_warm_memo_makes_one_product(monkeypatch):
+    # a strain call with its law's column in the memo plans that column and
+    # applies it once, inverting nothing; a new law's call adds one Newton
+    # inversion that transforms only its iterates (U's spectra stand in for
+    # c + U's), rebuilding no U; a stress call transforms only its input, one
+    # batched rfft per doubling
     load = np.sin(np.arange(3000.0))
-    step_response(ModelParams("asymptotic", nu=0.3), LoadHistory("strain", 2e-3, load))
+    p = ModelParams("fmax", a1=0.03, b1=40.0)
+    step_response(p, LoadHistory("strain", 2e-3, load))
     calls = []
 
     def counted(owner, name):
         real = getattr(owner, name)
 
         def call(*args, **kwargs):
-            calls.append((name, args[1] if name == "_reciprocal" else None))
+            calls.append(name)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, call)
 
-    for name in ("_reciprocal", "_l1_weights", "_toeplitz_plan", "_toeplitz_apply", "_toeplitz_solve"):
+    for name in ("_reciprocal", "_l1_weights", "_toeplitz_plan", "_toeplitz_apply"):
         counted(fracsim, name)
     counted(np.fft, "rfft")
-    p = ModelParams("fmax", a1=0.03, b1=40.0)
     step_response(p, LoadHistory("strain", 2e-3, load))
-    assert sorted(c for c in calls if c[0] != "rfft") == [
-        ("_reciprocal", _BLOCK), ("_toeplitz_solve", None)]
+    # 4096 = 2^4 leaves: a spectrum per doubling, then its product
+    assert calls == ["_toeplitz_plan"] + ["rfft"] * 4 + ["_toeplitz_apply"] + ["rfft"] * 4
+    calls.clear()
+    step_response(ModelParams("fmax", a1=0.04, b1=40.0), LoadHistory("strain", 2e-3, load))
+    assert calls == ["_reciprocal"] + ["rfft"] * 8 + ["_toeplitz_plan"] + ["rfft"] * 4 + [
+        "_toeplitz_apply"] + ["rfft"] * 4
     calls.clear()
     step_response(p, LoadHistory("stress", 2e-3, load))
-    assert calls == [("_toeplitz_apply", None)] + [("rfft", None)] * 4  # 4096 = 2^4 leaves
+    assert calls == ["_toeplitz_apply"] + ["rfft"] * 4
 
 
-@pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK, 1000, 4097])
-def test_toeplitz_solve_inverts_the_product(n):
-    # solve by blocks against a plan whose col[0] differs from the system's:
-    # the pushes read col[1:] only, the leaves the head of 1/col.  Columns
-    # like stepping's c + U: positive, decaying, c from small to large.  The
-    # residual, summed in extended precision, reaches 8.6e-16 of the largest
-    # right-hand side.
-    rng = np.random.default_rng(n)
-    u = 1.0 / np.sqrt(np.arange(n + _BLOCK) + 1.0)
-    rhs = rng.normal(size=n)
-    plan = fracsim._toeplitz_plan(u, n)
-    for c in (1e-3, 1.0, 1e3):
-        col = u.copy()
-        col[0] += c
-        s = fracsim._toeplitz_solve(plan, fracsim._reciprocal(col, _BLOCK), rhs)
-        residual = np.convolve(col[:n].astype(np.longdouble), s.astype(np.longdouble))[:n] - rhs
-        assert np.max(np.abs(residual)) <= 4e-15 * np.max(np.abs(rhs)), c
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 4097])
-def test_reciprocal_residual(n):
+@pytest.mark.parametrize("n", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 4097, 16_384])
+def test_reciprocal_residual(n, monkeypatch):
     # Newton doublings up to _BLOCK coefficients take direct products, later
-    # ones FFT products.  Columns: the L1 weights, and the strain stepping
-    # column c + cumsum(1/W), c from large dt (1e-3) to small (1e3).  The
-    # residual of a b = 1, summed in extended precision, reaches 1.2e-16.
-    inverse_sum = np.cumsum(fracsim._reciprocal(fracsim._l1_weights(n), n))
-    columns = [fracsim._l1_weights(n)] + [
-        np.concatenate(([c + inverse_sum[0]], inverse_sum[1:])) for c in (1e-3, 1.0, 1e3)
+    # ones FFT products.  Columns: the L1 weights, and the memo's strain
+    # stepping columns 1/(c + U), U = cumsum(1/W), whose FFT doublings read
+    # the spectra of U's plan shifted by c, c from large dt (1e-3) to small
+    # (1e3).  The residual of a b = 1, summed in extended precision, reaches
+    # 1.2e-16.
+    _empty_memos(monkeypatch)
+    size = fracsim._plan_size(n)  # the memo's U, whose prefix every shorter U is
+    inverse_sum = np.cumsum(fracsim._reciprocal(fracsim._l1_weights(size), size))[:n]
+    pairs = [(fracsim._l1_weights(n), fracsim._reciprocal(fracsim._l1_weights(n), n))] + [
+        (np.concatenate(([c + inverse_sum[0]], inverse_sum[1:])), fracsim._strain_column(c, n)[:n])
+        for c in (1e-3, 1.0, 1e3)
     ]
-    for col in columns:
-        b = fracsim._reciprocal(col, n)
+    for col, b in pairs:
         residual = np.convolve(col.astype(np.longdouble), b.astype(np.longdouble))[:n]
         residual[0] -= 1
         assert np.max(np.abs(residual)) <= 4 * np.finfo(float).eps
@@ -460,7 +482,7 @@ _EXTENDED = [ModelParams("asymptotic", nu=nu) for nu in (-0.8, 0.25)] + [
 @pytest.mark.parametrize("params", _EXTENDED, ids=lambda p: p.label())
 def test_stepping_matches_extended_precision_reference(params, kind):
     # the same L1 system solved step by step in 80-bit arithmetic: stress
-    # loads reach 5.7e-15 and strain loads 7.7e-15 relative to the largest
+    # loads reach 5.7e-15 and strain loads 8.6e-15 relative to the largest
     # response sample, under half the bound
     n = 2001
     k = np.arange(n)
