@@ -457,6 +457,25 @@ def test_reciprocal_residual(n, monkeypatch):
         assert np.max(np.abs(residual)) <= 4 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK, 1000, 4097])
+def test_memo_strain_column_product_inverts_c_plus_u(n, monkeypatch):
+    # strain stepping solves (c + U) s = rhs by one product with the memo's
+    # column 1/(c + U): the product through its plan must invert c + U at
+    # every length, c from large dt (1e-3) to small (1e3).  The residual,
+    # summed in extended precision, reaches 1.1e-15 of the largest right-hand
+    # side
+    _empty_memos(monkeypatch)
+    rng = np.random.default_rng(n)
+    rhs = rng.normal(size=n)
+    size = fracsim._plan_size(n)
+    u = np.cumsum(fracsim._reciprocal(fracsim._l1_weights(size), size))[:n]
+    for c in (1e-3, 1.0, 1e3):
+        col = np.concatenate(([c + u[0]], u[1:]))
+        s = fracsim._toeplitz_apply(fracsim._toeplitz_plan(fracsim._strain_column(c, n), n), rhs)
+        residual = np.convolve(col.astype(np.longdouble), s.astype(np.longdouble))[:n] - rhs
+        assert np.max(np.abs(residual)) <= 4e-15 * np.max(np.abs(rhs)), c
+
+
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= 1e-18, reason="long double is not an extended type here"
 )
