@@ -27,8 +27,8 @@ import numpy as np
 from .errors import (DomainError, GridError, InversionError, RootFindError, SeriesRefusalError,
                      TableExhaustedError)
 from .csvout import write_csv
-from .models import (DEFAULT_POLICY, FAMILIES, ModelParams, TruncationPolicy, eval_G_curve,
-                     eval_J_curve)
+from .models import DEFAULT_POLICY, ModelParams, TruncationPolicy, eval_G_curve, eval_J_curve
+from .models.params import FAMILIES, PARAMS
 from .models.checks import CHECKS, run_check
 from .specfun import zero_table
 
@@ -242,7 +242,7 @@ def _figure(fig, policy):
 # ---------------------------------------------------------------------------
 
 
-_FLAG_FAMILIES = {"nu": ("bessel", "asymptotic"), "a1": ("fmax",), "b1": ("fmax",)}
+_FLAG_FAMILIES = {k: tuple(f for f in PARAMS if k in PARAMS[f]) for f in PARAMS for k in PARAMS[f]}
 
 
 def _asked(args):

@@ -76,7 +76,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .csvout import write_csv
 from .errors import DomainError, GridError
 from .models.evaluate import family_of
-from .models.params import DEFAULT_POLICY, ModelParams
+from .models.params import DEFAULT_POLICY, LAWS, ModelParams
 
 LOAD_KINDS = ("stress", "strain")
 _GAMMA_3_2 = math.gamma(1.5)
@@ -281,11 +281,10 @@ def step_response(params: ModelParams, load: LoadHistory) -> ResponseHistory:
     constants: g f_0 for stress input, f_0 / g for strain input.  The
     Bessel family has no finite-order law and is refused (DomainError).
     """
-    law = family_of(params).law
-    if law is None:
+    if params.family not in LAWS:
         raise DomainError(f"stepping needs a fractional Maxwell law; family "
                           f"{params.family!r} has none (use convolution)")
-    lam, g = law(params)
+    lam, g = LAWS[params.family](params)
     a, f = 1.0 / lam, load.samples
     root_kappa = math.sqrt(load.dt) * _GAMMA_3_2  # 1 / kappa
     b_kappa = a / g / root_kappa

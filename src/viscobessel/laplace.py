@@ -53,12 +53,6 @@ class LaplaceFunction:
         return self.evaluator(s)
 
 
-def _as_callable(transform):
-    if isinstance(transform, LaplaceFunction):
-        return transform.evaluator, transform.label
-    return transform, getattr(transform, "__name__", "F")
-
-
 def invert_talbot(transform, t: float, M: int = 64) -> float:
     """Invert a Laplace transform at time t > 0 with the fixed Talbot rule.
 
@@ -67,7 +61,7 @@ def invert_talbot(transform, t: float, M: int = 64) -> float:
     roundoff; M = 64 resolves the material functions of this package to
     better than 1e-8 relative for t >= 0.05.
     """
-    F, label = _as_callable(transform)
+    label = getattr(transform, "label", getattr(transform, "__name__", "F"))
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"invert_talbot requires t > 0, got {t!r}")
@@ -84,7 +78,7 @@ def invert_talbot(transform, t: float, M: int = 64) -> float:
         # Contributions damped below the working precision are skipped; the
         # cutoff keeps |exp(t s)| * poly(M) under one ulp of the big terms.
         log_cut = -(dps * math.log(10) + 30)
-        total = mp.exp(r * tt) / 2 * _eval_node(mp, F, mp.mpc(r, 0), label)
+        total = mp.exp(r * tt) / 2 * _eval_node(mp, transform, mp.mpc(r, 0), label)
         for k in range(1, M):
             theta = mp.pi * k / M
             cot = mp.cos(theta) / mp.sin(theta)
@@ -93,7 +87,7 @@ def invert_talbot(transform, t: float, M: int = 64) -> float:
                 continue
             s_k = r * theta * mp.mpc(cot, 1)
             gamma = mp.exp(tt * s_k) * mp.mpc(1, theta * (1 + cot**2) - cot)
-            total += gamma * _eval_node(mp, F, s_k, label)
+            total += gamma * _eval_node(mp, transform, s_k, label)
         return float(mp.re(total) * 2 / (5 * tt))
 
 

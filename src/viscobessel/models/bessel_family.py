@@ -301,16 +301,11 @@ def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _rayleigh_sigma2(order: float) -> float:
-    """sum_n j_{order,n}^-4 = 1 / (16 (order+1)^2 (order+2))."""
-    return 1.0 / (16.0 * (order + 1.0) ** 2 * (order + 2.0))
-
-
 def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
     """sum_n exp(-j_n^2 T) / j_n^4 over every zero, T >= 0 (vectorized).
 
     The table's terms are summed like the J and G series (module doc).  The
-    rest sum to R(0) = sigma_2 - (table sum, ZeroTable.quartic_partial) at
+    rest sum to R(0) = sigma_2 - (table sum) at
     T = 0, where the result is sigma_2 itself so that both primitives start
     at exactly 0, and to R(0) exp(-x^2) (1 - 2x^2 + 2 sqrt(pi) x^3 erfcx(x)),
     x = j0 sqrt(T): the integral of exp(-T j^2) / j^4 over the zeros' ~pi
@@ -322,7 +317,7 @@ def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
     shape, T = np.shape(T), np.asarray(T, dtype=float).ravel()
     sq = tab.square_array
     out = _dirichlet_sum(sq, T, 2)
-    sigma2 = _rayleigh_sigma2(tab.order)
+    sigma2 = tab.quartic_limit()  # the whole sum; the table's is tab.quartic_partial
     r0 = sigma2 - tab.quartic_partial
     if r0 > 0.0:  # else the table holds the whole sum to rounding
         j0 = (3.0 * math.pi * r0) ** (-1.0 / 3.0)
@@ -352,7 +347,7 @@ def bessel_creep_integral_curve(nu, T, policy=None) -> np.ndarray:
     return scalar_or_array(
         2.0 * (nu + 2.0) / (nu + 3.0) * T
         + 2.0 * (nu + 1.0) * (nu + 2.0) * T * T
-        - amp * (_rayleigh_sigma2(nu + 2.0) - _exp_quartic_sum(tab, T))
+        - amp * (tab.quartic_limit() - _exp_quartic_sum(tab, T))
     )
 
 
@@ -363,7 +358,7 @@ def bessel_relax_integral_curve(nu, T, policy=None) -> np.ndarray:
     T = check_times(T)
     tab = zero_table(nu, policy.n_max)
     amp = 4.0 * (nu + 1.0)
-    return scalar_or_array(amp * (_rayleigh_sigma2(nu) - _exp_quartic_sum(tab, T)))
+    return scalar_or_array(amp * (tab.quartic_limit() - _exp_quartic_sum(tab, T)))
 
 
 BESSEL = Family(
@@ -374,5 +369,4 @@ BESSEL = Family(
     creep=lambda p, T, policy: bessel_creep_integral_curve(p.nu, T, policy),
     relax=lambda p, T, policy: bessel_relax_integral_curve(p.nu, T, policy),
     glass=lambda p: 1.0,
-    law=None,  # no finite-order law: stepping refuses the Bessel family
 )

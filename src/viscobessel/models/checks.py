@@ -19,9 +19,9 @@ import numpy as np
 from ..errors import DomainError, SeriesRefusalError
 from ..specfun import bessel_j, zero_table
 from .bessel_family import bessel_J_curve, memory_phi_curve
-from .evaluate import eval_G_curve, eval_J_curve, family_of, laplace_sG, laplace_sJ
-from .maxwell import asym_J_time, relaxation_memory
-from .params import DEFAULT_POLICY, FAMILIES, ModelParams
+from .evaluate import eval_G_curve, eval_J_curve, laplace_sG, laplace_sJ
+from .maxwell import _finite, asym_J_time, relaxation_memory
+from .params import DEFAULT_POLICY, FAMILIES, LAWS, ModelParams
 
 # Large enough that 2(nu+1)/sqrt(s) < 1e-7 for every tested order, so the
 # glass estimate lands within 1e-6 of the limit.
@@ -133,8 +133,10 @@ def _asymptotics(params, policy):
 
 def _cm_signs(stencil, h):
     """Violation magnitude of the alternating-derivative pattern at the middle
-    of five values spaced h apart."""
+    of five values spaced h apart; inf if a value is not finite."""
     stencil = np.asarray(stencil).tolist()
+    if not all(map(math.isfinite, stencil)):
+        return math.inf
     d1 = (stencil[3] - stencil[1]) / (2 * h)
     d2 = (stencil[3] - 2 * stencil[2] + stencil[1]) / h**2
     d3 = (stencil[4] - 2 * stencil[3] + 2 * stencil[1] - stencil[0]) / (2 * h**3)
@@ -152,8 +154,9 @@ def _cm(params, policy):
     stencils = np.add.outer((0.1, 0.5, 1.0, 2.0), np.arange(-2.0, 3.0) * h)  # a row per time
     if params.family == "bessel":
         name, rows = "cm-phi", memory_phi_curve(params.nu, stencils, policy)  # one series
-    else:  # one erfcx call
-        name, rows = "cm-asym-memory", relaxation_memory(*family_of(params).law(params), stencils)
+    else:  # one closed form, refused (DomainError) where a step overflows
+        name, rows = "cm-asym-memory", _finite(relaxation_memory, LAWS[params.family], params,
+                                               stencils)
     return {name: max(_cm_signs(row, h) for row in rows)}
 
 

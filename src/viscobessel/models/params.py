@@ -17,7 +17,10 @@ import numpy as np
 from ..errors import DomainError, check_order
 from ..specfun.zeros import ORDER_MAX
 
-FAMILIES = ("bessel", "fmax", "asymptotic")
+# family -> the ModelParams fields it sets, in label order, and whether it sets nu, a1, b1
+PARAMS = {"bessel": ("nu",), "fmax": ("a1", "b1"), "asymptotic": ("nu",)}
+FAMILIES = tuple(PARAMS)
+_SET = {f: tuple(k in names for k in ("nu", "a1", "b1")) for f, names in PARAMS.items()}
 N_MIN = 8  # every Dirichlet-series truncation keeps at least this many terms
 BESSEL_NU_MAX = ORDER_MAX - 2.0  # the Bessel J series reads zeros of order nu + 2
 
@@ -38,11 +41,9 @@ class Family(NamedTuple):
     creep: Callable  # (params, T, policy): int_0^T J on an array of bounds
     relax: Callable  # (params, T, policy): int_0^T G
     glass: Callable  # (params): the glass compliance J(0+); G(0+) is its inverse
-    law: Callable | None  # (params): (lam, g) of sigma + a D^{1/2} sigma = b D^{1/2} eps,
-    # lam = 1/a and g = a/b (see maxwell); None for a family with no such law
 
 
-LAWS = {  # the law p -> (lam, g) of each family that has one (see Family.law)
+LAWS = {  # the one law table: p -> (lam, g), lam = 1/a and g = a/b (maxwell); no Bessel law
     "asymptotic": lambda p: (2.0 * (p.nu + 1.0), 1.0),  # a1 = b1 = 1/(2(nu+1))
     "fmax": lambda p: (1.0 / p.a1, p.a1 / p.b1),
 }
@@ -70,7 +71,7 @@ def check_nu(nu) -> float:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Family tag plus its parameters: nu for bessel/asymptotic, a1,b1 for fmax."""
+    """Family tag plus exactly the parameters PARAMS names for it."""
 
     family: str
     nu: float | None = None
@@ -80,24 +81,20 @@ class ModelParams:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}; expected {FAMILIES}")
-        if self.family in ("bessel", "asymptotic"):
-            if self.nu is None or self.a1 is not None or self.b1 is not None:
-                raise DomainError(f"family {self.family!r} takes exactly nu")
+        if (self.nu is not None, self.a1 is not None, self.b1 is not None) != _SET[self.family]:
+            raise DomainError(f"family {self.family!r} takes exactly "
+                              f"{' and '.join(PARAMS[self.family])}")
+        if self.family != "fmax":
             check = check_nu if self.family == "bessel" else check_order
             object.__setattr__(self, "nu", check(self.nu))
-        else:
-            if self.a1 is None or self.b1 is None or self.nu is not None:
-                raise DomainError("family 'fmax' takes exactly a1 and b1")
-            if not (0.0 < self.a1 < math.inf and 0.0 < self.b1 < math.inf):
-                raise DomainError(f"a1, b1 must be finite and > 0, got {self.a1!r}, {self.b1!r}")
+        elif not (0.0 < self.a1 < math.inf and 0.0 < self.b1 < math.inf):
+            raise DomainError(f"a1, b1 must be finite and > 0, got {self.a1!r}, {self.b1!r}")
         lam, g = LAWS[self.family](self) if self.family in LAWS else (1.0, 1.0)  # Bessel: no law
         if not (0.0 < lam < math.inf and 0.0 < g < math.inf):
             raise DomainError(f"{self.label()}: law lam = {lam!r}, g = {g!r} must be finite and > 0")
 
     def label(self) -> str:
-        if self.family == "fmax":
-            return f"fmax[a1={self.a1:g};b1={self.b1:g}]"
-        return f"{self.family}[nu={self.nu:g}]"
+        return f"{self.family}[{';'.join(f'{k}={getattr(self, k):g}' for k in PARAMS[self.family])}]"
 
 
 @dataclass(frozen=True)

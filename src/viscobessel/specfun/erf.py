@@ -18,12 +18,13 @@ Evaluation regions (validated against high-precision references):
 
 erfcx maps a scalar to a float and an array to an ndarray of its shape.  Each
 region is a masked loop in which an element takes the scalar iteration's steps
-and stops at the same term, bit for bit.  exp(x^2) goes through libm (libm_map):
-numpy's SIMD exp differs from it in the last bit for a few percent of arguments.
+and stops at the same term, bit for bit.  exp(x^2) goes through libm (math.exp,
+mapped over the elements): numpy's SIMD exp differs from it in the last bit for
+a few percent of arguments.
 """
 
 import math
-from itertools import count, repeat
+from itertools import count
 
 import numpy as np
 
@@ -36,12 +37,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # <= 1e-13 relative error on their side of the split.
 ERFCX_CF_MIN = 2.0
 ERFCX_ASYM_MIN = 1e8
-
-
-def libm_map(fn, x, *args) -> np.ndarray:
-    """fn(v, *args) for each element v of x, fn being libm-backed (math.exp, pow)."""
-    vals = map(fn, np.ravel(x).tolist(), *map(repeat, args))
-    return np.fromiter(vals, float, np.size(x)).reshape(np.shape(x))
 
 
 def _iterate(step, *state) -> np.ndarray:
@@ -94,7 +89,7 @@ def erfcx(x):
     out[cf] = _iterate(_cf_step, tiny, tiny.copy(), 0.0 * tiny, ax[cf]) / _SQRT_PI
     # exp(x^2) overflows near |x| = 26.6; let OverflowError propagate.
     need_exp = series | neg
-    exp_x2 = libm_map(math.exp, flat[need_exp] * flat[need_exp])
+    exp_x2 = np.fromiter(map(math.exp, np.square(flat[need_exp]).tolist()), float)
     x = ax[series]
     out[series] = exp_x2[series[need_exp]] - _TWO_OVER_SQRT_PI * _iterate(
         _series_step, x, x.copy(), 2.0 * x * x)

@@ -61,12 +61,14 @@ class ZeroTable:
 
     @cached_property
     def quartic_partial(self) -> float:
-        """Partial sum of 1/j^4, once per table; approaches
-        1/(16 (nu+1)^2 (nu+2)) from below."""
+        """Partial sum of 1/j^4, once per table; approaches quartic_limit() from below."""
         return math.fsum((self.square_array * self.square_array) ** -1.0)
 
     def rayleigh_limit(self) -> float:
         return 1.0 / (4.0 * (self.order + 1.0))
+
+    def quartic_limit(self) -> float:  # the second Rayleigh sum, sum_n j^-4
+        return 1.0 / (16.0 * (self.order + 1.0) ** 2 * (self.order + 2.0))
 
     def rayleigh_tail_bound(self) -> float:
         """Bound 1/(pi^2 (N + c)), c = nu/2 - 3/4, on the Rayleigh tail past N =

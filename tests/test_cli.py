@@ -900,3 +900,30 @@ def test_eval_and_zeros_build_only_what_they_read(tmp_path, argv):
     assert rc == 0
     assert int(held) <= 64
     assert loaded == []
+
+
+@pytest.mark.parametrize("nu", ["1e10", "1e200"])
+def test_cm_passes_on_the_finite_memory_of_a_huge_law(tmp_path, capsys, nu):
+    # lam sqrt(t) reaches 2.9e10 and 2.9e200: the difference of Phi's two
+    # terms failed at 1e10 (max_error 131) and was -inf, yet passed, at 1e200
+    capsys.readouterr()
+    path = tmp_path / "cm.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify", "--check", "cm", "--family", "asymptotic", "--nu", nu,
+                    "--json", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 1 and "PASS" in captured.out
+    [record] = json.loads(path.read_text())
+    assert record["check"] == "cm-asym-memory" and record["max_error"] == 0.0 and record["pass"]
+
+
+def test_cm_on_a_law_whose_memory_overflows_exits_2_naming_law_and_time(capsys):
+    # lam = 1.6e308 is finite, but lam sqrt(t) overflows at the stencil's last time
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify", "--check", "cm", "--family", "asymptotic", "--nu", "8e307"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: asymptotic[nu=8e+307]: relaxation_memory overflows at t = 2.04\n"

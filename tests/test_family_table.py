@@ -6,6 +6,8 @@ tests compare each dispatcher with the family function it must call, bit for
 bit.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,8 @@ from viscobessel.models.evaluate import (
     family_of,
     relax_integral_curve,
 )
+from viscobessel.errors import DomainError
+from viscobessel.models.params import LAWS, PARAMS
 
 S_VALUES = (0.01, 1.0, 37.5, 1e4, 2 + 3j, -1 + 0.5j, 0.1 - 7j)
 TIMES = np.geomspace(1e-3, 5.0, 57)
@@ -98,9 +102,9 @@ def test_dispatch_calls_the_family_functions(family, entry):
         assert np.array_equal(dispatch(params, BOUNDS), own[entry](BOUNDS))
     elif entry == "glass":
         assert family_of(params).glass(params) == own["glass"]
-    else:
-        law = family_of(params).law
-        assert (law if law is None else law(params)) == own["law"]
+    else:  # the law lives in LAWS alone, not in the record
+        assert (LAWS[family](params) if family in LAWS else None) == own["law"]
+        assert not hasattr(family_of(params), "law")
 
 
 SHAPES = {"scalar": 0.3, "1-D": [0.1, 0.2, 0.3, 0.4], "(3, 1)": [[0.1], [0.2], [0.3]],
@@ -112,7 +116,9 @@ SHAPES = {"scalar": 0.3, "1-D": [0.1, 0.2, 0.3, 0.4], "(3, 1)": [[0.1], [0.2], [
 @pytest.mark.parametrize("family", sorted(OWN))
 def test_time_functions_keep_the_input_shape(family, entry, times):
     # a float for a scalar, else the input's shape, each value bit for bit
-    # the one the flattened times give; Phi = -dG/dt is the cm check's
+    # the one the flattened times give; Phi = -dG/dt is the cm check's (at
+    # these times asymptotic lam sqrt(t) is below relaxation_memory's
+    # PHI_CF_MIN = 1 and fmax's on both sides of it)
     params, law = OWN[family][0], OWN[family][-1]
     if entry != "Phi":
         fn = lambda ts: getattr(family_of(params), entry)(params, ts, None)  # noqa: E731
@@ -126,3 +132,36 @@ def test_time_functions_keep_the_input_shape(family, entry, times):
     else:
         assert isinstance(out, np.ndarray) and out.shape == np.shape(times)
         assert np.array_equal(out.ravel(), flat)
+
+
+# every family against every set of given fields: the one that fits gives the
+# label, each other one the arity message; the CLI prints both, so the
+# strings are pinned
+VALUES = {"nu": 0.5, "a1": 0.4, "b1": 2.5}
+ARITY = {"bessel": "family 'bessel' takes exactly nu",
+         "asymptotic": "family 'asymptotic' takes exactly nu",
+         "fmax": "family 'fmax' takes exactly a1 and b1"}
+LABELS = {"bessel": "bessel[nu=0.5]", "asymptotic": "asymptotic[nu=0.5]",
+          "fmax": "fmax[a1=0.4;b1=2.5]"}
+
+
+@pytest.mark.parametrize("given", [c for n in range(4) for c in itertools.combinations(VALUES, n)],
+                         ids=lambda c: "+".join(c) or "none")
+@pytest.mark.parametrize("family", sorted(ARITY))
+def test_params_arity_message_and_label(family, given):
+    kwargs = {k: VALUES[k] for k in given}
+    if set(given) == set(PARAMS[family]):
+        assert ModelParams(family, **kwargs).label() == LABELS[family]
+    else:
+        with pytest.raises(DomainError) as err:
+            ModelParams(family, **kwargs)
+        assert str(err.value) == ARITY[family]
+
+
+def test_flag_families_are_derived_from_params():
+    from viscobessel.cli import _FLAG_FAMILIES
+
+    assert PARAMS == {"bessel": ("nu",), "fmax": ("a1", "b1"), "asymptotic": ("nu",)}
+    assert FAMILIES == tuple(PARAMS)
+    literal = {"nu": ("bessel", "asymptotic"), "a1": ("fmax",), "b1": ("fmax",)}
+    assert _FLAG_FAMILIES == literal and list(_FLAG_FAMILIES) == list(literal)

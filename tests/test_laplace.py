@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -123,6 +124,18 @@ def test_inversion_error_carries_node():
     with pytest.raises(InversionError) as exc_info:
         invert_talbot(LaplaceFunction(bad, "bad"), 1.0, 16)
     assert exc_info.value.node is not None
+
+
+def test_inversion_error_names_the_transform_by_its_label_or_name():
+    # a LaplaceFunction is called as it is and names itself by its label; a
+    # plain callable by its __name__, and one with neither as "F"
+    def nan_transform(s):
+        return float("nan")
+
+    for F, label in [(LaplaceFunction(nan_transform, "G~"), "G~"), (nan_transform, "nan_transform"),
+                     (functools.partial(nan_transform), "F")]:
+        with pytest.raises(InversionError, match=rf"^{label} evaluated non-finite on the Talbot"):
+            invert_talbot(F, 1.0, 16)
 
 
 @pytest.mark.parametrize("t,M", [(0.0, 64), (-1.0, 64), (1.0, 7)])

@@ -1,5 +1,9 @@
 """Cross-family identities: short-time agreement and complete monotonicity."""
 
+import math
+
+import mpmath
+import numpy as np
 import pytest
 
 from viscobessel.models import (
@@ -11,8 +15,9 @@ from viscobessel.models import (
     short_time_agreement,
 )
 from viscobessel.errors import DomainError, SeriesRefusalError
-from viscobessel.models.evaluate import family_of
+from viscobessel.models.checks import _cm_signs
 from viscobessel.models.maxwell import relaxation_memory
+from viscobessel.models.params import LAWS
 
 SHORT_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)
 
@@ -71,7 +76,7 @@ def test_relaxation_memory_completely_monotonic_spot_check(nu):
 
 def _asym_memory(nu, t):
     params = ModelParams("asymptotic", nu=nu)
-    return relaxation_memory(*family_of(params).law(params), t)
+    return relaxation_memory(*LAWS["asymptotic"](params), t)
 
 
 @pytest.mark.parametrize("nu", [-0.8, 0.0, 0.5])
@@ -96,7 +101,7 @@ def test_fmax_memory_is_minus_dG_dt(a1, b1):
     params = ModelParams("fmax", a1=a1, b1=b1)
     t, h = 0.7, 1e-5
     numeric = -(eval_G_curve(params, t + h) - eval_G_curve(params, t - h)) / (2 * h)
-    assert relaxation_memory(*family_of(params).law(params), t) == pytest.approx(numeric, rel=1e-7)
+    assert relaxation_memory(*LAWS["fmax"](params), t) == pytest.approx(numeric, rel=1e-7)
 
 
 def test_memory_phi_matches_minus_dG_dt():
@@ -106,3 +111,54 @@ def test_memory_phi_matches_minus_dG_dt():
     numeric = -(bessel_G_time(nu, t + h) - bessel_G_time(nu, t - h)) / (2 * h)
     assert float(memory_phi_curve(nu, [t])[0]) == pytest.approx(numeric, rel=1e-7)
 
+
+
+# the cm check's stencil: five times 0.02 apart around each of 0.1, 0.5, 1, 2
+CM_STENCIL = np.add.outer((0.1, 0.5, 1.0, 2.0), np.arange(-2.0, 3.0) * 0.02)
+
+
+def _memory_reference(lam, g, t):
+    """Phi by mpmath: 1/sqrt(pi) - x erfcx(x) = x U(3/2, 3/2, x^2) / (2 sqrt(pi))
+    (Tricomi's U), so Phi = lam^2 U(3/2, 3/2, lam^2 t) / (2 sqrt(pi) g), free
+    of the cancellation and of erfc's range."""
+    with mpmath.workdps(40):
+        lam, t = mpmath.mpf(lam), mpmath.mpf(t)
+        return float(lam**2 * mpmath.hyperu(1.5, 1.5, lam * lam * t) / (2 * mpmath.sqrt(mpmath.pi) * g))
+
+
+def test_memory_reference_is_the_definition():
+    with mpmath.workdps(60):
+        lam, t = mpmath.mpf(3), mpmath.mpf("0.7")
+        x = lam * mpmath.sqrt(t)
+        direct = (lam / mpmath.sqrt(mpmath.pi * t) - lam**2 * mpmath.exp(x * x) * mpmath.erfc(x))
+    assert _memory_reference(3.0, 1.0, 0.7) == pytest.approx(float(direct), rel=1e-15)
+
+
+@pytest.mark.parametrize("g", [1.0, 0.37])
+@pytest.mark.parametrize("lam", [0.4, 3.0, 2e10, 2e200])
+def test_relaxation_memory_matches_mpmath_on_the_cm_stencil(lam, g):
+    got = relaxation_memory(lam, g, CM_STENCIL)
+    want = np.array([[_memory_reference(lam, g, t) for t in row] for row in CM_STENCIL])
+    assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+    assert np.max(np.abs(got - want) / want) < 1e-13
+
+
+def test_relaxation_memory_within_1e13_of_mpmath_for_x_from_1e_3_to_1e10():
+    # x = lam sqrt(t); the difference of the two terms alone was 1.7e-12 off
+    # near x = 2 and 1.3e-13 near x = 8, and useless past x = 1e8
+    worst = 0.0
+    for x in np.geomspace(1e-3, 1e10, 157):
+        for t in (0.06, 0.7, 2.04):
+            lam = x / math.sqrt(t)
+            want = _memory_reference(lam, 1.0, t)
+            worst = max(worst, abs(relaxation_memory(lam, 1.0, t) - want) / want)
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("at", range(5))
+def test_cm_signs_count_a_value_that_is_not_finite_as_a_violation(at, bad):
+    stencil = [1.0 / t for t in (0.96, 0.98, 1.0, 1.02, 1.04)]
+    assert _cm_signs(stencil, 0.02) == 0.0
+    stencil[at] = bad
+    assert _cm_signs(stencil, 0.02) == math.inf

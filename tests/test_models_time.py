@@ -45,11 +45,10 @@ from viscobessel.errors import DomainError
 from viscobessel.models import bessel_family
 from viscobessel.models.evaluate import (
     creep_integral_curve,
-    family_of,
     relax_integral_curve,
 )
 from viscobessel.models.maxwell import relaxation_memory
-from viscobessel.models.params import N_MIN
+from viscobessel.models.params import LAWS, N_MIN
 from viscobessel.specfun import mittag_leffler_half, zero_table
 
 
@@ -653,7 +652,7 @@ def test_bessel_series_quote_a_non_finite_time(fn):
 
 def _asym_memory(nu, t):
     params = ModelParams("asymptotic", nu=nu)
-    return relaxation_memory(*family_of(params).law(params), t)
+    return relaxation_memory(*LAWS["asymptotic"](params), t)
 
 
 def test_memory_and_mittag_quote_first_bad_argument():

@@ -80,3 +80,25 @@ def test_each_argument_rule_is_written_once():
     for rule, home in [("nu <= -1.0", "errors.py"), ("s**0.5", "models/params.py"),
                        ("outside the transform domain", "models/params.py")]:
         assert [name for name, src in text.items() if rule in src] == [home], rule
+
+
+def test_family_parameters_are_written_only_in_params():
+    # PARAMS is the one home of each family's parameter names: no other
+    # module spells a family's parameter tuple or a table keyed on all of them
+    from viscobessel.models.params import PARAMS
+
+    tuples = set(PARAMS.values())
+    fields = {k for names in PARAMS.values() for k in names}
+    spelled = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Tuple, ast.List)):
+                items = [e.value if isinstance(e, ast.Constant) else None for e in node.elts]
+                hit = tuple(items) in tuples
+            elif isinstance(node, ast.Dict):
+                hit = {k.value for k in node.keys if isinstance(k, ast.Constant)} == fields
+            else:
+                continue
+            if hit:
+                spelled.append(f"{name}:{node.lineno}")
+    assert spelled and all(place.startswith("models/params.py:") for place in spelled), spelled

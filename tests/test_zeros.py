@@ -183,3 +183,15 @@ def test_a_second_figure_2_in_one_process_builds_no_zero(monkeypatch, fresh_memo
     assert main(argv) == 0
     assert capsys.readouterr().out == cold
     assert refined == []
+
+
+@pytest.mark.parametrize("order", [-0.9, -0.5, 0.0, 1.0, 2.5, 4.0, 6.0, 8.0])
+def test_quartic_limit_is_the_sum_over_every_zero(order):
+    # the second Rayleigh sum 1/(16 (nu+1)^2 (nu+2)) against 2,000 scipy
+    # zeros, plus the tail past them as if j_n = (n + nu/2 - 1/4) pi
+    zeros = scipy_bessel_zeros(order, 2000)
+    tail = 1.0 / (3.0 * math.pi**4 * (len(zeros) + 0.25 + 0.5 * order) ** 3)
+    total = math.fsum(z**-4 for z in zeros) + tail
+    table = zero_table(order, 10)
+    assert table.quartic_limit() == pytest.approx(total, rel=5e-14, abs=0.0)
+    assert table.quartic_partial < table.quartic_limit()
