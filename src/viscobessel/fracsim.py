@@ -33,18 +33,17 @@ Hereditary convolution (all families)
 Evaluation: every route is one causal Toeplitz product, evaluated by blocks
 (Hairer, Lubich & Schlichte 1985) in O(n log^2 n) from a plan of its column:
 256-sample leaf blocks through one BLAS product, then one FFT spectrum per
-doubling.  Stress stepping applies the per-process plan of U = cumsum(1/W),
-W the L1 weights (16 bytes per sample of the longest padded length, plus a
-512 KiB leaf); strain stepping plans 1/(c + U), held by a memo of the last 8
-laws at the longest padded length each met (8 bytes per sample per law); a
-convolution plans its folded panel column per call.  A longer U or
-1/(c + U) starts with the same bits, so no result depends on the order of
-calls, and no output on a later input, bit for bit.  Last digits differ from
-a per-step loop: stepping is within 8.6e-15 (relative to the largest sample)
-of an 80-bit forward substitution of the same L1 system at n = 2001, dt 1e-3
-to 10; convolution errors grow along the history: at n = 20,000 and
-dt = 1e-2, stress loads reach 3.3e-11 (Bessel) and 5.3e-12 (fmax), strain
-loads 5e-14.
+doubling.  Stepping reads one memo of plans, each at the longest padded
+length met: U = cumsum(1/W), W the L1 weights, for stress loads, and
+1/(c + U) for strain loads of the last 8 laws (a 512 KiB leaf plus 16 bytes
+per sample each); a convolution plans its folded panel column per call.  A
+longer U or 1/(c + U) starts with the same bits, so no result depends on the
+order of calls, and no output on a later input, bit for bit.  Last digits
+differ from a per-step loop: stepping is within 8.6e-15 (relative to the
+largest sample) of an 80-bit forward substitution of the same L1 system at
+n = 2001, dt 1e-3 to 10; convolution errors grow along the history: at
+n = 20,000 and dt = 1e-2, stress loads reach 3.3e-11 (Bessel) and 5.3e-12
+(fmax), strain loads 5e-14.
 
 Initial condition convention: a nonzero load sample at k = 0 is treated as an
 instantaneous step mapped through the glass constants, response(0) = J_g *
@@ -153,14 +152,12 @@ def _halves(size: int) -> list:
     return [_TOEPLITZ_BLOCK << level for level in range((size // _TOEPLITZ_BLOCK).bit_length() - 1)]
 
 
-def _toeplitz_plan(col, n: int):
-    """What products with col read for up to n samples: the leaf of its head
-    and, per doubling h < _plan_size(n), the spectrum rfft(col[:2h]), col
-    zero-padded past its end.  Plans for two lengths share their levels."""
-    size = _plan_size(n)
-    cp = np.zeros(size)
-    cp[: min(size, len(col))] = col[:size]
-    return _leaf(cp), [np.fft.rfft(cp[: 2 * h]) for h in _halves(size)]
+def _toeplitz_plan(col):
+    """What products with col read for up to len(col) samples: its head's leaf
+    and, per doubling h < _plan_size(len(col)), rfft(col[:2h]), col padded
+    with zeros.  Plans of two prefixes of one column share their levels."""
+    cp = np.concatenate((col, np.zeros(_plan_size(len(col)) - len(col))))
+    return _leaf(cp), [np.fft.rfft(cp[: 2 * h]) for h in _halves(len(cp))]
 
 
 def _toeplitz_apply(plan, x) -> np.ndarray:
@@ -223,38 +220,31 @@ def _l1_weights(n: int) -> np.ndarray:
     return 1.0 / (np.sqrt(j + 1.0) + np.sqrt(j))  # sqrt(j + 1) - sqrt(j), without cancelling
 
 
-_L1_PLAN = None  # the plan of U for the longest history stepped so far
-_STRAIN_LAWS = 8  # columns 1/(c + U) kept by _STRAIN_COLUMNS, keyed on c, in use order
-_STRAIN_COLUMNS = OrderedDict()
+_STEP_LAWS = 8  # strain laws whose plans _STEP_PLANS keeps beside U's, in use order
+_STEP_PLANS = OrderedDict()  # c of a strain law, or None for U: its plan at the longest size met
 
 
-def _l1_plan(m: int):
-    """The plan of U = cumsum(1/W) for m samples, U[:_TOEPLITZ_BLOCK] its leaf's
-    row 0.  A longer U starts with the same bits (the Newton doublings and the
-    running sum read only what precedes them)."""
-    global _L1_PLAN
+def _step_plan(c, m: int):
+    """The plan of U = cumsum(1/W) (c None) or of 1/(c + U), inverted from
+    U's head and spectra shifted by c, for m samples; memoized at the longest
+    padded length met, a prefix of any longer one.  U is refreshed before a
+    law goes in, so the least recently used law is evicted, never U."""
     size = _plan_size(m)
-    if _L1_PLAN is None or size > _TOEPLITZ_BLOCK << len(_L1_PLAN[1]):
-        plan = _toeplitz_plan(np.cumsum(_reciprocal(_l1_weights(size), size)), size)
+    plan = _STEP_PLANS.pop(c, None)
+    if plan is None or size > _TOEPLITZ_BLOCK << len(plan[1]):
+        if c is None:
+            col = np.cumsum(_reciprocal(_l1_weights(size), size))
+        else:
+            leaf, spectra = _step_plan(None, m)
+            head = np.concatenate(([leaf[0][0] + c], leaf[0][1:]))
+            col = _reciprocal(head, size, (spectrum + c for spectrum in spectra))
+        plan = _toeplitz_plan(col)
         for array in (plan[0], *plan[1]):  # shared by every later call
             array.flags.writeable = False
-        _L1_PLAN = plan
-    return _L1_PLAN
-
-
-def _strain_column(c: float, m: int) -> np.ndarray:
-    """1/(c + U) for m samples, memoized at the longest padded length met
-    with c (a prefix of any longer one), the least recently used c evicted."""
-    col = _STRAIN_COLUMNS.pop(c, None)
-    if col is None or len(col) < _plan_size(m):
-        leaf, spectra = _l1_plan(m)
-        head = np.concatenate(([leaf[0][0] + c], leaf[0][1:]))
-        col = _reciprocal(head, _plan_size(m), (spectrum + c for spectrum in spectra))
-        col.flags.writeable = False
-    _STRAIN_COLUMNS[c] = col
-    if len(_STRAIN_COLUMNS) > _STRAIN_LAWS:
-        _STRAIN_COLUMNS.popitem(last=False)
-    return col
+    _STEP_PLANS[c] = plan
+    if len(_STEP_PLANS) > 1 + _STEP_LAWS:
+        _STEP_PLANS.popitem(last=False)
+    return plan
 
 
 def step_response(params: ModelParams, load: LoadHistory) -> ResponseHistory:
@@ -269,12 +259,12 @@ def step_response(params: ModelParams, load: LoadHistory) -> ResponseHistory:
       d = g df + W^{-1} sigma / (b kappa) (discrete half-order integration),
       and summed from the glass start, out_k = g f_k + (U sigma)_k / (b kappa)
       with U = cumsum(W^{-1}) = 1/((1 - z) W): one product through the
-      per-process plan of U, which depends only on the length;
+      memo's plan of U, which depends only on the length;
     * strain input, with c = a kappa and S, F the series of response and
       load samples 1..m: the glass start sigma_0 = f_0/g has c sigma_0 =
       b kappa f_0, so the f_0 terms cancel and (1 + c (1 - z) W) S =
       b kappa (1 - z) W F, that is S = b kappa F / (c + U): one product
-      with the law's column 1/(c + U) from the memo.  No load increment is
+      through the memo's plan of the law's 1/(c + U).  No load increment is
       formed: slow loads at dt up to 1e5 stay within 6e-14 of an 80-bit solve.
 
     The response starts from the instantaneous step through the glass
@@ -290,11 +280,10 @@ def step_response(params: ModelParams, load: LoadHistory) -> ResponseHistory:
     b_kappa = a / g / root_kappa
     m = len(f) - 1
     if load.kind == "strain":
-        col = _strain_column(a / root_kappa, m)
-        out = np.concatenate(([f[0] / g], _toeplitz_apply(_toeplitz_plan(col, m), b_kappa * f[1:])))
+        out = np.concatenate(([f[0] / g], _toeplitz_apply(_step_plan(a / root_kappa, m), b_kappa * f[1:])))
     else:
         out = g * f
-        out[1:] += _toeplitz_apply(_l1_plan(m), f[1:] / b_kappa)
+        out[1:] += _toeplitz_apply(_step_plan(None, m), f[1:] / b_kappa)
     return ResponseHistory(kind=_conjugate(load.kind), dt=load.dt, samples=out)
 
 
@@ -345,7 +334,7 @@ def convolve_response(
     # terms shift onto the near column except the one reading f_0.
     dp = np.diff(primitive(params, grid, policy)) / dt  # dP_j / dt
     col = np.diff(dp, prepend=glass)
-    response = _toeplitz_apply(_toeplitz_plan(col, len(col)), f[1:])
+    response = _toeplitz_apply(_toeplitz_plan(col), f[1:])
     if f[0] != 0.0:
         response += f[0] * (kernel(params, grid[1:], policy) - dp)
     out = glass * f

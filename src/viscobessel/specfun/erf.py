@@ -7,7 +7,7 @@ Evaluation regions (validated against high-precision references):
 
 * 0 <= x <= ERFCX_CF_MIN: erfcx = exp(x^2) - (2/sqrt(pi)) * S(x) with the
   all-positive series S(x) = sum_n 2^n x^(2n+1) / (1*3*...*(2n+1)); the
-  subtraction loses < 2 digits on this range.
+  subtraction leaves up to 2.4e-13 relative error (2.39e-13 at x = 1.9765).
 * ERFCX_CF_MIN < x <= ERFCX_ASYM_MIN: the Laplace continued fraction
   sqrt(pi) erfcx(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))),
   evaluated with the modified Lentz algorithm; its start value 1e-300 leaves
@@ -33,8 +33,8 @@ from ..errors import check_array
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _SQRT_PI = math.sqrt(math.pi)
 
-# Series/continued-fraction switchover; chosen so both branches deliver
-# <= 1e-13 relative error on their side of the split.
+# Series/continued-fraction switchover: measured against mpmath, the series
+# is within 2.4e-13 relative below it and the fraction within 3e-15 above.
 ERFCX_CF_MIN = 2.0
 ERFCX_ASYM_MIN = 1e8
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -37,6 +38,24 @@ def test_erfcx_scaling_identity_on_0_5():
     for i in range(51):
         x = 0.1 * i
         assert erfcx(x) * math.exp(-x * x) == pytest.approx(math.erfc(x), rel=1e-12)
+
+
+def _erfcx_mpmath(x):
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return float(mpmath.exp(x * x) * mpmath.erfc(x))
+
+
+@pytest.mark.parametrize("xs, bound", [
+    # the series side of the switchover: its subtraction peaks at 2.39e-13
+    # at x = 1.9765, so the points are dense near 2
+    (np.concatenate((np.linspace(0.0, 1.9, 381), np.linspace(1.9, 2.0, 2001))), 3e-13),
+    # the continued fraction: 2.84e-15 at x = 2.012
+    (np.concatenate((np.linspace(2.0, 8.0, 1201)[1:], np.geomspace(8.0, 1e3, 400))), 5e-15),
+], ids=["series", "fraction"])
+def test_erfcx_within_its_stated_bound_of_mpmath(xs, bound):
+    want = np.array([_erfcx_mpmath(x) for x in xs.tolist()])
+    assert np.max(np.abs(erfcx(xs) - want) / want) <= bound
 
 
 def test_erfc_against_stdlib():

@@ -340,15 +340,24 @@ def test_causality_is_bit_exact_at_large_n(k):
 
 
 def _empty_memos(monkeypatch):
-    monkeypatch.setattr(fracsim, "_L1_PLAN", None)
-    monkeypatch.setattr(fracsim, "_STRAIN_COLUMNS", OrderedDict())
+    monkeypatch.setattr(fracsim, "_STEP_PLANS", OrderedDict())
+
+
+def _counted(monkeypatch, calls, owner, name):
+    """Append name to calls on each call of owner.name."""
+    real = getattr(owner, name)
+
+    def call(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, call)
 
 
 def test_l1_inverse_memo_leaves_no_trace(monkeypatch):
-    # both load kinds read the plan of U = cumsum(1/W) from one per-process
-    # memo, strain loads also a column 1/(c + U) per law from a bounded one;
-    # neither the order in which laws and lengths fill them, a longer run
-    # nor an eviction may move a bit
+    # both load kinds read one memo of plans: U = cumsum(1/W) for stress
+    # loads, 1/(c + U) per law for strain loads; neither the order in which
+    # laws and lengths fill it, a longer run nor an eviction may move a bit
     laws = [ModelParams("fmax", a1=0.5, b1=2.0), ModelParams("asymptotic", nu=0.3)]
     dt = 2e-3
 
@@ -360,13 +369,13 @@ def test_l1_inverse_memo_leaves_no_trace(monkeypatch):
                     yield (kind, p, n), step_response(p, load).samples
 
     _empty_memos(monkeypatch)
-    first = dict(runs(1))  # a strain run fills both memos
-    met = set(fracsim._STRAIN_COLUMNS)
+    first = dict(runs(1))  # a strain run plans U and its law
+    met = set(fracsim._STEP_PLANS) - {None}
     step_response(laws[0], LoadHistory("strain", dt, np.ones(16000)))
     after_longer = dict(runs(-1))
-    for nu in np.linspace(1.0, 2.0, fracsim._STRAIN_LAWS):
+    for nu in np.linspace(1.0, 2.0, fracsim._STEP_LAWS):
         step_response(ModelParams("asymptotic", nu=nu), LoadHistory("strain", dt, np.ones(100)))
-    assert met.isdisjoint(fracsim._STRAIN_COLUMNS)  # both laws evicted
+    assert met.isdisjoint(fracsim._STEP_PLANS)  # both laws evicted
     after_eviction = dict(runs(1))
     _empty_memos(monkeypatch)
     step_response(laws[1], LoadHistory("stress", dt, np.ones(16000)))  # longest first
@@ -374,59 +383,60 @@ def test_l1_inverse_memo_leaves_no_trace(monkeypatch):
     for key, last in runs(-1):
         for again in (after_longer[key], after_eviction[key], last):
             assert np.array_equal(first[key], again), key
-    leaf, spectra = fracsim._l1_plan(999)
+    leaf, spectra = fracsim._step_plan(None, 999)
     assert len(spectra) == 6  # the 16,384-sample plan: 2^6 leaf blocks
     assert not any(a.flags.writeable for a in (leaf, *spectra))
     for size in (_BLOCK, 1024, 4096):
         # each Newton doubling and the running sum read only what precedes
         # them: a plan built at a shorter length is a prefix of the memo's
         u = np.cumsum(fracsim._reciprocal(fracsim._l1_weights(size), size))
-        short_leaf, short_spectra = fracsim._toeplitz_plan(u, size)
+        short_leaf, short_spectra = fracsim._toeplitz_plan(u)
         assert np.array_equal(short_leaf, leaf)
         assert len(short_spectra) == (size // _BLOCK).bit_length() - 1
         assert all(map(np.array_equal, short_spectra, spectra))
 
 
 def test_strain_column_memo_holds_its_bound(monkeypatch):
-    # one column per law, the least recently used evicted first
+    # U's plan and one per law, the least recently used law evicted first;
+    # U is refreshed before a law goes in, so it stays even when warm strain
+    # calls have left it the least recently used
     _empty_memos(monkeypatch)
     load = LoadHistory("strain", 1e-3, np.ones(1000))
-    nus = np.linspace(0.0, 3.0, fracsim._STRAIN_LAWS + 1)
-    for nu in nus:
-        step_response(ModelParams("asymptotic", nu=nu), load)
-        if nu == nus[0]:
-            oldest = next(iter(fracsim._STRAIN_COLUMNS))
-    assert len(fracsim._STRAIN_COLUMNS) == fracsim._STRAIN_LAWS
-    assert oldest not in fracsim._STRAIN_COLUMNS
-    assert all(len(col) == 1024 and not col.flags.writeable for col in fracsim._STRAIN_COLUMNS.values())
+    laws = [ModelParams("asymptotic", nu=nu) for nu in np.linspace(0.0, 3.0, fracsim._STEP_LAWS + 1)]
+    for p in laws[:-1] * 2:
+        step_response(p, load)
+    assert next(iter(fracsim._STEP_PLANS)) is None
+    oldest = list(fracsim._STEP_PLANS)[1]
+    step_response(laws[-1], load)
+    assert len(fracsim._STEP_PLANS) == 1 + fracsim._STEP_LAWS and None in fracsim._STEP_PLANS
+    assert oldest not in fracsim._STEP_PLANS
+    for leaf, spectra in fracsim._STEP_PLANS.values():  # 1024 samples = 2^2 leaf blocks
+        assert len(spectra) == 2 and len(spectra[-1]) == 1024 // 2 + 1
+        assert not any(a.flags.writeable for a in (leaf, *spectra))
+    calls = []
+    for name in ("_reciprocal", "_l1_weights", "_toeplitz_plan"):
+        _counted(monkeypatch, calls, fracsim, name)
+    step_response(laws[0], LoadHistory("stress", 1e-3, np.ones(1000)))
+    assert calls == []  # a stress call after the laws builds nothing
 
 
 def test_stepping_with_a_warm_memo_makes_one_product(monkeypatch):
-    # a strain call with its law's column in the memo plans that column and
-    # applies it once, inverting nothing; a new law's call adds one Newton
-    # inversion that transforms only its iterates (U's spectra stand in for
-    # c + U's), rebuilding no U; a stress call transforms only its input, one
+    # a strain call with its law's plan in the memo applies it once, planning
+    # and inverting nothing; a new law's call adds one Newton inversion that
+    # transforms only its iterates (U's spectra stand in for c + U's) and one
+    # plan, rebuilding no U; a stress call transforms only its input, one
     # batched rfft per doubling
+    _empty_memos(monkeypatch)
     load = np.sin(np.arange(3000.0))
     p = ModelParams("fmax", a1=0.03, b1=40.0)
     step_response(p, LoadHistory("strain", 2e-3, load))
     calls = []
-
-    def counted(owner, name):
-        real = getattr(owner, name)
-
-        def call(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, call)
-
     for name in ("_reciprocal", "_l1_weights", "_toeplitz_plan", "_toeplitz_apply"):
-        counted(fracsim, name)
-    counted(np.fft, "rfft")
+        _counted(monkeypatch, calls, fracsim, name)
+    _counted(monkeypatch, calls, np.fft, "rfft")
     step_response(p, LoadHistory("strain", 2e-3, load))
-    # 4096 = 2^4 leaves: a spectrum per doubling, then its product
-    assert calls == ["_toeplitz_plan"] + ["rfft"] * 4 + ["_toeplitz_apply"] + ["rfft"] * 4
+    # 4096 = 2^4 leaves: a batched rfft per doubling of the product
+    assert calls == ["_toeplitz_apply"] + ["rfft"] * 4
     calls.clear()
     step_response(ModelParams("fmax", a1=0.04, b1=40.0), LoadHistory("strain", 2e-3, load))
     assert calls == ["_reciprocal"] + ["rfft"] * 8 + ["_toeplitz_plan"] + ["rfft"] * 4 + [
@@ -436,19 +446,29 @@ def test_stepping_with_a_warm_memo_makes_one_product(monkeypatch):
     assert calls == ["_toeplitz_apply"] + ["rfft"] * 4
 
 
+def _memo_column(monkeypatch, c, n):
+    """The column 1/(c + U) that _step_plan(c, n) plans, caught on its way in."""
+    cols = []
+    real = fracsim._toeplitz_plan
+    monkeypatch.setattr(fracsim, "_toeplitz_plan", lambda col: cols.append(col) or real(col))
+    fracsim._step_plan(c, n)
+    monkeypatch.setattr(fracsim, "_toeplitz_plan", real)
+    return cols[-1]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 4097, 16_384])
 def test_reciprocal_residual(n, monkeypatch):
     # Newton doublings up to _BLOCK coefficients take direct products, later
-    # ones FFT products.  Columns: the L1 weights, and the memo's strain
-    # stepping columns 1/(c + U), U = cumsum(1/W), whose FFT doublings read
-    # the spectra of U's plan shifted by c, c from large dt (1e-3) to small
-    # (1e3).  The residual of a b = 1, summed in extended precision, reaches
-    # 1.2e-16.
+    # ones FFT products.  Columns: the L1 weights, and the strain stepping
+    # columns 1/(c + U), U = cumsum(1/W), that the memo plans, whose FFT
+    # doublings read the spectra of U's plan shifted by c, c from large dt
+    # (1e-3) to small (1e3).  The residual of a b = 1, summed in extended
+    # precision, reaches 1.2e-16.
     _empty_memos(monkeypatch)
     size = fracsim._plan_size(n)  # the memo's U, whose prefix every shorter U is
     inverse_sum = np.cumsum(fracsim._reciprocal(fracsim._l1_weights(size), size))[:n]
     pairs = [(fracsim._l1_weights(n), fracsim._reciprocal(fracsim._l1_weights(n), n))] + [
-        (np.concatenate(([c + inverse_sum[0]], inverse_sum[1:])), fracsim._strain_column(c, n)[:n])
+        (np.concatenate(([c + inverse_sum[0]], inverse_sum[1:])), _memo_column(monkeypatch, c, n)[:n])
         for c in (1e-3, 1.0, 1e3)
     ]
     for col, b in pairs:
@@ -459,11 +479,10 @@ def test_reciprocal_residual(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK, 1000, 4097])
 def test_memo_strain_column_product_inverts_c_plus_u(n, monkeypatch):
-    # strain stepping solves (c + U) s = rhs by one product with the memo's
-    # column 1/(c + U): the product through its plan must invert c + U at
-    # every length, c from large dt (1e-3) to small (1e3).  The residual,
-    # summed in extended precision, reaches 1.1e-15 of the largest right-hand
-    # side
+    # strain stepping solves (c + U) s = rhs by one product through the
+    # memo's plan of 1/(c + U): it must invert c + U at every length, c from
+    # large dt (1e-3) to small (1e3).  The residual, summed in extended
+    # precision, reaches 1.1e-15 of the largest right-hand side
     _empty_memos(monkeypatch)
     rng = np.random.default_rng(n)
     rhs = rng.normal(size=n)
@@ -471,7 +490,7 @@ def test_memo_strain_column_product_inverts_c_plus_u(n, monkeypatch):
     u = np.cumsum(fracsim._reciprocal(fracsim._l1_weights(size), size))[:n]
     for c in (1e-3, 1.0, 1e3):
         col = np.concatenate(([c + u[0]], u[1:]))
-        s = fracsim._toeplitz_apply(fracsim._toeplitz_plan(fracsim._strain_column(c, n), n), rhs)
+        s = fracsim._toeplitz_apply(fracsim._step_plan(c, n), rhs)
         residual = np.convolve(col.astype(np.longdouble), s.astype(np.longdouble))[:n] - rhs
         assert np.max(np.abs(residual)) <= 4e-15 * np.max(np.abs(rhs)), c
 

@@ -16,8 +16,10 @@ from viscobessel.models import (
 )
 from viscobessel.errors import DomainError, SeriesRefusalError
 from viscobessel.models.checks import _cm_signs
-from viscobessel.models.maxwell import relaxation_memory
+from viscobessel.models import maxwell
+from viscobessel.models.maxwell import PHI_CF_MIN, relaxation_memory
 from viscobessel.models.params import LAWS
+from viscobessel.specfun import erfcx
 
 SHORT_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)
 
@@ -153,6 +155,34 @@ def test_relaxation_memory_within_1e13_of_mpmath_for_x_from_1e_3_to_1e10():
             want = _memory_reference(lam, 1.0, t)
             worst = max(worst, abs(relaxation_memory(lam, 1.0, t) - want) / want)
     assert worst < 1e-13
+
+
+def _memory_both_routes(lam, g, t):
+    """relaxation_memory with both routes run on every input, empty subsets too."""
+    t = np.asarray(t, dtype=float)
+    root = np.sqrt(t)
+    x = lam * root
+    out, near = np.empty(t.shape), x < PHI_CF_MIN
+    out[near] = (lam / (math.sqrt(math.pi) * root[near]) - lam * lam * erfcx(lam * root[near])) / g
+    v = x = x[~near]
+    for a in np.arange(100.5, 0.75, -0.5):
+        v = x + a / v
+    out[~near] = 0.5 / (math.sqrt(math.pi) * g) / t[~near] / (v + 0.5 / x)
+    return out
+
+
+@pytest.mark.parametrize("t", [CM_STENCIL, CM_STENCIL[0, 0], np.zeros(0)], ids=["stencil", "0-d", "empty"])
+@pytest.mark.parametrize("lam", [0.4, 1.0, 5.0], ids=["all-near", "mixed", "all-far"])
+def test_relaxation_memory_skipping_an_empty_route_keeps_every_bit(lam, t, monkeypatch):
+    # on the cm stencil lam sqrt(t) runs over 0.10-0.57 (lam = 0.4),
+    # 0.28-1.43 (1) and 1.22-7.14 (5)
+    want = _memory_both_routes(lam, 0.37, t)
+    got = relaxation_memory(lam, 0.37, t)
+    assert np.asarray(got).shape == want.shape and np.asarray(got).tobytes() == want.tobytes()
+    calls = []
+    monkeypatch.setattr(maxwell, "erfcx", lambda x: calls.append(x) or erfcx(x))
+    relaxation_memory(lam, 0.37, t)
+    assert all(len(x) for x in calls)  # the near route runs only on a nonempty subset
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
