@@ -38,10 +38,13 @@ The dropped terms are the expensive ones: np.exp takes its slow path for
 arguments that underflow to subnormals or zero, and subnormal division is slow.
 
 One pass over the times gives every chunk's smallest and largest time, which
-the checks, the counts and the cuts read: the counts come from one array of
-tail bounds, the cuts from one search in j_n^2 - j_1^2.  A chunk starts as
-one block, and a block is halved while each half keeps at least 64 times and
-the halves' own cuts save at least 8192 term evaluations.  So a grid k dt
+the checks, the counts and the cuts read.  Every step of a tail bound falls
+with t, so one scalar search counts every chunk: it visits the distinct chunk
+minima from the largest down, each resuming at the index where the one before
+stopped, so it reads each index once and each minimum's count once more.
+The cuts come from one search in j_n^2 - j_1^2.  A chunk starts as one block,
+and a block is halved while each half keeps at least 64 times and the
+halves' own cuts save at least 8192 term evaluations.  So a grid k dt
 from t = 0 splits its first chunk into ~7 geometric blocks and only the 64
 times at t = 0 keep every term; a log grid's chunks do not split.  A block of
 two or more times merges into the one before it when both keep the same terms
@@ -49,24 +52,27 @@ and together hold at most 2^17 (1 MB); its columns still add their terms in
 table order, so no bit moves.  A one-term block skips the buffer.
 
 A series reads only its first n_use zeros (one more for Phi), so it asks the
-zero memo for just the prefix its smallest time t_min needs: it takes tables
-of N_MIN + 1, 16, 32, 48, ... zeros (at most n_max) and stops at the first
-whose tail bound falls below tol at t_min, each table resuming the search
-where the one before stopped.  At the default tol that is at most 64 zeros
-from t_min = 1e-3 and 16 from 0.1.  A prefix holds the first zeros of the
-full table bit for bit, so every sum, count and refusal is the one over the
-n_max table.  The exact primitives read the whole table.
+zero memo for just the prefix its smallest time t_min needs: the search
+starts on a table of N_MIN + 1 zeros and, each time it reaches a table's end,
+resumes there on the next of 16, 32, 48, ... zeros (at most n_max), so it
+ends on the first whose tail bound falls below tol at t_min.  At the default
+tol that is at most 64 zeros from t_min = 1e-3 and 16 from 0.1.  A prefix
+holds the first zeros of the full table bit for bit, so every sum, count and
+refusal is the one over the n_max table.  The exact primitives read the whole
+table.  J and the creep primitive grow like t and t^2, and are refused with
+DomainError where that growth overflows at the largest time.
 """
 
 import math
 
 import numpy as np
 
-from ..errors import SeriesRefusalError, TableExhaustedError, check_array, check_order, check_times
+from ..errors import (DomainError, SeriesRefusalError, TableExhaustedError, check_array,
+                      check_order, check_times)
 from ..specfun.bessel import bessel_i_ratio
 from ..specfun.erf import erfcx
 from ..specfun.zeros import ZeroTable, zero_table
-from .params import (DEFAULT_POLICY, N_MIN, Family, TruncationPolicy, check_nu, scalar_or_array,
+from .params import (DEFAULT_POLICY, N_MIN, Family, ModelParams, check_nu, scalar_or_array,
                      transform_root)
 
 _CHUNK = 4096  # times per chunk; each chunk truncates on its own
@@ -106,44 +112,9 @@ def _extremes(ts) -> np.ndarray:
     return np.array((np.minimum.reduceat(ts, starts), np.maximum.reduceat(ts, starts)))
 
 
-def _check_times(ts, policy: TruncationPolicy):
-    """(ts as an array, its smallest time: inf when empty, its _extremes), or the refusal."""
-    ts = np.asarray(ts, dtype=float)
-    ext = _extremes(ts.ravel())  # NaN reaches both rows; a lone chunk's are the grid's
-    t_min, t_max = ext[:, 0].tolist() if ext.shape[1] == 1 else (
-        float(ext[0].min(initial=math.inf)), ext[1].max(initial=-math.inf))
-    if ts.size and not (math.isfinite(t_min) and math.isfinite(t_max)):
-        check_array(ts, "series evaluation requires finite times")  # raises, quoting one
-    if t_min < policy.t_floor:
-        raise SeriesRefusalError(f"series evaluation refused below t_floor = {policy.t_floor!r} "
-                                 f"(smallest requested t = {t_min!r})")
-    return ts, t_min, ext
-
-
-def _truncation_index(tail, n_terms: int, t: float, policy: TruncationPolicy, start=N_MIN - 1):
-    """Smallest 1-based N in [start + 1, n_terms] with tail(N - 1, t) <= tol,
-    else None; start >= N_MIN - 1 resumes a search that ended there."""
-    hits = (i + 1 for i in range(start, n_terms) if tail(i, t) <= policy.tol)
-    return next(hits, None)
-
-
-def _chunk_counts(tail, n: int, ts, policy: TruncationPolicy, sq) -> np.ndarray:
-    """_truncation_index(tail, n, t, policy) or n at each t of ts, from the tails
-    tail(idx, ts, np.exp, sq) on the squares' array sq; np.exp may differ from
-    math.exp in the last bits, so a tail within 1e-12 of tol is asked again."""
-    idx, ts = np.arange(N_MIN - 1, n), np.asarray(ts, dtype=float)
-    tails = tail(idx, ts[..., None], np.exp, sq)
-    hit = tails <= policy.tol
-    tails -= policy.tol
-    for k in zip(*np.nonzero(tails * tails <= (1e-12 * policy.tol) ** 2)):
-        hit[k] = tail(int(idx[k[-1]]), float(ts[k[:-1]])) <= policy.tol
-    hit[..., -1] = True  # no hit before the last term: n
-    return hit.argmax(-1) + N_MIN
-
-
-def _block_plan(sq, ts, n_for=None, extremes=None) -> list:
-    """(first, end, terms) blocks of ts in time order: a chunk keeps its first
-    n_for(chunk minima) terms (all if n_for is None), and each block of it
+def _block_plan(sq, ts, counts=None, extremes=None) -> list:
+    """(first, end, terms) blocks of ts in time order: chunk k keeps its first
+    counts[k] terms (all if counts is None), and each block of it
     those that can change a bit of its row sums (module doc).  extremes are
     the _extremes of ts, taken here when the caller has none."""
     ext = _extremes(ts) if extremes is None else extremes
@@ -154,7 +125,7 @@ def _block_plan(sq, ts, n_for=None, extremes=None) -> list:
         return min(n, int(gaps.searchsorted(_SUB_ULP / max(float(t), 1e-300), "right")))
 
     # every chunk's m = kept(n, lo) and, within it, its largest time's kept(n, hi)
-    n = len(sq) if n_for is None else n_for(ext[0])
+    n = len(sq) if counts is None else counts
     cuts = gaps.searchsorted(_SUB_ULP / np.maximum(ext, 1e-300), "right")
     m, m_hi = np.minimum(n, cuts).tolist()
     plan, starts = [], list(range(0, len(ts), _CHUNK))
@@ -180,14 +151,15 @@ def _block_plan(sq, ts, n_for=None, extremes=None) -> list:
     return plan
 
 
-def _dirichlet_sum(squares, ts, power: int, n_for=None, extremes=None) -> np.ndarray:
+@np.errstate(over="ignore")  # -j_n^2 t = -inf: a term exp(-inf) = 0
+def _dirichlet_sum(squares, ts, power: int, counts=None, extremes=None) -> np.ndarray:
     """sum_n exp(-j_n^2 t) / j_n^(2 power) over the blocks of _block_plan, all
     summed in one buffer; a column adds its block's terms in table order
     wherever the block ends, so merged blocks give the same bits.  A one-term
     block is written straight into the output."""
     sq = np.asarray(squares, dtype=float)
     ts = np.asarray(ts, dtype=float).ravel()
-    plan = _block_plan(sq, ts, n_for, extremes)
+    plan = _block_plan(sq, ts, counts, extremes)
     col = sq[:, None]
     neg, weights = -col, col if power == 1 else col**power
     buf = np.empty(max(((b - a) * m for a, b, m in plan if m > 1), default=0))
@@ -202,63 +174,70 @@ def _dirichlet_sum(squares, ts, power: int, n_for=None, extremes=None) -> np.nda
     return out
 
 
-def _rayleigh_tail(c: float, squares):
-    """Tail bound of the J and G series: past N, below c exp(-j_N^2 t)."""
-    def tail(i, t, exp=math.exp, sq=squares):
-        return c * exp(-sq[i] * t)
-
-    return tail
-
-
-def _memory_tail(amp: float, squares):
-    """Tail bound of amp sum_n exp(-j_n^2 t): j_n^2 gaps grow, so terms past
-    idx+1 fall faster than rho^k; the bound past N reads zero N + 1."""
-    def tail(idx, t, exp=math.exp, sq=squares):
-        rho = exp(-(sq[idx + 1] - sq[idx]) * t)
-        return amp * exp(-sq[idx + 1] * t) / (1.0 - rho)
-
-    return tail
+def _tail(c: float, power: int, sq, i: int, t: float) -> float:
+    """Bound at t on the series tail past its first N = i + 1 terms: c exp(-j_N^2 t)
+    for J and G (power 1, Rayleigh); for Phi (power 0) j_n^2 gaps grow, so the
+    terms past N fall faster than rho^k, and the bound reads zero N + 1."""
+    if power:
+        return c * math.exp(-sq[i] * t)
+    rho = math.exp(-(sq[i + 1] - sq[i]) * t)
+    return c * math.exp(-sq[i + 1] * t) / (1.0 - rho)
 
 
-def _series(order, times, policy, c, power, what) -> np.ndarray:
-    """sum_n exp(-j_n^2 t) / j_n^(2 power) over the zeros of J_order: power 1
-    for J and G (c times the tail is below _rayleigh_tail's bound), 0 for Phi
-    (below _memory_tail's).  Truncated at the smallest of times =
-    _check_times(...) (or refused there), then per chunk within that; the
-    tails take arrays, as _chunk_counts.  The zeros are the first table of
-    N_MIN + 1, 16, 32, ... (at most n_max) whose tail falls below tol at
-    t_min, each searched only past the table before it (module doc)."""
-    ts, t_min, ext = times
-    n, start = min(N_MIN + 1, policy.n_max), N_MIN - 1
-    while True:
-        tab = zero_table(order, n)
-        tail = (_rayleigh_tail if power else _memory_tail)(c, tab.squares)
-        end = len(tab) - (power == 0)  # Phi's bound past N reads zero N + 1
-        n_use = _truncation_index(tail, end, t_min, policy, start)
-        if n_use is not None:
-            break
-        if n == policy.n_max:
-            detail = (f"{n} zeros cannot push the series tail" if power
-                      else f"table of {n} zeros cannot bound the memory-series tail")
-            raise TableExhaustedError(
-                f"{what}: {detail} below tol = {policy.tol!r} at t = {t_min!r}")
-        n, start = min(n // 16 * 16 + 16, policy.n_max), end
-    # a tail bound falls with t, so later chunks need N_MIN to n_use terms
-    return _dirichlet_sum(tab.square_array, ts, power, lambda lo: (
-        n_use if n_use == N_MIN or lo.size == 1 and lo.item() <= t_min  # one chunk at t_min
-        else _chunk_counts(tail, n_use, lo, policy, tab.square_array)), ext).reshape(ts.shape)
+def _series(order, ts, policy, c, power, what):
+    """(sum_n exp(-j_n^2 t) / j_n^(2 power) over the zeros of J_order on ts's
+    shape, ts's largest time), or the refusal of a time that is not finite or
+    lies below t_floor.  Each chunk keeps the first N >= N_MIN terms whose
+    _tail(c, power, ...) at its smallest time is at most tol, searched as the
+    module doc says from the largest chunk minimum down, on the first table of
+    N_MIN + 1, 16, 32, ... zeros (at most n_max) that holds them all."""
+    ts = np.asarray(ts, dtype=float)
+    ext = _extremes(ts.ravel())
+    if not np.isfinite(ext).all():  # NaN reaches both rows
+        check_array(ts, "series evaluation requires finite times")  # raises, quoting one
+    lows = ext[0].tolist()
+    minima = sorted(set(lows), reverse=True)
+    t_min = minima[-1] if minima else math.inf
+    if t_min < policy.t_floor:
+        raise SeriesRefusalError(f"series evaluation refused below t_floor = {policy.t_floor!r} "
+                                 f"(smallest requested t = {t_min!r})")
+    n, i, counts = min(N_MIN + 1, policy.n_max), N_MIN - 1, {}
+    tab = zero_table(order, n)
+    for t in minima:  # a tail falls with t, so no index before i meets tol at t
+        while True:
+            end = len(tab) - (power == 0)  # Phi's bound past N reads zero N + 1
+            while i < end and _tail(c, power, tab.squares, i, t) > policy.tol:
+                i += 1
+            if i < end:
+                break
+            if n == policy.n_max:
+                detail = (f"{n} zeros cannot push the series tail" if power
+                          else f"table of {n} zeros cannot bound the memory-series tail")
+                raise TableExhaustedError(
+                    f"{what}: {detail} below tol = {policy.tol!r} at t = {t_min!r}")
+            n = min(n // 16 * 16 + 16, policy.n_max)
+            tab = zero_table(order, n)
+        counts[t] = i + 1
+    series = _dirichlet_sum(tab.square_array, ts, power, [counts[t] for t in lows], ext)
+    return series.reshape(ts.shape), float(ext[1].max(initial=0.0))
+
+
+def _refuse_overflow(value: float, nu: float, what: str, t: float):
+    """DomainError naming the family and t unless value, the largest of what's
+    growing part (reached at the largest time t), is finite."""
+    if not math.isfinite(value):
+        raise DomainError(f"{ModelParams('bessel', nu=nu).label()}: {what} overflows at t = {t!r}")
 
 
 def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
     """Creep compliance J(t; nu) on an array of times (each >= t_floor)."""
     nu = check_nu(nu)
-    policy = policy or DEFAULT_POLICY
-    times = _check_times(ts, policy)
     coeff = (nu + 1.0) / (nu + 3.0)  # 4(nu+1) * Rayleigh tail 1/(4(nu+3))
-    series = _series(nu + 2.0, times, policy, coeff, 1, "J series")
+    series, t_max = _series(nu + 2.0, ts, policy or DEFAULT_POLICY, coeff, 1, "J series")
     amp, slope = 4.0 * (nu + 1.0), 4.0 * (nu + 1.0) * (nu + 2.0)
     offset = 2.0 * (nu + 2.0) / (nu + 3.0)
-    flat, ts = series.reshape(-1), times[0].reshape(-1)
+    _refuse_overflow(slope * t_max + offset, nu, "J", t_max)
+    flat, ts = series.reshape(-1), np.asarray(ts, dtype=float).reshape(-1)
     for k in range(0, len(flat), _CHUNK):  # (slope t + offset) - amp S, in place per chunk
         s = flat[k : k + _CHUNK]
         s *= amp
@@ -269,10 +248,8 @@ def bessel_J_curve(nu, ts, policy=None) -> np.ndarray:
 def bessel_G_curve(nu, ts, policy=None) -> np.ndarray:
     """Relaxation modulus G(t; nu) on an array of times (each >= t_floor)."""
     nu = check_nu(nu)
-    policy = policy or DEFAULT_POLICY
-    times = _check_times(ts, policy)
     # 4(nu+1) * Rayleigh tail 1/(4(nu+1)) = 1
-    series = _series(nu, times, policy, 1.0, 1, "G series")
+    series = _series(nu, ts, policy or DEFAULT_POLICY, 1.0, 1, "G series")[0]
     return scalar_or_array(np.multiply(series, 4.0 * (nu + 1.0), out=series))
 
 
@@ -289,10 +266,8 @@ def bessel_G_time(nu: float, t: float, policy=None) -> float:
 def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
     """Rate of relaxation Phi(t; nu) = -dG/dt on an array of times."""
     nu = check_nu(nu)
-    policy = policy or DEFAULT_POLICY
-    times = _check_times(ts, policy)
     amp = 4.0 * (nu + 1.0)
-    series = _series(nu, times, policy, amp, 0, "Phi series")
+    series = _series(nu, ts, policy or DEFAULT_POLICY, amp, 0, "Phi series")[0]
     return scalar_or_array(np.multiply(series, amp, out=series))
 
 
@@ -301,8 +276,9 @@ def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
-    """sum_n exp(-j_n^2 T) / j_n^4 over every zero, T >= 0 (vectorized).
+def _exp_quartic_sum(tab: ZeroTable, T):
+    """(sum_n exp(-j_n^2 T) / j_n^4 over every zero on T's shape, T's largest
+    bound), T >= 0 (vectorized).
 
     The table's terms are summed like the J and G series (module doc).  The
     rest sum to R(0) = sigma_2 - (table sum) at
@@ -315,8 +291,8 @@ def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
     dropped (T > 9.6e-5 for 200 zeros).
     """
     shape, T = np.shape(T), np.asarray(T, dtype=float).ravel()
-    sq = tab.square_array
-    out = _dirichlet_sum(sq, T, 2)
+    ext, sq = _extremes(T), tab.square_array
+    out = _dirichlet_sum(sq, T, 2, None, ext)
     sigma2 = tab.quartic_limit()  # the whole sum; the table's is tab.quartic_partial
     r0 = sigma2 - tab.quartic_partial
     if r0 > 0.0:  # else the table holds the whole sum to rounding
@@ -327,7 +303,7 @@ def _exp_quartic_sum(tab: ZeroTable, T) -> np.ndarray:
         rho = np.exp(-xx) * (1.0 - 2.0 * xx + 2.0 * math.sqrt(math.pi) * xx * x * erfcx(x))
         out[near] += r0 * rho
         out[near[x == 0.0]] = sigma2
-    return out.reshape(shape)
+    return out.reshape(shape), float(ext[1].max(initial=0.0))
 
 
 def bessel_creep_integral_curve(nu, T, policy=None) -> np.ndarray:
@@ -343,12 +319,14 @@ def bessel_creep_integral_curve(nu, T, policy=None) -> np.ndarray:
     policy = policy or DEFAULT_POLICY
     T = check_times(T)
     tab = zero_table(nu + 2.0, policy.n_max)
+    sums, t_max = _exp_quartic_sum(tab, T)
+
+    def growth(T):  # rises with T >= 0
+        return 2.0 * (nu + 2.0) / (nu + 3.0) * T + 2.0 * (nu + 1.0) * (nu + 2.0) * T * T
+
+    _refuse_overflow(growth(t_max), nu, "creep primitive", t_max)
     amp = 4.0 * (nu + 1.0)
-    return scalar_or_array(
-        2.0 * (nu + 2.0) / (nu + 3.0) * T
-        + 2.0 * (nu + 1.0) * (nu + 2.0) * T * T
-        - amp * (tab.quartic_limit() - _exp_quartic_sum(tab, T))
-    )
+    return scalar_or_array(growth(T) - amp * (tab.quartic_limit() - sums))
 
 
 def bessel_relax_integral_curve(nu, T, policy=None) -> np.ndarray:
@@ -358,7 +336,7 @@ def bessel_relax_integral_curve(nu, T, policy=None) -> np.ndarray:
     T = check_times(T)
     tab = zero_table(nu, policy.n_max)
     amp = 4.0 * (nu + 1.0)
-    return scalar_or_array(amp * (tab.quartic_limit() - _exp_quartic_sum(tab, T)))
+    return scalar_or_array(amp * (tab.quartic_limit() - _exp_quartic_sum(tab, T)[0]))
 
 
 BESSEL = Family(

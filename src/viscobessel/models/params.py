@@ -110,12 +110,11 @@ class TruncationPolicy:
     t_floor: float = 1e-3
 
     def __post_init__(self):
-        if not (self.tol > 0.0):
-            raise DomainError(f"tol must be positive, got {self.tol!r}")
+        if not (0.0 < self.tol < math.inf and 0.0 < self.t_floor < math.inf):
+            raise DomainError(f"tol and t_floor must be finite and > 0, "
+                              f"got {self.tol!r}, {self.t_floor!r}")
         if not N_MIN <= self.n_max:
             raise DomainError(f"n_max must be >= {N_MIN}, got {self.n_max!r}")
-        if not (self.t_floor > 0.0):
-            raise DomainError(f"t_floor must be positive, got {self.t_floor!r}")
 
 
 DEFAULT_POLICY = TruncationPolicy()

@@ -12,7 +12,6 @@ import numpy as np
 
 from ..errors import DomainError
 from .erf import erfcx
-from .gamma import gamma_fn
 
 
 def mittag_leffler_half(z):
@@ -45,6 +44,6 @@ def mittag_leffler_series(alpha: float, z: float, n_terms: int) -> float:
     total = 0.0
     power = 1.0
     for n in range(n_terms):
-        total += power / gamma_fn(alpha * n + 1.0)
+        total += power / math.gamma(alpha * n + 1.0)
         power *= z
     return total

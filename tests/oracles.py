@@ -365,12 +365,13 @@ def bessel_primitive(nu: int, kind: str, ts, n_zeros: int = 2000) -> np.ndarray:
     return np.array(out)
 
 
-def dirichlet_sum_uncut(squares, ts, power: int, n_for=None, extremes=None) -> np.ndarray:
+def dirichlet_sum_uncut(squares, ts, power: int, counts=None, extremes=None) -> np.ndarray:
     """The series kernel before terms below half an ulp were dropped.
 
     Kept verbatim (chunk size included) so the cut kernel can be checked
     against it bit for bit; it sums every term the truncation rule keeps.
-    It takes the package kernel's arguments; ``extremes``, the chunk extremes
+    It takes the package kernel's arguments: chunk k keeps its first
+    counts[k] terms (all if counts is None); ``extremes``, the chunk extremes
     that the package's checks pass on to its block plan, is not needed here.
     """
     sq = np.asarray(squares, dtype=float)
@@ -378,7 +379,7 @@ def dirichlet_sum_uncut(squares, ts, power: int, n_for=None, extremes=None) -> n
     out = np.empty(len(ts))
     for lo in range(0, len(ts), _CHUNK):
         chunk = ts[lo : lo + _CHUNK]
-        n = len(sq) if n_for is None else n_for(chunk.min())
+        n = len(sq) if counts is None else counts[lo // _CHUNK]
         terms = np.outer(-sq[:n], chunk)  # in place from here; (-a) b == -(a b)
         np.exp(terms, out=terms)
         terms /= sq[:n, None] ** power
@@ -432,18 +433,33 @@ def block_plan_reference(sq, ts, n_for=None, sub_ulp=SUB_ULP_CUT_BEFORE) -> list
 def series_plan_reference(fn: str, nu: float, ts, sub_ulp=SUB_ULP_CUT_BEFORE,
                           policy=DEFAULT_POLICY) -> list:
     """``block_plan_reference`` of a Bessel series on ts, with its term counts
-    taken chunk by chunk as before they were planned from arrays.
+    taken chunk by chunk, each by its own search.
 
-    fn is "J", "G" or "Phi" (the tail bounds of ``dirichlet_reference``, with
-    the package's J coefficient (nu+1)/(nu+3)), or "creep"/"relax" for the
-    primitives' whole-table quartic sums.  J, G and Phi keep the first N in
-    [N_MIN, n_use] whose tail bound at the chunk's smallest time is below
-    tol, n_use being that count at the smallest time of all.
+    fn is "J", "G" or "Phi", or "creep"/"relax" for the primitives'
+    whole-table quartic sums.  J, G and Phi keep the first N in [N_MIN,
+    n_use] whose tail bound at the chunk's smallest time is at most tol
+    (``truncation_reference``), n_use being that count at the smallest time
+    of all.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     sq = zero_table(nu + 2.0 if fn in ("J", "creep") else nu, policy.n_max).squares
     if fn in ("creep", "relax"):
         return block_plan_reference(np.asarray(sq), ts, None, sub_ulp)
+    t_min = float(ts.min())
+    n_use = truncation_reference(fn, nu, t_min, policy)
+    return block_plan_reference(np.asarray(sq[:n_use]), ts, lambda t: n_use if t == t_min else (
+        truncation_reference(fn, nu, t, policy, n_use)), sub_ulp)
+
+
+def truncation_reference(fn: str, nu: float, t: float, policy=DEFAULT_POLICY, n=None):
+    """The first N in [N_MIN, n] whose tail bound at t is at most tol, else None.
+
+    fn is "J", "G" or "Phi", with the tail bounds of ``dirichlet_reference``
+    (J with the package's coefficient (nu+1)/(nu+3)) on the n_max table; n
+    defaults to the most that table can count (one less for Phi, whose bound
+    past N reads zero N + 1).  Each index is tried on its own, at t alone.
+    """
+    sq = zero_table(nu + 2.0 if fn == "J" else nu, policy.n_max).squares
     amp = 4.0 * (nu + 1.0)
     if fn == "Phi":
         n_terms = min(len(sq), policy.n_max) - 1
@@ -456,13 +472,8 @@ def series_plan_reference(fn: str, nu: float, ts, sub_ulp=SUB_ULP_CUT_BEFORE,
         def tail(i, t):
             return c * math.exp(-sq[i] * t)
 
-    def first(n, t):
-        return next((i + 1 for i in range(N_MIN - 1, n) if tail(i, t) <= policy.tol), None)
-
-    t_min = float(ts.min())
-    n_use = first(n_terms, t_min)
-    return block_plan_reference(np.asarray(sq[:n_use]), ts,
-                                lambda t: n_use if t == t_min else first(n_use, t), sub_ulp)
+    n = n_terms if n is None else n
+    return next((i + 1 for i in range(N_MIN - 1, n) if tail(i, t) <= policy.tol), None)
 
 
 def planned_dirichlet_sum(squares, ts, power: int, plan) -> np.ndarray:

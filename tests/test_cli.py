@@ -788,6 +788,31 @@ def test_a_finite_law_whose_kernel_overflows_exits_2_naming_law_and_time(capsys,
     assert captured.err == f"error: {named}\n"
 
 
+@pytest.mark.parametrize("load,argv,named", [
+    (None, ["eval", "--fn", "J", "--t-start", "1", "--t-end", "3e307", "--points", "2"],
+     "bessel[nu=0]: J overflows at t = 3e+307"),
+    ((0.0, 1.0, 1.0), ["simulate", "--kind", "stress"],
+     "bessel[nu=0]: creep primitive overflows at t = 2e+160"),
+    (None, ["eval", "--tol", "inf"], "tol and t_floor must be finite and > 0, got inf, 0.001"),
+    (None, ["eval", "--t-floor", "inf"], "tol and t_floor must be finite and > 0, got 1e-10, inf"),
+], ids=["J", "creep-primitive", "tol", "t-floor"])
+def test_bessel_overflow_and_an_infinite_policy_exit_2_with_one_error_line(
+        tmp_path, capsys, load, argv, named):
+    # J printed inf and the dt = 1e160 simulation inf and nan, each with
+    # RuntimeWarnings and exit 0; --tol inf kept 8 terms (J(1e-3) = 1.07946,
+    # not 1.07446) and --t-floor inf refused every time with exit 3
+    if load is not None:
+        write_history(LoadHistory("stress", 1e160, load), tmp_path / "load.csv")
+        argv = [*argv, "--input", str(tmp_path / "load.csv")]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--family", "bessel", "--nu", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+
+
 def test_a_finite_law_near_the_overflow_prints_the_true_g(capsys):
     # lam = 1.6e308: G(t) = 1/(sqrt(pi) lam sqrt(t)) < 5e-309, a subnormal
     capsys.readouterr()

@@ -33,6 +33,14 @@ def test_series_op_single_term():
     assert mittag_leffler_series(0.5, 0.0, 1) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_series_op_matches_the_stdlib_gamma_oracle():
+    # 1/Gamma from math.gamma: the Lanczos gamma_fn left 3.1e-14 relative
+    worst = max(abs(mittag_leffler_series(alpha, z, 60) / mittag_leffler_series_oracle(alpha, z, 60)
+                    - 1.0)
+                for alpha in (0.5, 1.0, 1.5) for z in [-2.0 + 0.05 * k for k in range(81)])
+    assert worst <= 1.5e-14
+
+
 def test_series_cross_oracle_agreement():
     series = mittag_leffler_series(0.5, -0.5, 60)
     assert mittag_leffler_half(-0.5) == pytest.approx(series, abs=1e-10)

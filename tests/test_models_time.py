@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from oracles import (
     planned_dirichlet_sum,
     scipy_series,
     series_plan_reference,
+    truncation_reference,
 )
 from viscobessel.cli import FIGURE_ASYM_NUS, FIGURE_GRID_LIN, FIGURE_GRID_LOG
 from viscobessel.errors import SeriesRefusalError, TableExhaustedError
@@ -234,13 +236,10 @@ def test_prefix_search_stops_at_the_smallest_table_that_suffices(monkeypatch, fn
     sizes = [N_MIN + 1] + list(range(16, 400, 16)) + [400]
     for nu in (-0.9, 0.0, 1.0, 3.0, 6.0):
         order = nu + 2.0 if fn == "J" else nu
-        tab = zero_table(order, 400)
-        make_tail = bessel_family._memory_tail if fn == "Phi" else bessel_family._rayleigh_tail
-        tail = make_tail(_TAIL_FACTOR[fn](nu), tab.squares)
         reads = (fn == "Phi")  # zeros read past the count: Phi's bound reads zero N + 1
         for t in np.geomspace(2e-5, 10.0, 25):
             got, calls = _tables_read(monkeypatch, fn, nu, [t], policy)
-            need = bessel_family._truncation_index(tail, 400 - reads, float(t), policy)
+            need = truncation_reference(fn, nu, float(t), policy)
             assert [n for _, n in calls] == sizes[: len(calls)] and {o for o, _ in calls} == {order}
             *before, last = [n - reads for _, n in calls]  # the count each table can reach
             if need is None:
@@ -256,19 +255,29 @@ def test_prefix_search_stops_at_the_smallest_table_that_suffices(monkeypatch, fn
 ], ids=["wide", "short-t-min"])
 @pytest.mark.parametrize("fn", ["J", "G", "Phi"])
 def test_scalar_tail_search_visits_each_index_once_at_t_min(fn, ts, policy):
-    # every chunk's count comes from one array of tails, so the scalar search
-    # runs only for the smallest time, and each larger table resumes it
-    # where the one before stopped: no index is visited twice
-    visits, search = [], bessel_family._truncation_index
+    # one scalar search counts every chunk: it visits the distinct chunk
+    # minima from the largest down, each resuming at the index where the one
+    # before stopped (and a larger table at the end of the one before), so it
+    # reads each index up to the count at t_min once, and each minimum's count
+    # once more
+    visits, tail = [], bessel_family._tail
 
-    def counted(tail, n_terms, t, policy, start):
-        return search(lambda i, t: visits.append((i, t)) or tail(i, t), n_terms, t, policy, start)
+    def counted(c, power, sq, i, t):
+        visits.append((i, t))
+        return tail(c, power, sq, i, t)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(bessel_family, "_truncation_index", counted)
+        m.setattr(bessel_family, "_tail", counted)
         SERIES_CURVES[fn](0.3, ts, policy)
-    assert {t for _, t in visits} == {float(ts.min())}
-    assert [i for i, _ in visits] == list(range(N_MIN - 1, len(visits) + N_MIN - 1))
+    starts = np.arange(0, len(ts), bessel_family._CHUNK)
+    minima = sorted(set(np.minimum.reduceat(ts, starts).tolist()), reverse=True)
+    n_use = truncation_reference(fn, 0.3, minima[-1], policy)
+    assert len(visits) <= n_use - N_MIN + 1 + len(minima)
+    runs = [[i for i, t in visits if t == lo] for lo in minima]
+    assert visits == [(i, lo) for lo, run in zip(minima, runs) for i in run]
+    assert runs[0][0] == N_MIN - 1 and runs[-1][-1] == n_use - 1
+    for before, run in zip([[N_MIN - 1]] + runs, runs):
+        assert run == list(range(before[-1], before[-1] + len(run)))
 
 
 @pytest.mark.parametrize("fn,reverse", [("G", False), ("J", False), ("J", True)])
@@ -298,10 +307,9 @@ def test_J_in_place_keeps_the_bits_of_the_whole_array_formula(nu):
              rng.uniform(1e-3, 5.0, 4097), rng.permutation(np.geomspace(1e-3, 50.0, 10_000)),
              rng.uniform(1e-2, 2.0, (3, 5000))]
     for ts in grids:
-        times = bessel_family._check_times(ts, policy)
-        series = bessel_family._series(nu + 2.0, times, policy, (nu + 1.0) / (nu + 3.0), 1, "J")
+        series, _ = bessel_family._series(nu + 2.0, ts, policy, (nu + 1.0) / (nu + 3.0), 1, "J")
         series *= 4.0 * (nu + 1.0)
-        out = 4.0 * (nu + 1.0) * (nu + 2.0) * times[0]
+        out = 4.0 * (nu + 1.0) * (nu + 2.0) * np.asarray(ts, dtype=float)
         out += 2.0 * (nu + 2.0) / (nu + 3.0)
         out -= series
         got = bessel_family.bessel_J_curve(nu, ts)
@@ -498,22 +506,52 @@ def test_block_plan_from_arrays_matches_the_chunk_by_chunk_plan(grid, nu):
             assert np.array_equal(got[:upto], reference[:upto]), (fn, cut)
 
 
-@pytest.mark.parametrize("skew", [-1e-14, 1e-14])
-def test_chunk_counts_equal_the_scalar_search(skew):
-    # where a tail lies within a few ulp of tol (times where the count steps
-    # up), the counts follow the scalar tail even if the array one is 1e-14 off
-    tab = zero_table(0.3, DEFAULT_POLICY.n_max)
-    sq, tol = tab.squares, DEFAULT_POLICY.tol
+@pytest.mark.parametrize("fn", ["J", "G", "Phi"])
+def test_counts_at_near_tie_chunk_minima_equal_the_reference_search(fn):
+    # chunk minima where a tail lies within an ulp of tol (times where the
+    # count steps up: each edge ln(c / tol) / j_n^2 and both its float
+    # neighbours) count as the independent search at each minimum does
+    nu, policy = 0.3, TruncationPolicy(t_floor=1e-4)
+    sq = zero_table(nu + 2.0 if fn == "J" else nu, policy.n_max).squares
+    edges = [math.log(_TAIL_FACTOR[fn](nu) / policy.tol) / s for s in sq[N_MIN - 1 : 60]]
+    minima = [np.nextafter(t, d) for t in edges for d in (0.0, np.inf)] + edges
+    ts = np.concatenate([t * np.linspace(1.0, 1.5, bessel_family._CHUNK) for t in minima])
+    plans, plan = [], bessel_family._block_plan
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bessel_family, "_block_plan", lambda *a: plans.append(plan(*a)) or plans[-1])
+        SERIES_CURVES[fn](nu, ts, policy)
+    assert plans == [series_plan_reference(fn, nu, ts, bessel_family._SUB_ULP, policy)]
 
-    def tail(i, t, exp=math.exp, sq=sq):
-        return exp(-sq[i] * t) * (1.0 if exp is math.exp else 1.0 + skew)
 
-    edges = [-math.log(tol) / s for s in sq[N_MIN - 1 : 60]]
-    ts = np.array([np.nextafter(t, d) for t in edges for d in (0.0, np.inf)] + edges)
-    counts = bessel_family._chunk_counts(tail, 60, ts, DEFAULT_POLICY, tab.square_array)
-    assert counts.tolist() == [
-        bessel_family._truncation_index(tail, 60, float(t), DEFAULT_POLICY) or 60 for t in ts
-    ]
+@pytest.mark.parametrize("fn", ["J", "G", "Phi"])
+def test_an_empty_grid_searches_nothing(fn):
+    # no chunk, no count: Phi on 8 zeros can bound no tail (its bound reads
+    # zero N + 1), yet an empty grid is not refused, as it was at t = inf
+    policy = TruncationPolicy(n_max=8, t_floor=1e-5)
+    for ts in ([], np.empty((0, 3))):
+        got = SERIES_CURVES[fn](0.0, ts, policy)
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(ts)
+    if fn == "Phi":
+        with pytest.raises(TableExhaustedError, match="table of 8 zeros"):
+            SERIES_CURVES[fn](0.0, [1.0], policy)
+
+
+def test_bessel_J_and_creep_primitive_refuse_overflow_at_the_largest_time():
+    # J grows like 4(nu+1)(nu+2) t and the creep primitive like T^2: each
+    # returned inf with RuntimeWarnings (and a simulation on it nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^bessel\[nu=0\]: J overflows at t = 3e\+307$"):
+            bessel_J_curve(0.0, [1.0, 3e307, 2.0])
+        with pytest.raises(DomainError, match=r"^bessel\[nu=0\.5\]: creep primitive overflows "
+                                               r"at t = 2e\+160$"):
+            creep_integral_curve(ModelParams("bessel", nu=0.5), np.array([0.0, 2e160, 1e160]))
+        # just below the overflow both are finite, and G and Phi decay to 0
+        assert bessel_J_curve(0.0, [1e307])[0] == 8e307
+        assert np.isfinite(creep_integral_curve(ModelParams("bessel", nu=0.5), [1e150])).all()
+        for curve in (bessel_G_curve, memory_phi_curve):
+            assert curve(0.0, [1.0, 1e308]).tolist()[1] == 0.0
+        assert bessel_family.bessel_relax_integral_curve(0.0, [1e308])[0] == 0.125  # 4 / 32
 
 
 def test_fluid_long_time_behavior():
