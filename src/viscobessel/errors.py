@@ -3,10 +3,12 @@
 The CLI maps these onto its exit codes: invalid inputs exit 2, numerical
 refusals (series floor, exhausted tables, bad grids) exit 3, and genuine
 computation failures (root finder, contour inversion, overflow) exit 4.
-Orders and argument arrays are checked by the rules below, s by params.transform_root.
+Orders, counts and argument arrays are checked by the rules below, s by
+params.transform_root.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -45,6 +47,13 @@ def check_order(nu) -> float:
     if not math.isfinite(nu) or nu <= -1.0:
         raise DomainError(f"order nu must be finite and > -1, got {nu!r}")
     return nu
+
+
+def check_count(n, least: int, name: str) -> int:
+    """n as an int, or DomainError unless it is an integer (numbers.Integral) >= least."""
+    if not isinstance(n, numbers.Integral) or n < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)
 
 
 def check_array(values, need: str, ok=None) -> np.ndarray:

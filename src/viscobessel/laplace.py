@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, InversionError
+from .errors import DomainError, InversionError, check_count
 
 __all__ = [
     "LaplaceFunction",
@@ -65,8 +65,7 @@ def invert_talbot(transform, t: float, M: int = 64) -> float:
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"invert_talbot requires t > 0, got {t!r}")
-    if M < 8:
-        raise DomainError(f"invert_talbot requires M >= 8, got {M!r}")
+    M = check_count(M, 8, "invert_talbot's M")
     from mpmath import mp
 
     # exp(r t) = exp(2M/5) costs 2M/(5 ln 10) digits to cancellation; budget

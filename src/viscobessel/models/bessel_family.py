@@ -20,11 +20,11 @@ and the rate of relaxation (the complete-monotonicity check samples it)
     Phi(t) = -dG/dt = 4(nu+1) sum_n exp(-j_{nu,n}^2 t).
 
 Truncation is per chunk of 4096 times, within the terms the smallest requested
-time needs: by the Rayleigh identity sum_n j^-2 = 1/(4(mu+1)) the J/G tail past
-index N is below exp(-j_N^2 t)/(4(mu+1)); Phi uses a geometric bound built from
-the next tabulated zero.  Below TruncationPolicy.t_floor the series converge
-too slowly for the configured table and evaluation is refused
-(SeriesRefusalError) -- short times belong to the Laplace-domain route.
+time needs.  Past index N, with u = j_N^2, every term exp(-j_n^2 t)/j_n^(2 power)
+is at most u^(1-power) exp(-u t)/j_n^2 where u t >= 1 - power, and by Rayleigh
+(Watson 15.51) sum_n j^-2 = 1/(4(mu+1)): one tail bound for J, G and Phi, inf
+where u t < 1 - power.  Below TruncationPolicy.t_floor the series converge too
+slowly and evaluation is refused (SeriesRefusalError): short times are Laplace's.
 
 Within that count, each contiguous block of a chunk's times also drops every
 term with j_n^2 - j_1^2 > 55 ln 2 / t_min, t_min being the block's smallest
@@ -51,16 +51,16 @@ two or more times merges into the one before it when both keep the same terms
 and together hold at most 2^17 (1 MB); its columns still add their terms in
 table order, so no bit moves.  A one-term block skips the buffer.
 
-A series reads only its first n_use zeros (one more for Phi), so it asks the
-zero memo for just the prefix its smallest time t_min needs: the search
-starts on a table of N_MIN + 1 zeros and, each time it reaches a table's end,
-resumes there on the next of 16, 32, 48, ... zeros (at most n_max), so it
-ends on the first whose tail bound falls below tol at t_min.  At the default
-tol that is at most 64 zeros from t_min = 1e-3 and 16 from 0.1.  A prefix
-holds the first zeros of the full table bit for bit, so every sum, count and
-refusal is the one over the n_max table.  The exact primitives read the whole
-table.  J and the creep primitive grow like t and t^2, and are refused with
-DomainError where that growth overflows at the largest time.
+A series reads only its first n_use zeros, so it asks the zero memo for just
+the prefix its smallest time t_min needs: the search starts on N_MIN zeros and,
+each time it reaches a table's end, resumes there on the next of 16, 32, 48,
+... zeros (at most n_max), so it ends on the first whose tail bound falls below
+tol at t_min.  At the default tol that is at most 64 zeros from t_min = 1e-3
+and 16 from 0.1.  A prefix holds the first zeros of the full table bit for
+bit, so every sum, count and refusal is the one over the n_max table.  The
+exact primitives read the whole table.  J and the creep primitive grow like t
+and t^2, and are refused with DomainError where that growth overflows at the
+largest time.
 """
 
 import math
@@ -175,13 +175,12 @@ def _dirichlet_sum(squares, ts, power: int, counts=None, extremes=None) -> np.nd
 
 
 def _tail(c: float, power: int, sq, i: int, t: float) -> float:
-    """Bound at t on the series tail past its first N = i + 1 terms: c exp(-j_N^2 t)
-    for J and G (power 1, Rayleigh); for Phi (power 0) j_n^2 gaps grow, so the
-    terms past N fall faster than rho^k, and the bound reads zero N + 1."""
-    if power:
-        return c * math.exp(-sq[i] * t)
-    rho = math.exp(-(sq[i + 1] - sq[i]) * t)
-    return c * math.exp(-sq[i + 1] * t) / (1.0 - rho)
+    """Bound at t on the series tail past its first N = i + 1 terms (module
+    doc): c u^(1-power) exp(-u t), u = j_N^2, where u t >= 1 - power, else inf.
+    c is the series' amplitude times the Rayleigh total; J and G (power 1)
+    read c exp(-u t) at every t."""
+    u = sq[i]
+    return c * u ** (1 - power) * math.exp(-u * t) if u * t >= 1 - power else math.inf
 
 
 def _series(order, ts, policy, c, power, what):
@@ -190,7 +189,7 @@ def _series(order, ts, policy, c, power, what):
     lies below t_floor.  Each chunk keeps the first N >= N_MIN terms whose
     _tail(c, power, ...) at its smallest time is at most tol, searched as the
     module doc says from the largest chunk minimum down, on the first table of
-    N_MIN + 1, 16, 32, ... zeros (at most n_max) that holds them all."""
+    N_MIN, 16, 32, ... zeros (at most n_max) that holds them all."""
     ts = np.asarray(ts, dtype=float)
     ext = _extremes(ts.ravel())
     if not np.isfinite(ext).all():  # NaN reaches both rows
@@ -201,20 +200,17 @@ def _series(order, ts, policy, c, power, what):
     if t_min < policy.t_floor:
         raise SeriesRefusalError(f"series evaluation refused below t_floor = {policy.t_floor!r} "
                                  f"(smallest requested t = {t_min!r})")
-    n, i, counts = min(N_MIN + 1, policy.n_max), N_MIN - 1, {}
+    n, i, counts = N_MIN, N_MIN - 1, {}
     tab = zero_table(order, n)
     for t in minima:  # a tail falls with t, so no index before i meets tol at t
         while True:
-            end = len(tab) - (power == 0)  # Phi's bound past N reads zero N + 1
-            while i < end and _tail(c, power, tab.squares, i, t) > policy.tol:
+            while i < len(tab) and _tail(c, power, tab.squares, i, t) > policy.tol:
                 i += 1
-            if i < end:
+            if i < len(tab):
                 break
             if n == policy.n_max:
-                detail = (f"{n} zeros cannot push the series tail" if power
-                          else f"table of {n} zeros cannot bound the memory-series tail")
-                raise TableExhaustedError(
-                    f"{what}: {detail} below tol = {policy.tol!r} at t = {t_min!r}")
+                raise TableExhaustedError(f"{what}: {n} zeros cannot push the series tail "
+                                          f"below tol = {policy.tol!r} at t = {t_min!r}")
             n = min(n // 16 * 16 + 16, policy.n_max)
             tab = zero_table(order, n)
         counts[t] = i + 1
@@ -266,9 +262,9 @@ def bessel_G_time(nu: float, t: float, policy=None) -> float:
 def memory_phi_curve(nu, ts, policy=None) -> np.ndarray:
     """Rate of relaxation Phi(t; nu) = -dG/dt on an array of times."""
     nu = check_nu(nu)
-    amp = 4.0 * (nu + 1.0)
-    series = _series(nu, ts, policy or DEFAULT_POLICY, amp, 0, "Phi series")[0]
-    return scalar_or_array(np.multiply(series, amp, out=series))
+    # 4(nu+1) * Rayleigh total 1/(4(nu+1)) = 1
+    series = _series(nu, ts, policy or DEFAULT_POLICY, 1.0, 0, "Phi series")[0]
+    return scalar_or_array(np.multiply(series, 4.0 * (nu + 1.0), out=series))
 
 
 # ---------------------------------------------------------------------------

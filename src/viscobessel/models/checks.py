@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..errors import DomainError, SeriesRefusalError
+from ..errors import DomainError
 from ..specfun import bessel_j, zero_table
 from .bessel_family import bessel_J_curve, memory_phi_curve
 from .evaluate import eval_G_curve, eval_J_curve, laplace_sG, laplace_sJ
@@ -63,13 +63,9 @@ class ShortTimeAgreementReport:
 
 def short_time_agreement(nu, t_grid, policy=None) -> ShortTimeAgreementReport:
     """Compare J(t; nu) of the Bessel family against J_as on a short-t grid."""
-    policy = policy or DEFAULT_POLICY
     ts = sorted(float(t) for t in t_grid)
     if not ts or ts[-1] > 0.5:
         raise DomainError("short-time grid must be non-empty and end at or below 0.5")
-    if ts[0] < policy.t_floor:
-        raise SeriesRefusalError(f"short-time agreement refused below t_floor = "
-                                 f"{policy.t_floor!r} (smallest requested t = {ts[0]!r})")
     bessel_vals = bessel_J_curve(nu, ts, policy)
     residuals = tuple(abs(bessel_vals - asym_J_time(nu, ts)).tolist())
     ratios = tuple(r / math.sqrt(t) for r, t in zip(residuals, ts))

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..errors import DomainError, check_order
+from ..errors import DomainError, check_count, check_order
 from ..specfun.zeros import ORDER_MAX
 
 # family -> the ModelParams fields it sets, in label order, and whether it sets nu, a1, b1
@@ -113,8 +113,7 @@ class TruncationPolicy:
         if not (0.0 < self.tol < math.inf and 0.0 < self.t_floor < math.inf):
             raise DomainError(f"tol and t_floor must be finite and > 0, "
                               f"got {self.tol!r}, {self.t_floor!r}")
-        if not N_MIN <= self.n_max:
-            raise DomainError(f"n_max must be >= {N_MIN}, got {self.n_max!r}")
+        object.__setattr__(self, "n_max", check_count(self.n_max, N_MIN, "n_max"))
 
 
 DEFAULT_POLICY = TruncationPolicy()

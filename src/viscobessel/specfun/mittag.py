@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, check_count
 from .erf import erfcx
 
 
@@ -39,8 +39,7 @@ def mittag_leffler_series(alpha: float, z: float, n_terms: int) -> float:
         raise DomainError(f"order alpha must be positive, got {alpha!r}")
     if abs(z) > 2.0:
         raise DomainError(f"series evaluation restricted to |z| <= 2, got {z!r}")
-    if n_terms < 1:
-        raise DomainError(f"n_terms must be >= 1, got {n_terms!r}")
+    n_terms = check_count(n_terms, 1, "n_terms")
     total = 0.0
     power = 1.0
     for n in range(n_terms):

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ..errors import DomainError, RootFindError, check_order
+from ..errors import DomainError, RootFindError, check_count, check_order
 from .bessel import _j
 
 # Highest order tabulated: 200-zero tables are within 1.2e-11 of scipy's up
@@ -170,13 +170,12 @@ def bessel_j_zeros(nu: float, n_max: int) -> ZeroTable:
 _found: dict = {}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: n_max = 200.0 is refused, not a hit on 200
 def zero_table(nu: float, n_max: int) -> ZeroTable:
     """The first n_max zeros, grown from (and into) the order's prefix in _found."""
     nu = check_order(nu)
     if nu > ORDER_MAX:
         raise DomainError(f"zero tables stop at order {ORDER_MAX:g}, got {nu!r}")
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max!r}")
+    n_max = check_count(n_max, 1, "n_max")
     zeros = _extend(nu, _found.setdefault(nu, []), n_max)
     return ZeroTable(order=nu, zeros=tuple(zeros[:n_max]))

@@ -127,11 +127,11 @@ def scipy_bessel_zeros(order: float, count: int) -> tuple:
 
 
 def scipy_series(fn: str, nu: float, ts, count: int = 1000) -> np.ndarray:
-    """The Bessel family's J or G on a count-term series over scipy_bessel_zeros."""
+    """The Bessel family's J, G or Phi on a count-term series over scipy_bessel_zeros."""
     ts = np.asarray(ts, dtype=float)
     sq = np.array(scipy_bessel_zeros(nu + 2.0 if fn == "J" else nu, count)) ** 2
-    series = (np.exp(-np.outer(ts, sq)) / sq).sum(axis=1)
-    if fn == "G":
+    series = (np.exp(-np.outer(ts, sq)) / (1.0 if fn == "Phi" else sq)).sum(axis=1)
+    if fn in ("G", "Phi"):
         return 4 * (nu + 1) * series
     return 2 * (nu + 2) / (nu + 3) + 4 * (nu + 1) * (nu + 2) * ts - 4 * (nu + 1) * series
 
@@ -454,26 +454,28 @@ def series_plan_reference(fn: str, nu: float, ts, sub_ulp=SUB_ULP_CUT_BEFORE,
 def truncation_reference(fn: str, nu: float, t: float, policy=DEFAULT_POLICY, n=None):
     """The first N in [N_MIN, n] whose tail bound at t is at most tol, else None.
 
-    fn is "J", "G" or "Phi", with the tail bounds of ``dirichlet_reference``
+    fn is "J", "G" or "Phi", with the tail bound of ``series_tail_bound``
     (J with the package's coefficient (nu+1)/(nu+3)) on the n_max table; n
-    defaults to the most that table can count (one less for Phi, whose bound
-    past N reads zero N + 1).  Each index is tried on its own, at t alone.
+    defaults to the whole table.  Each index is tried on its own, at t alone.
     """
     sq = zero_table(nu + 2.0 if fn == "J" else nu, policy.n_max).squares
-    amp = 4.0 * (nu + 1.0)
-    if fn == "Phi":
-        n_terms = min(len(sq), policy.n_max) - 1
+    c = (nu + 1.0) / (nu + 3.0) if fn == "J" else 1.0
+    n = min(len(sq), policy.n_max) if n is None else n
+    return next((i + 1 for i in range(N_MIN - 1, n)
+                 if series_tail_bound(fn, c, sq[i], t) <= policy.tol), None)
 
-        def tail(i, t):
-            return amp * math.exp(-sq[i + 1] * t) / (1.0 - math.exp(-(sq[i + 1] - sq[i]) * t))
-    else:
-        n_terms, c = min(len(sq), policy.n_max), (nu + 1.0) / (nu + 3.0) if fn == "J" else 1.0
 
-        def tail(i, t):
-            return c * math.exp(-sq[i] * t)
+def series_tail_bound(fn: str, c: float, u: float, t: float) -> float:
+    """Bound at t on a series' tail past the term of j_N^2 = u.
 
-    n = n_terms if n is None else n
-    return next((i + 1 for i in range(N_MIN - 1, n) if tail(i, t) <= policy.tol), None)
+    J and G: the Rayleigh bound c exp(-u t), since sum_n j^-2 = 1/(4(mu+1)).
+    Phi: each later term exp(-j^2 t) = j^2 exp(-j^2 t) / j^2 is at most
+    u exp(-u t) / j^2 once u t >= 1, where x exp(-x t) falls, so c u exp(-u t)
+    there and inf below it.
+    """
+    if fn != "Phi":
+        return c * math.exp(-u * t)
+    return c * u * math.exp(-u * t) if u * t >= 1.0 else math.inf
 
 
 def planned_dirichlet_sum(squares, ts, power: int, plan) -> np.ndarray:
@@ -495,25 +497,18 @@ def planned_dirichlet_sum(squares, ts, power: int, plan) -> np.ndarray:
 def dirichlet_reference(fn: str, nu: float, ts, policy=DEFAULT_POLICY) -> np.ndarray:
     """Bessel-family J, G or Phi as one n_use x n_t outer product.
 
-    n_use is chosen once, for the smallest time: J/G stop at the first N whose
-    Rayleigh tail 4(nu+1) exp(-j_N^2 t) / (4(order+1)) is below tol, Phi at
-    the first N whose geometric tail past N is.  Memory grows as n_use x n_t;
-    the zero squares come from the package's table.
+    n_use is chosen once, for the smallest time: the first N whose tail bound
+    (``series_tail_bound``, amplitude 4(nu+1) times the Rayleigh total
+    1/(4(order+1))) is below tol.  Memory grows as n_use x n_t; the zero
+    squares come from the package's table.
     """
     ts = np.asarray(ts, dtype=float)
     order = nu + 2.0 if fn == "J" else nu
     sq = zero_table(order, policy.n_max).squares
     t_min = float(ts.min())
     amp = 4.0 * (nu + 1.0)
-    if fn in ("J", "G"):
-        coeff = amp / (4.0 * (order + 1.0))
-        tails = [coeff * math.exp(-s * t_min) for s in sq]
-    else:
-        tails = [
-            amp * math.exp(-sq[i + 1] * t_min)
-            / (1.0 - math.exp(-(sq[i + 1] - sq[i]) * t_min))
-            for i in range(len(sq) - 1)
-        ]
+    coeff = amp / (4.0 * (order + 1.0))
+    tails = [series_tail_bound(fn, coeff, s, t_min) for s in sq]
     n_use = next(
         i + 1 for i in range(N_MIN - 1, len(tails)) if tails[i] <= policy.tol
     )

@@ -568,6 +568,14 @@ def test_verify_asymptotics_and_cm_pass():
     assert run(["verify", "--check", "cm"]) == 0
 
 
+def test_verify_cm_on_eight_zeros_passes(capsys):
+    # the cm stencil starts at t = 0.06, where 8 terms bound Phi's tail below
+    # tol, so a table of 8 zeros is enough
+    capsys.readouterr()
+    assert run(["verify", "--check", "cm", "--family", "bessel", "--nu", "0", "--n-max", "8"]) == 0
+    assert capsys.readouterr().out.startswith("cm-phi  bessel ")
+
+
 @pytest.mark.parametrize("family", [["--family", "fmax"], []], ids=["family", "bare-flags"])
 @pytest.mark.parametrize("check", ["asymptotics", "cm", "zeros"])
 def test_verify_check_refuses_a_family_it_does_not_cover(check, family, capsys):
@@ -664,7 +672,7 @@ def test_verify_asymptotics_grid_outside_the_floor_is_refused(capsys):
     capsys.readouterr()
     assert run(["verify", "--check", "asymptotics", "--t-floor", "0.05"]) == 3
     err = capsys.readouterr().err
-    assert err == ("refused: short-time agreement refused below t_floor = 0.05 "
+    assert err == ("refused: series evaluation refused below t_floor = 0.05 "
                    "(smallest requested t = 0.01)\n")
 
 

@@ -19,6 +19,7 @@ from oracles import (
     dirichlet_sum_uncut,
     erfc_quadrature,
     planned_dirichlet_sum,
+    scipy_bessel_zeros,
     scipy_series,
     series_plan_reference,
     truncation_reference,
@@ -51,7 +52,7 @@ from viscobessel.models.evaluate import (
 )
 from viscobessel.models.maxwell import relaxation_memory
 from viscobessel.models.params import LAWS, N_MIN
-from viscobessel.specfun import mittag_leffler_half, zero_table
+from viscobessel.specfun import mittag_leffler_half, mittag_leffler_series, zero_table
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +133,27 @@ def test_table_exhausted_error():
         bessel_G_time(0.0, 1e-3, policy)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: relax_integral_curve(ModelParams("bessel", nu=0.0), [1.0], TruncationPolicy(n_max=200.0)),
+    lambda: bessel_G_curve(0.0, [1.0], TruncationPolicy(n_max=8.5)),
+    lambda: zero_table(0.0, 2.5),
+    lambda: zero_table(0.0, 200.0),  # after zero_table(0.0, 200): not a cache hit
+    lambda: invert_talbot(lambda s: 1.0 / s, 1.0, 8.5),
+    lambda: mittag_leffler_series(0.5, 0.1, 2.5),
+], ids=["policy-200.0", "policy-8.5", "zeros-2.5", "zeros-200.0", "talbot-8.5", "mittag-2.5"])
+def test_counts_must_be_integers(call):
+    # one rule, errors.check_count, refuses a count that is not an integer
+    # before it reaches range() (a bare TypeError) or a cached table
+    zero_table(0.0, 200)
+    with pytest.raises(DomainError, match=r"must be an integer >= \d+, got (200|8|2)\.[05]$"):
+        call()
+
+
+def test_a_count_of_any_integral_type_is_kept_as_an_int():
+    policy = TruncationPolicy(n_max=np.int64(200))
+    assert policy == DEFAULT_POLICY and type(policy.n_max) is int
+
+
 SERIES_CURVES = {
     "J": bessel_J_curve,
     "G": bessel_G_curve,
@@ -175,8 +197,7 @@ def test_table_exhausted_quotes_the_global_minimum():
     expected = {
         "J": f"J series: 20 zeros cannot push the series tail {tail}{float(ts.min())!r}",
         "G": f"G series: 20 zeros cannot push the series tail {tail}{float(ts.min())!r}",
-        "Phi": f"Phi series: table of 20 zeros cannot bound the memory-series "
-        f"tail {tail}{float(ts.min())!r}",
+        "Phi": f"Phi series: 20 zeros cannot push the series tail {tail}{float(ts.min())!r}",
     }
     for fn, message in expected.items():
         with pytest.raises(TableExhaustedError) as err:
@@ -206,7 +227,7 @@ def _tables_read(monkeypatch, fn, nu, ts, policy=DEFAULT_POLICY):
 
 @pytest.mark.parametrize("fn", ["J", "G", "Phi"])
 def test_series_on_a_prefix_equal_the_sum_on_the_full_table(monkeypatch, fn):
-    # a series reads only its first n_use zeros (one more for Phi), and a
+    # a series reads only its first n_use zeros, and a
     # prefix holds the first zeros of the full table bit for bit, so the
     # prefix its smallest time stops at gives the bits of the n_max table
     grids = [np.geomspace(1e-3, 50.0, 5000), np.linspace(1e-3, 50.0, 5000),
@@ -221,29 +242,28 @@ def test_series_on_a_prefix_equal_the_sum_on_the_full_table(monkeypatch, fn):
             assert policy is low or calls[-1][1] <= 64, calls
 
 
-# the factor c of each series' tail bound c exp(-j_N^2 t) (Phi: times 1 / (1 - rho))
+# the factor c of each series' tail bound c u^(1-power) exp(-u t), u = j_N^2
 _TAIL_FACTOR = {"J": lambda nu: (nu + 1.0) / (nu + 3.0), "G": lambda nu: 1.0,
-                "Phi": lambda nu: 4.0 * (nu + 1.0)}
+                "Phi": lambda nu: 1.0}
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-14])
 @pytest.mark.parametrize("fn", ["J", "G", "Phi"])
 def test_prefix_search_stops_at_the_smallest_table_that_suffices(monkeypatch, fn, tol):
-    # a series asks for tables of 9, 16, 32, 48, ... zeros up to n_max and
+    # a series asks for tables of 8, 16, 32, 48, ... zeros up to n_max and
     # stops at the first whose tail meets tol at t_min: the table before it
     # fails the tail test, and where none passes it is refused on n_max zeros
     policy = TruncationPolicy(tol=tol, n_max=400, t_floor=1e-5)
-    sizes = [N_MIN + 1] + list(range(16, 400, 16)) + [400]
+    sizes = [N_MIN] + list(range(16, 400, 16)) + [400]
     for nu in (-0.9, 0.0, 1.0, 3.0, 6.0):
         order = nu + 2.0 if fn == "J" else nu
-        reads = (fn == "Phi")  # zeros read past the count: Phi's bound reads zero N + 1
         for t in np.geomspace(2e-5, 10.0, 25):
             got, calls = _tables_read(monkeypatch, fn, nu, [t], policy)
             need = truncation_reference(fn, nu, float(t), policy)
             assert [n for _, n in calls] == sizes[: len(calls)] and {o for o, _ in calls} == {order}
-            *before, last = [n - reads for _, n in calls]  # the count each table can reach
+            *before, last = [n for _, n in calls]  # the count each table can reach
             if need is None:
-                assert isinstance(got, TableExhaustedError) and last == 400 - reads
+                assert isinstance(got, TableExhaustedError) and last == 400
             else:
                 assert not isinstance(got, Exception) and need <= last, (nu, t, calls)
                 assert not before or need > before[-1], (nu, t, calls)
@@ -261,6 +281,8 @@ def test_scalar_tail_search_visits_each_index_once_at_t_min(fn, ts, policy):
     # reads each index up to the count at t_min once, and each minimum's count
     # once more
     visits, tail = [], bessel_family._tail
+    if fn == "Phi" and ts[0] < 2.5e-5:  # 400 zeros bound Phi's tail from t = 2.4e-5 at nu = 0.3
+        ts = np.geomspace(2.5e-5, 2.0, len(ts))
 
     def counted(c, power, sq, i, t):
         visits.append((i, t))
@@ -509,12 +531,18 @@ def test_block_plan_from_arrays_matches_the_chunk_by_chunk_plan(grid, nu):
 @pytest.mark.parametrize("fn", ["J", "G", "Phi"])
 def test_counts_at_near_tie_chunk_minima_equal_the_reference_search(fn):
     # chunk minima where a tail lies within an ulp of tol (times where the
-    # count steps up: each edge ln(c / tol) / j_n^2 and both its float
-    # neighbours) count as the independent search at each minimum does
+    # count steps up: each edge ln(c / tol) / u, u = j_n^2, for J and G, and
+    # ln(u / tol) / u for Phi, whose bound is also finite only from t = 1 / u)
+    # and both float neighbours of each, at or above t_floor, count as the
+    # independent search at each minimum does
     nu, policy = 0.3, TruncationPolicy(t_floor=1e-4)
-    sq = zero_table(nu + 2.0 if fn == "J" else nu, policy.n_max).squares
-    edges = [math.log(_TAIL_FACTOR[fn](nu) / policy.tol) / s for s in sq[N_MIN - 1 : 60]]
+    sq = zero_table(nu + 2.0 if fn == "J" else nu, policy.n_max).squares[N_MIN - 1 : 60]
+    if fn == "Phi":
+        edges = [math.log(u / policy.tol) / u for u in sq] + [1.0 / u for u in sq]
+    else:
+        edges = [math.log(_TAIL_FACTOR[fn](nu) / policy.tol) / u for u in sq]
     minima = [np.nextafter(t, d) for t in edges for d in (0.0, np.inf)] + edges
+    minima = [t for t in minima if t >= policy.t_floor]
     ts = np.concatenate([t * np.linspace(1.0, 1.5, bessel_family._CHUNK) for t in minima])
     plans, plan = [], bessel_family._block_plan
     with pytest.MonkeyPatch.context() as m:
@@ -525,15 +553,68 @@ def test_counts_at_near_tie_chunk_minima_equal_the_reference_search(fn):
 
 @pytest.mark.parametrize("fn", ["J", "G", "Phi"])
 def test_an_empty_grid_searches_nothing(fn):
-    # no chunk, no count: Phi on 8 zeros can bound no tail (its bound reads
-    # zero N + 1), yet an empty grid is not refused, as it was at t = inf
+    # no chunk, no count: an empty grid is not refused; and 8 zeros bound
+    # every tail at t = 1, so there the sum is the one on the full table
     policy = TruncationPolicy(n_max=8, t_floor=1e-5)
     for ts in ([], np.empty((0, 3))):
         got = SERIES_CURVES[fn](0.0, ts, policy)
         assert isinstance(got, np.ndarray) and got.shape == np.shape(ts)
-    if fn == "Phi":
-        with pytest.raises(TableExhaustedError, match="table of 8 zeros"):
-            SERIES_CURVES[fn](0.0, [1.0], policy)
+    full = TruncationPolicy(t_floor=1e-5)
+    assert SERIES_CURVES[fn](0.0, [1.0], policy)[0] == SERIES_CURVES[fn](0.0, [1.0], full)[0]
+
+
+_SWEEP_NUS = (-0.9, -0.5, 0.0, 1.0, 3.0, 6.0)
+
+
+@pytest.mark.parametrize("nu", _SWEEP_NUS)
+def test_phi_is_within_tol_of_a_series_on_1200_scipy_zeros(nu):
+    # the independent reference for Phi: each time on its own, so each keeps
+    # the count of its own tail bound
+    ts = np.geomspace(1e-3, 10.0, 40)
+    got = np.array([memory_phi_curve(nu, [t])[0] for t in ts])
+    assert np.max(np.abs(got - scipy_series("Phi", nu, ts, 1200))) <= DEFAULT_POLICY.tol
+
+
+@pytest.mark.parametrize("fn,power", [("J", 1), ("G", 1), ("Phi", 0)])
+def test_tail_bound_holds_past_every_count(fn, power):
+    # 4(nu+1) times the tail past N of a 1200-zero scipy series, against
+    # _tail at N, wherever its bound is finite (u t >= 1 - power).  The times
+    # reach below 1 / j_200^2, where Phi's bound is inf at every N; where it is
+    # finite, j_1200^2 t > 36, so the terms past zero 1200 do not matter (for
+    # J and G at t near 1e-6 they do, which only weakens the test there)
+    worst = 0.0
+    for nu in _SWEEP_NUS:
+        order = nu + 2.0 if fn == "J" else nu
+        sq = zero_table(order, DEFAULT_POLICY.n_max).squares
+        ref = np.array(scipy_bessel_zeros(order, 1200)) ** 2
+        for t in np.geomspace(1e-6, 10.0, 22):
+            terms = 4.0 * (nu + 1.0) * np.exp(-ref * t) / ref**power
+            for n in range(N_MIN, len(sq), 7):
+                bound = bessel_family._tail(_TAIL_FACTOR[fn](nu), power, sq, n - 1, t)
+                if math.isfinite(bound) and bound > 0.0:
+                    worst = max(worst, math.fsum(terms[n:]) / bound)
+    assert worst <= 1.0
+
+
+@settings(max_examples=300)
+@given(order=st.sampled_from([-0.9, 0.0, 1.0, 3.0, 8.0]), power=st.sampled_from([0, 1]),
+       i=st.integers(0, 199), scale=st.floats(0.01, 100.0), growth=st.floats(1.0, 100.0))
+def test_tail_never_rises_as_t_grows(order, power, i, scale, growth):
+    # the walk resumes each smaller chunk minimum where the larger one
+    # stopped, so no bound may rise with t; t starts either side of u t = 1
+    sq = zero_table(order, 200).squares
+    t = scale / sq[i]
+    assert bessel_family._tail(1.0, power, sq, i, t * growth) <= bessel_family._tail(
+        1.0, power, sq, i, t)
+
+
+def test_phi_far_below_the_floor_is_a_table_exhaustion():
+    # below 1 / j_200^2 Phi's bound is inf at every index, so the table runs
+    # out: a refusal at any t > 0, with no division to overflow or fail
+    policy = TruncationPolicy(t_floor=1e-300)
+    for t in (1e-18, 1e-19, 1e-100, 1e-300):
+        with pytest.raises(TableExhaustedError, match="^Phi series: 200 zeros cannot push"):
+            memory_phi_curve(0.0, [t], policy)
 
 
 def test_bessel_J_and_creep_primitive_refuse_overflow_at_the_largest_time():
