@@ -10,14 +10,22 @@ The checks are the table models.checks.CHECKS.  The simulators (fracsim),
 the Talbot oracle (laplace) and json are imported by the subcommands and
 checks that use them, so that eval and zeros load none of them.
 
-Exit codes: 0 success, 1 verification check failed, 2 usage/invalid input
-(among them a Bessel-family nu above 6, or a zero table above order 8),
-3 numerical-domain refusal (series floor, grid violation, exhausted table),
-4 computation failure (root finder, inversion, overflow).
+Exit codes: 0 success, 1 verification check failed (or stdout closed early),
+2 usage/invalid input (among them a Bessel-family nu above 6, or a zero table
+above order 8), 3 numerical-domain refusal (series floor, grid violation,
+exhausted table), 4 computation failure (root finder, inversion, overflow).
+
+run() is the process entry of `python -m viscobessel.cli` and the installed
+`viscobessel` script: it calls main(), flushes stdout and stderr and ends the
+process with os._exit, skipping the interpreter's teardown (every file main()
+writes is closed before it returns).  A reader that closes stdout early
+(`| head`) ends it with exit 1 and no traceback.  Embedders call main(argv),
+which returns the exit code and leaves the interpreter running.
 """
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -61,6 +69,22 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def run():
+    """Process entry: main()'s exit code, then os._exit, without teardown.  An
+    exception main() raises (SystemExit from argparse among them) takes the
+    interpreter's usual exit."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, as Python's signal docs
+        # advise for SIGPIPE, so that no later flush of its buffer can raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -325,4 +349,4 @@ def _cmd_zeros(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

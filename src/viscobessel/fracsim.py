@@ -73,7 +73,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .csvout import write_csv
-from .errors import DomainError, GridError
+from .errors import DomainError, GridError, check_array, check_count
 from .models.evaluate import family_of
 from .models.params import DEFAULT_POLICY, LAWS, ModelParams
 
@@ -366,10 +366,13 @@ def interconversion_check(
     sample k.  Each t is read at sample round(t / dt) and reported at that
     sample's time; the smallest must land on sample 16 or later.  Both loads
     start at rest (every primitive is 0 at T = 0), so only the primitives are
-    read, and neither the grid nor its panels depend on t_floor.
+    read, and neither the grid nor its panels depend on t_floor.  The times
+    must be finite and n_quad an integer; n_quad = 0 is refused like any
+    count too small for the grid.
     """
     policy = policy or DEFAULT_POLICY
-    times = sorted(float(t) for t in t_grid)
+    n_quad = check_count(n_quad, 0, "n_quad")
+    times = sorted(check_array(t_grid, "interconversion times must be finite").tolist())
     if not times or times[0] < 0.05:
         raise DomainError("interconversion grid must start at or above 0.05")
     dt = times[-1] / max(n_quad, 1)

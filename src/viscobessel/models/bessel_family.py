@@ -280,7 +280,7 @@ def _exp_quartic_sum(tab: ZeroTable, T):
     rest sum to R(0) = sigma_2 - (table sum) at
     T = 0, where the result is sigma_2 itself so that both primitives start
     at exactly 0, and to R(0) exp(-x^2) (1 - 2x^2 + 2 sqrt(pi) x^3 erfcx(x)),
-    x = j0 sqrt(T): the integral of exp(-T j^2) / j^4 over the zeros' ~pi
+    x = j0 sqrt(T) > 0: the integral of exp(-T j^2) / j^4 over the zeros' ~pi
     spacing past j0, with j0 = (3 pi R(0))^(-1/3) to match R(0).  Against 2e5 scipy zeros (orders
     0-5, 200-zero tables) that is within 2.3e-6 R(0), ~1e-15.  Past x^2 =
     55 ln 2 it is below 2^-55 R(0), far below the table's first term, and is
@@ -293,12 +293,13 @@ def _exp_quartic_sum(tab: ZeroTable, T):
     r0 = sigma2 - tab.quartic_partial
     if r0 > 0.0:  # else the table holds the whole sum to rounding
         j0 = (3.0 * math.pi * r0) ** (-1.0 / 3.0)
-        near = np.flatnonzero(T < _SUB_ULP / (j0 * j0))
-        x = j0 * np.sqrt(T[near])
-        xx = x * x
-        rho = np.exp(-xx) * (1.0 - 2.0 * xx + 2.0 * math.sqrt(math.pi) * xx * x * erfcx(x))
-        out[near] += r0 * rho
-        out[near[x == 0.0]] = sigma2
+        near = np.flatnonzero((T > 0.0) & (T < _SUB_ULP / (j0 * j0)))
+        if near.size:
+            x = j0 * np.sqrt(T[near])
+            xx = x * x
+            rho = np.exp(-xx) * (1.0 - 2.0 * xx + 2.0 * math.sqrt(math.pi) * xx * x * erfcx(x))
+            out[near] += r0 * rho
+        out[T == 0.0] = sigma2
     return out.reshape(shape), float(ext[1].max(initial=0.0))
 
 

@@ -960,3 +960,134 @@ def test_cm_on_a_law_whose_memory_overflows_exits_2_naming_law_and_time(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: asymptotic[nu=8e+307]: relaxation_memory overflows at t = 2.04\n"
+
+
+# ---------------------------------------------------------------------------
+# the process path: `python -m viscobessel.cli` ends through cli.run()
+# ---------------------------------------------------------------------------
+
+# Tightens the reciprocity check's tolerance to 0, so that its records fail,
+# then ends the process through run().
+_FAIL_PROBE = (
+    "from viscobessel.cli import run\n"
+    "from viscobessel.models.checks import CHECKS\n"
+    "CHECKS['reciprocity'] = CHECKS['reciprocity']._replace(tol={'reciprocity': 0.0})\n"
+    "run()\n"
+)
+
+
+def _process_env():
+    # stdout block-buffered, as under a shell without PYTHONUNBUFFERED, so that
+    # what run() must flush is still in the buffer when main() returns
+    src = Path(viscobessel.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _cli_process(argv, cwd, probe=None):
+    """(exit code, stdout bytes, stderr bytes) of `python -m viscobessel.cli
+    argv`, or of `python -c probe argv`."""
+    launch = ["-m", "viscobessel.cli"] if probe is None else ["-c", probe]
+    proc = subprocess.run([sys.executable, *launch, *argv], cwd=cwd, env=_process_env(),
+                          capture_output=True, timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv, cwd, capsys, monkeypatch):
+    """The same triple from main(argv) in this interpreter, run in cwd; an
+    argparse SystemExit gives its code."""
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.chdir(cwd)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out.encode("ascii"), err.encode("ascii")
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
+def _same_as_in_process(argv, tmp_path, capsys, monkeypatch, probe=None):
+    """Run argv as a process and in-process, each in its own directory, and
+    assert the exit code, stdout, stderr and every file written are equal."""
+    proc_dir, main_dir = tmp_path / "process", tmp_path / "main"
+    proc_dir.mkdir()
+    main_dir.mkdir()
+    got = _cli_process(argv, proc_dir, probe)
+    want = _in_process(argv, main_dir, capsys, monkeypatch)
+    assert got == want
+    assert _files(proc_dir) == _files(main_dir)
+    return got, _files(proc_dir)
+
+
+_BIG_EVAL = ["eval", "--family", "fmax", "--a1", "1", "--b1", "1", "--t-end", "5",
+             "--points", "100000"]
+
+
+@pytest.mark.parametrize("argv,rows", [(_BIG_EVAL, 100_001), (_BIG_EVAL[:-1] + ["10"], 11),
+                                       (["zeros", "--nu", "1", "--n", "5"], 5)],
+                         ids=["eval-1e5", "eval-10", "zeros"])
+def test_process_writes_stdout_and_exits_0(argv, rows, tmp_path, capsys, monkeypatch):
+    # run() flushes stdout before os._exit: a short output sits wholly in the
+    # buffer until then, a long one ends in a block written past it
+    (rc, out, err), files = _same_as_in_process(argv, tmp_path, capsys, monkeypatch)
+    assert rc == 0 and err == b"" and files == {} and out.count(b"\n") == rows
+
+
+@pytest.mark.parametrize("argv,written", [
+    ([*_BIG_EVAL, "--out", "curve.csv", "--gnuplot"], {"curve.csv", "curve.csv.gp"}),
+    (["verify", "--check", "reciprocity", "--json", "v.json"], {"v.json"}),
+], ids=["out", "json"])
+def test_process_writes_out_and_json_files_and_exits_0(argv, written, tmp_path, capsys,
+                                                       monkeypatch):
+    (rc, _, err), files = _same_as_in_process(argv, tmp_path, capsys, monkeypatch)
+    assert rc == 0 and err == b"" and set(files) == written
+
+
+@pytest.mark.parametrize("argv,rc,head", [
+    (["eval", "--family", "bessel", "--fn", "J"], 2, b"error: "),
+    (["eval", "--family", "fmax", "--a1", "1", "--b1", "1", "--bogus"], 2, b"usage: "),
+    (["eval", "--family", "bessel", "--nu", "0", "--points", "10"], 3, b"refused: "),
+], ids=["domain-error", "usage-error", "refusal"])
+def test_process_errors_exit_as_in_process(argv, rc, head, tmp_path, capsys, monkeypatch):
+    # argparse's SystemExit leaves run() and takes the interpreter's own exit
+    got, _ = _same_as_in_process(argv, tmp_path, capsys, monkeypatch)
+    assert got[:2] == (rc, b"") and got[2].startswith(head)
+
+
+def test_process_failed_check_exits_1(tmp_path, capsys, monkeypatch):
+    from viscobessel.models.checks import CHECKS
+
+    argv = ["verify", "--check", "reciprocity", "--json", "v.json"]
+    tight = CHECKS["reciprocity"]._replace(tol={"reciprocity": 0.0})
+    monkeypatch.setitem(CHECKS, "reciprocity", tight)
+    (rc, out, err), files = _same_as_in_process(argv, tmp_path, capsys, monkeypatch,
+                                                probe=_FAIL_PROBE)
+    assert rc == 1 and b"FAIL" in out and err == b"" and set(files) == {"v.json"}
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["eval", "--family", "bessel", "--nu", "0", "--t-start", "0.001", "--points", "100000"], 1),
+    (["eval", "--family", "fmax", "--a1", "1", "--b1", "1", "--points", "10"], 0),
+], ids=["head-1", "head-0"])
+def test_process_whose_reader_closes_early_exits_1_without_a_traceback(argv, read, tmp_path):
+    # `| head -1` and `| head -0`: the reader takes `read` lines, then closes
+    # the pipe; the next write or the final flush meets the closed pipe
+    proc = subprocess.Popen([sys.executable, "-m", "viscobessel.cli", *argv], cwd=tmp_path,
+                            env=_process_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    lines = [proc.stdout.readline() for _ in range(read)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=600) == 1
+    assert err == b""
+    assert lines == [b"t,J\n"] * read
+
+
+def test_the_installed_script_enters_through_run():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'viscobessel = "viscobessel.cli:run"' in pyproject

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -586,6 +587,31 @@ def test_interconversion_refuses_a_smallest_time_below_sample_16(grid, n_quad, n
     with pytest.raises(DomainError, match=f"needs n_quad >= {need}$"):
         interconversion_check(ModelParams("fmax", a1=1.0, b1=1.0), grid, n_quad)
     interconversion_check(ModelParams("fmax", a1=1.0, b1=1.0), grid, need)
+
+
+@pytest.mark.parametrize("grid,n_quad,match", [
+    ([0.1, math.nan], 2000, r"^interconversion times must be finite, got nan$"),
+    ([0.1, math.inf], 2000, r"^interconversion times must be finite, got inf$"),
+    ([-math.inf, 0.1], 2000, r"^interconversion times must be finite, got -inf$"),
+    ([0.1, 2.0], 2000.5, r"^n_quad must be an integer >= 0, got 2000\.5$"),
+    ([0.1, 2.0], 2000.0, r"^n_quad must be an integer >= 0, got 2000\.0$"),
+    ([0.1, 2.0], "2000", r"^n_quad must be an integer >= 0, got '2000'$"),
+    ([0.1, 2.0], -1, r"^n_quad must be an integer >= 0, got -1$"),
+], ids=["nan", "inf", "-inf", "fraction", "float", "str", "negative"])
+def test_interconversion_takes_the_package_argument_rules(grid, n_quad, match):
+    # errors.check_array and errors.check_count, as every other layer: a bad
+    # time or count is a DomainError (CLI exit 2), never a warning, an
+    # OverflowError, a TypeError or a run on fractional panels
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            interconversion_check(ModelParams("fmax", a1=1.0, b1=1.0), grid, n_quad)
+
+
+def test_interconversion_keeps_an_integer_count_as_an_int():
+    report = interconversion_check(ModelParams("fmax", a1=1.0, b1=1.0), [0.1, 2.0], np.int64(320))
+    assert report.n_quad == 320 and type(report.n_quad) is int
+    assert report.times == (0.1, 2.0)
 
 
 @pytest.mark.parametrize(

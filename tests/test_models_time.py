@@ -52,7 +52,7 @@ from viscobessel.models.evaluate import (
 )
 from viscobessel.models.maxwell import relaxation_memory
 from viscobessel.models.params import LAWS, N_MIN
-from viscobessel.specfun import mittag_leffler_half, mittag_leffler_series, zero_table
+from viscobessel.specfun import erfcx, mittag_leffler_half, mittag_leffler_series, zero_table
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +858,58 @@ def test_bessel_primitives_start_at_exactly_zero(nu, n_max):
                bessel_family.bessel_relax_integral_curve):
         assert np.all(fn(nu, [0.0], policy) == 0.0)
         assert np.all(fn(nu, 1e-4 * np.arange(300), policy)[:1] == 0.0)
+
+
+def _remainder_cut(tab):
+    j0 = (3.0 * math.pi * (tab.quartic_limit() - tab.quartic_partial)) ** (-1.0 / 3.0)
+    return bessel_family._SUB_ULP / (j0 * j0)
+
+
+def _quartic_sum_with_remainder_at_zero(tab, T):
+    # _exp_quartic_sum's rule with the closed-form remainder (erfcx and all)
+    # taken at every T below the cut, T = 0 included, before T = 0 is set to
+    # sigma_2
+    out = bessel_family._dirichlet_sum(tab.square_array, T, 2, None, bessel_family._extremes(T))
+    r0 = tab.quartic_limit() - tab.quartic_partial
+    j0 = (3.0 * math.pi * r0) ** (-1.0 / 3.0)
+    near = np.flatnonzero(T < _remainder_cut(tab))
+    x = j0 * np.sqrt(T[near])
+    xx = x * x
+    rho = np.exp(-xx) * (1.0 - 2.0 * xx + 2.0 * math.sqrt(math.pi) * xx * x * erfcx(x))
+    out[near] += r0 * rho
+    out[near[x == 0.0]] = tab.quartic_limit()
+    return out
+
+
+_QUARTIC_GRIDS = {
+    "dt=1e-3": 1e-3 * np.arange(1001),
+    "dt=1e-4": 1e-4 * np.arange(3001),
+    "dt=1e-6": 1e-6 * np.arange(2001),
+    "log-1e-12": np.r_[0.0, np.geomspace(1e-12, 10.0, 2000)],
+    "log-1e-8": np.geomspace(1e-8, 1.0, 777),
+    "random": np.sort(np.random.default_rng(5).uniform(0.0, 2e-4, 1000)),
+}
+
+
+@pytest.mark.parametrize("grid", _QUARTIC_GRIDS)
+@pytest.mark.parametrize("nu", [-0.8, 0.0, 0.3, 1.5, 6.0])
+def test_quartic_remainder_skips_t_zero_bit_for_bit(nu, grid, monkeypatch):
+    # T = 0 reads sigma_2 itself, so the remainder is taken only at 0 < T <
+    # cut, and erfcx runs only when there is such a time: never on a grid with
+    # dt >= 1e-4 (the cut is ~9.6e-5 for 200 zeros).  The sums, and so both
+    # primitives, keep every bit of the rule that also took it at T = 0.
+    T = _QUARTIC_GRIDS[grid]
+    for order in (nu, nu + 2.0):  # the relaxation and the creep primitive's table
+        tab = zero_table(order, DEFAULT_POLICY.n_max)
+        assert tab.quartic_limit() > tab.quartic_partial
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(bessel_family, "erfcx", lambda x: calls.append(len(x)) or erfcx(x))
+            got, _ = bessel_family._exp_quartic_sum(tab, T)
+        assert got.tobytes() == _quartic_sum_with_remainder_at_zero(tab, T).tobytes()
+        inside = np.count_nonzero((T > 0.0) & (T < _remainder_cut(tab)))
+        assert calls == ([inside] if inside else [])
+        assert inside == 0 or grid not in ("dt=1e-3", "dt=1e-4")
 
 
 def test_bessel_primitives_vs_quadrature():
